@@ -362,8 +362,9 @@ class PriorEnsemble:
 
     The load covariance of a passing train model is time invariant, so the
     solved covariance is computed once; only the means vary with time.
-    ``projected`` caches the strain-space projection for a given operator,
-    which the marginal likelihood evaluates thousands of times per chain.
+    ``projected`` caches the strain-space projection, which the marginal
+    likelihood reads on every evaluation, by operator matrix identity; each
+    entry keeps its matrix alive, so no other matrix can take over its id.
     """
 
     means: np.ndarray  # (n_free, n_instants)
@@ -374,17 +375,30 @@ class PriorEnsemble:
     def __len__(self) -> int:
         return self.means.shape[1]
 
+    @classmethod
+    def from_beliefs(cls, beliefs) -> "PriorEnsemble":
+        """Stack per-instant beliefs that share one covariance."""
+        beliefs = list(beliefs)
+        if not beliefs:
+            raise ValueError("need at least one prior instant")
+        cov = beliefs[0].cov
+        for b in beliefs[1:]:
+            if not np.allclose(b.cov, cov, rtol=1e-12, atol=0.0):
+                raise ValueError("per-instant priors must share one covariance")
+        means = np.column_stack([b.mean for b in beliefs])
+        return cls(means, cov, jitter=max(b.jitter for b in beliefs))
+
     def instant(self, k: int) -> GaussianBelief:
         return GaussianBelief(self.means[:, k], self.cov, jitter=self.jitter)
 
     def projected(self, strain_op) -> tuple[np.ndarray, np.ndarray]:
         """(strain means (n_y, n_instants), strain covariance (n_y, n_y))."""
         p = strain_op.matrix if hasattr(strain_op, "matrix") else np.asarray(strain_op)
-        key = id(p)
-        if key not in self._cache:
+        entry = self._cache.get(id(p))
+        if entry is None:
             strain_cov = p @ self.cov @ p.T
-            self._cache[key] = (p @ self.means, 0.5 * (strain_cov + strain_cov.T))
-        return self._cache[key]
+            entry = self._cache[id(p)] = (p, p @ self.means, 0.5 * (strain_cov + strain_cov.T))
+        return entry[1], entry[2]
 
 
 def propagate_prior_series(

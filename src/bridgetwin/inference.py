@@ -155,26 +155,12 @@ def sample_hyperposterior(
     the log target is the summed log marginal.
     """
     if not isinstance(priors, PriorEnsemble):
-        priors = _as_ensemble(priors)
-    if len(priors) != obs.n_instants:
-        raise ValueError(f"{obs.n_instants} instants but {len(priors)} prior means")
+        priors = PriorEnsemble.from_beliefs(priors)
 
     def log_target(vec: np.ndarray) -> float:
         return log_marginal(obs, Hyperparameters.from_array(vec), priors, strain_op)
 
     return run_random_walk(log_target, config)
-
-
-def _as_ensemble(beliefs) -> PriorEnsemble:
-    beliefs = list(beliefs)
-    if not beliefs:
-        raise ValueError("need at least one prior instant")
-    cov = beliefs[0].cov
-    for b in beliefs[1:]:
-        if not np.allclose(b.cov, cov, rtol=1e-12, atol=0.0):
-            raise ValueError("per-instant priors must share one covariance")
-    means = np.column_stack([b.mean for b in beliefs])
-    return PriorEnsemble(means, cov, jitter=max(b.jitter for b in beliefs))
 
 
 def point_estimate(chain: Chain) -> Hyperparameters:

@@ -9,6 +9,10 @@ gamma_k, and e_k is iid gauge noise. Everything stays linear Gaussian, so
 conditioning and evidence evaluation are exact given the hyperparameters
 (rho, sigma_d, ell_d).
 
+The recording evidence (:func:`log_marginal`) factors the covariance shared
+by all instants and solves one generalized eigenproblem per hyperparameter
+point; each instant then costs O(n_y).
+
 Strains are dimensionless here; file formats convert to microstrain at the
 I/O boundary only.
 """
@@ -19,9 +23,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import LinAlgError, cho_solve, cholesky, eigh, solve_triangular
+from scipy.linalg.blas import dgemm
 
-from .fem import GaussianBelief, PriorEnsemble, StrainOperator, chol_psd
+from .fem import FactorizationError, GaussianBelief, PriorEnsemble, StrainOperator, chol_psd
 from .loading import select_window
 from .model import ConfigError, GrillageModel
 
@@ -106,9 +111,7 @@ class SensorLayout:
 
     def squared_distances(self) -> np.ndarray:
         if self._d2 is None:
-            p = self.points
-            diff = p[:, None, :] - p[None, :, :]
-            self._d2 = np.sum(diff * diff, axis=-1)
+            self._d2 = _squared_distances(self.points)
         return self._d2
 
     def subset(self, ids) -> "SensorLayout":
@@ -157,26 +160,32 @@ def _locate_on_named_line(model: GrillageModel, line: str, x: float, y: float, t
     return best[1], best[2]
 
 
-def _points_of(layout_or_points) -> np.ndarray:
-    if hasattr(layout_or_points, "points"):
-        return layout_or_points.points
-    return np.asarray(layout_or_points, dtype=float)
+def _squared_distances(layout_or_points) -> np.ndarray:
+    if isinstance(layout_or_points, SensorLayout):
+        return layout_or_points.squared_distances()
+    p = np.asarray(layout_or_points, dtype=float)
+    diff = p[:, None, :] - p[None, :, :]
+    return np.sum(diff * diff, axis=-1)
+
+
+def sq_exp_correlation(d2: np.ndarray, ell: float) -> np.ndarray:
+    """Unit-amplitude squared exponential kernel exp(-d2 / (2 ell^2)) from
+    squared plan distances; the one builder of the mismatch kernel."""
+    return np.exp(-d2 / (2.0 * ell * ell))
 
 
 def sq_exp_covariance(points, sigma: float, ell: float) -> np.ndarray:
     """Squared exponential kernel matrix over plan positions.
 
     k(x, x') = sigma^2 exp(-|x - x'|^2 / (2 ell^2)); symmetric with exact
-    sigma^2 diagonal, and zero distance gives full correlation.
+    sigma^2 diagonal, and zero distance gives full correlation. ``points``
+    is a layout (its cached distances are used) or an (n, 2) array.
     """
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"kernel amplitude must be positive, got {sigma}")
     if not (math.isfinite(ell) and ell > 0.0):
         raise ValueError(f"kernel length scale must be positive, got {ell}")
-    p = _points_of(points)
-    diff = p[:, None, :] - p[None, :, :]
-    d2 = np.sum(diff * diff, axis=-1)
-    return sigma * sigma * np.exp(-d2 / (2.0 * ell * ell))
+    return sigma * sigma * sq_exp_correlation(_squared_distances(points), ell)
 
 
 def mismatch_covariance(layout_or_points, w: Hyperparameters, gamma_k: float) -> np.ndarray:
@@ -186,10 +195,8 @@ def mismatch_covariance(layout_or_points, w: Hyperparameters, gamma_k: float) ->
     """
     if not 0.0 <= gamma_k <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma_k}")
-    p = _points_of(layout_or_points)
-    if gamma_k == 0.0:
-        return np.zeros((p.shape[0], p.shape[0]))
-    return sq_exp_covariance(p, gamma_k * w.sigma_d, w.ell_d)
+    amp = gamma_k * w.sigma_d
+    return amp * amp * sq_exp_correlation(_squared_distances(layout_or_points), w.ell_d)
 
 
 def noise_covariance(n_sensors: int, sigma_e: float) -> np.ndarray:
@@ -335,80 +342,76 @@ def strain_predictive(
     return GaussianBelief(z.mean, 0.5 * (cov + cov.T), jitter=z.jitter)
 
 
-def _logpdf(resid: np.ndarray, lower: np.ndarray) -> float:
-    half = solve_triangular(lower, resid, lower=True)
-    logdet = 2.0 * float(np.sum(np.log(np.diagonal(lower))))
-    return -0.5 * (resid.shape[0] * LOG_2PI + logdet + float(half @ half))
+# One library: numpy and scipy each load an OpenBLAS with its own thread pool,
+# and handing 40 x 40 calls between the pools costs more than the arithmetic,
+# so every BLAS/LAPACK call of the evidence goes through scipy.
+def _evidence_terms(strains, gamma, sigma_e, d2, w: Hyperparameters, priors: PriorEnsemble,
+                    strain_op) -> np.ndarray:
+    """Log density of each column y_k under N(rho P u_k, S_k = a_k K + B).
+
+    K is the unit mismatch kernel, a_k = (gamma_k sigma_d)^2 and
+    B = rho^2 P C_u P^T + sigma_e^2 I = L L^T. With L^-1 K L^-T =
+    Q diag(lam) Q^T and W = L^-T Q, W^T S_k W = diag(a_k lam + 1), so
+    log det S_k = log det B + sum_j log(a_k lam_j + 1) and the quadratic
+    form is sum_j z_jk^2 / (a_k lam_j + 1) with z_k = W^T (y_k - rho P u_k).
+    lam is clipped at 0, so gamma_k = 0 gives exactly the B-only density.
+    Each term reads only its own column, so it is independent of order.
+    """
+    means_s, strain_cov = priors.projected(strain_op)
+    n_y, n_o = strains.shape
+    if means_s.shape[1] != n_o:
+        raise ValueError(f"{n_o} instants but {means_s.shape[1]} priors")
+    b = (w.rho * w.rho) * strain_cov + (sigma_e * sigma_e) * np.eye(n_y)
+    try:
+        lower = cholesky(b, lower=True)
+    except LinAlgError as exc:
+        raise FactorizationError(
+            f"rho^2 P C_u P^T + sigma_e^2 I is not positive definite at sigma_e = {sigma_e:.6g}; "
+            f"mirrored or coincident gauges make P C_u P^T singular, so sigma_e must be positive"
+        ) from exc
+    half = solve_triangular(lower, sq_exp_correlation(d2, w.ell_d), lower=True)
+    lam, q = eigh(solve_triangular(lower, half.T, lower=True))
+    lam = np.maximum(lam, 0.0)
+    # Z^T = R^T W with the residual R = Y - rho M; R^T is Fortran-ordered
+    resid = strains - w.rho * means_s
+    z_t = dgemm(1.0, resid.T, solve_triangular(lower, q, lower=True, trans="T"))
+    scale = (gamma * w.sigma_d)[:, None] ** 2 * lam[None, :] + 1.0
+    logdet_b = 2.0 * float(np.sum(np.log(np.diagonal(lower))))
+    quad = np.sum(z_t * z_t / scale, axis=1)
+    return -0.5 * (n_y * LOG_2PI + logdet_b + np.sum(np.log(scale), axis=1) + quad)
 
 
-def log_marginal_instant(
-    y_k: np.ndarray,
-    w: Hyperparameters,
-    prior: GaussianBelief,
-    strain_op,
-    points,
-    sigma_e: float,
-    gamma_k: float,
-) -> float:
+def log_marginal_instant(y_k: np.ndarray, w: Hyperparameters, prior: GaussianBelief, strain_op,
+                         points, sigma_e: float, gamma_k: float) -> float:
     """Log evidence of one instant: y_k against N(rho P u_bar, S).
 
     S = rho^2 P C_u P^T + C_d(gamma_k) + sigma_e^2 I, with the mismatch
-    kernel evaluated over the gauge plan positions.
+    kernel evaluated over the gauge plan positions; :func:`log_marginal`'s
+    route on a single instant.
     """
-    p = _operator_matrix(strain_op)
-    y_k = np.asarray(y_k, dtype=float).reshape(-1)
-    c_d = mismatch_covariance(points, w, gamma_k)
-    s = w.rho**2 * (p @ prior.cov @ p.T) + c_d + noise_covariance(p.shape[0], sigma_e)
-    lower, _ = chol_psd(0.5 * (s + s.T))
-    resid = y_k - w.rho * (p @ prior.mean)
-    return _logpdf(resid, lower)
+    if not 0.0 <= gamma_k <= 1.0:
+        raise ValueError(f"gamma must lie in [0, 1], got {gamma_k}")
+    y_k = np.asarray(y_k, dtype=float).reshape(-1, 1)
+    single = PriorEnsemble(prior.mean[:, None], prior.cov)
+    terms = _evidence_terms(y_k, np.array([gamma_k]), sigma_e, _squared_distances(points), w,
+                            single, strain_op)
+    return float(terms[0])
 
 
 def log_marginal(obs: ObservationSet, w: Hyperparameters, priors, strain_op) -> float:
     """Log evidence of a whole recording under instant independence.
 
-    The instants share one dof covariance when ``priors`` is a
-    :class:`PriorEnsemble`, enabling a batched evaluation; a sequence of
-    per-instant beliefs falls back to an instant-by-instant loop. Sums with
-    compensated summation so the result is independent of instant order.
+    ``priors`` is a :class:`PriorEnsemble` or a sequence of per-instant
+    beliefs sharing one covariance. One call costs one Cholesky factor of
+    the n_y x n_y covariance B = rho^2 P C_u P^T + sigma_e^2 I shared by
+    all instants, one eigensolve of the whitened mismatch kernel and one
+    (n_y x n_y)(n_y x n_instants) product; each instant then adds O(n_y).
+    Raises :class:`FactorizationError` when B is singular, as it is at
+    sigma_e = 0. Sums with compensated summation so the result is
+    independent of instant order.
     """
-    if isinstance(priors, PriorEnsemble):
-        try:
-            return _log_marginal_batched(obs, w, priors, strain_op)
-        except np.linalg.LinAlgError:
-            priors = [priors.instant(k) for k in range(len(priors))]
-    beliefs = list(priors)
-    if len(beliefs) != obs.n_instants:
-        raise ValueError(f"{obs.n_instants} instants but {len(beliefs)} priors")
-    points = obs.layout.points
-    terms = [
-        log_marginal_instant(
-            obs.strains[:, k], w, beliefs[k], strain_op, points, obs.sigma_e, float(obs.gamma[k])
-        )
-        for k in range(obs.n_instants)
-    ]
-    return math.fsum(terms)
-
-
-def _log_marginal_batched(
-    obs: ObservationSet, w: Hyperparameters, priors: PriorEnsemble, strain_op
-) -> float:
-    means_s, strain_cov = priors.projected(strain_op)
-    if means_s.shape[1] != obs.n_instants:
-        raise ValueError(f"{obs.n_instants} instants but ensemble holds {means_s.shape[1]}")
-    n_y = obs.n_sensors
-    d2 = obs.layout.squared_distances()
-    kernel = np.exp(-d2 / (2.0 * w.ell_d * w.ell_d))
-    amp2 = (obs.gamma * w.sigma_d) ** 2
-    s = (
-        amp2[:, None, None] * kernel[None, :, :]
-        + (w.rho * w.rho) * strain_cov[None, :, :]
-        + (obs.sigma_e * obs.sigma_e) * np.eye(n_y)[None, :, :]
-    )
-    lower = np.linalg.cholesky(s)
-    resid = (obs.strains - w.rho * means_s).T[:, :, None]
-    half = np.linalg.solve(lower, resid)
-    quad = np.sum(half * half, axis=(1, 2))
-    logdet = 2.0 * np.sum(np.log(np.diagonal(lower, axis1=1, axis2=2)), axis=1)
-    terms = -0.5 * (n_y * LOG_2PI + logdet + quad)
+    if not isinstance(priors, PriorEnsemble):
+        priors = PriorEnsemble.from_beliefs(priors)
+    terms = _evidence_terms(obs.strains, obs.gamma, obs.sigma_e, obs.layout.squared_distances(),
+                            w, priors, strain_op)
     return math.fsum(terms.tolist())

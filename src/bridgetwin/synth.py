@@ -17,7 +17,7 @@ import numpy as np
 from .fem import chol_psd
 from .loading import select_window
 from .model import Element, GrillageModel, SectionSpec
-from .statfem import ObservationSet, SensorLayout
+from .statfem import ObservationSet, SensorLayout, sq_exp_correlation
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def draw_discrepancy(layout: SensorLayout, spec: DiscrepancySpec, gamma: np.ndar
     out = np.zeros((n_y, gamma.shape[0]))
     if spec.sigma == 0.0:
         return out
-    unit = np.exp(-layout.squared_distances() / (2.0 * spec.length_scale**2))
+    unit = sq_exp_correlation(layout.squared_distances(), spec.length_scale)
     lower, _ = chol_psd(unit)
     for k, g in enumerate(gamma):
         if g == 0.0:

@@ -165,6 +165,15 @@ class TestInferCommand:
                        "--iters", "400", "--out", str(tmp_path / "x")])
         assert rc == 3
 
+    def test_zero_noise_exits_3_naming_sigma_e(self, tmp_path, capsys):
+        """Mirrored top/bottom gauges make the prior strain covariance
+        singular, so sigma_e = 0 cannot be scored."""
+        obs = _synth(tmp_path)
+        rc = cli.main(["infer", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "0",
+                       "--iters", "10", "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert "sigma_e" in capsys.readouterr().err
+
 
 class TestPosteriorCommand:
     def test_band_table(self, tmp_path):

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import oracles
 from bridgetwin.fem import (
     FactorizationError,
     GaussianBelief,
+    PriorEnsemble,
     assemble,
     build_strain_operator,
     chol_psd,
@@ -231,3 +234,33 @@ class TestPriorPropagation:
         _, cov_a = ensemble.projected(op)
         _, cov_b = ensemble.projected(op)
         assert cov_a is cov_b
+
+    def test_projection_of_a_collected_operator_is_never_reused(self, bundled_ctx):
+        """CPython hands a freed object's id to the next allocation, so a
+        cache keyed by id alone can answer a new operator with the
+        projection of a collected one."""
+        ensemble = bundled_ctx.prior_series()
+        ids = bundled_ctx.layout.ids
+        for _ in range(5):
+            first = bundled_ctx.operator_for(bundled_ctx.layout.subset(ids[0:2]))
+            ensemble.projected(first)
+            del first
+            gc.collect()
+            second = bundled_ctx.operator_for(bundled_ctx.layout.subset(ids[10:12]))
+            means, cov = ensemble.projected(second)
+            np.testing.assert_array_equal(means, second.matrix @ ensemble.means)
+            ref_cov = second.matrix @ ensemble.cov @ second.matrix.T
+            np.testing.assert_array_equal(cov, 0.5 * (ref_cov + ref_cov.T))
+
+    def test_from_beliefs_stacks_means_and_rejects_distinct_covariances(self):
+        cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+        beliefs = [GaussianBelief(np.array([1.0, 2.0]), cov),
+                   GaussianBelief(np.array([3.0, 4.0]), cov, jitter=1e-9)]
+        ensemble = PriorEnsemble.from_beliefs(beliefs)
+        np.testing.assert_array_equal(ensemble.means, [[1.0, 3.0], [2.0, 4.0]])
+        assert ensemble.cov is cov
+        assert ensemble.jitter == 1e-9
+        with pytest.raises(ValueError, match="share one covariance"):
+            PriorEnsemble.from_beliefs([beliefs[0], GaussianBelief(np.zeros(2), 2.0 * cov)])
+        with pytest.raises(ValueError, match="at least one"):
+            PriorEnsemble.from_beliefs([])

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from bridgetwin.fem import GaussianBelief, PriorEnsemble
+from bridgetwin.fem import FactorizationError, GaussianBelief, PriorEnsemble
 from bridgetwin.model import ConfigError
 from bridgetwin.statfem import (
     Hyperparameters,
@@ -15,6 +19,7 @@ from bridgetwin.statfem import (
     log_marginal_instant,
     mismatch_covariance,
     noise_covariance,
+    sq_exp_correlation,
     sq_exp_covariance,
     strain_predictive,
     true_strain_posterior,
@@ -64,6 +69,15 @@ class TestSqExpCovariance:
         points = np.array([[1.0, 2.0], [1.0, 2.0]])
         cov = sq_exp_covariance(points, sigma=2.0, ell=0.5)
         np.testing.assert_allclose(cov, 4.0)
+
+    def test_layout_and_points_build_the_same_matrix(self):
+        layout = SensorLayout(sensors=tuple(
+            Sensor(f"s{i}", 0.7 * i, 0.3 * i * i, "top", 0, 0.0, "main") for i in range(5)
+        ))
+        by_layout = sq_exp_covariance(layout, sigma=1.3, ell=0.9)
+        np.testing.assert_array_equal(by_layout, sq_exp_covariance(layout.points, 1.3, 0.9))
+        np.testing.assert_array_equal(
+            by_layout, 1.3 * 1.3 * sq_exp_correlation(layout.squared_distances(), 0.9))
 
 
 class TestMismatchCovariance:
@@ -278,3 +292,80 @@ class TestLogMarginal:
             for k in range(obs.n_instants)
         )
         assert total == pytest.approx(ref, rel=1e-12)
+
+    def test_zero_gamma_is_the_noise_and_prior_density(self):
+        """gamma_k = 0 removes the mismatch term exactly, leaving
+        N(rho P u_bar, rho^2 P C_u P^T + sigma_e^2 I)."""
+        rng = np.random.default_rng(19)
+        obs, ensemble, op = self._series_problem(rng)
+        obs = ObservationSet(obs.strains, obs.timestamps, obs.sigma_e,
+                             np.zeros(obs.n_instants), obs.layout)
+        w = Hyperparameters(1.3, 0.8, 0.6)
+        b = w.rho**2 * op @ ensemble.cov @ op.T + obs.sigma_e**2 * np.eye(obs.n_sensors)
+        refs = [oracles.gaussian_logpdf(obs.strains[:, k], w.rho * op @ ensemble.means[:, k], b)
+                for k in range(obs.n_instants)]
+        assert log_marginal(obs, w, ensemble, op) == pytest.approx(math.fsum(refs), rel=1e-12)
+        got = log_marginal_instant(obs.strains[:, 0], w, ensemble.instant(0), op,
+                                   obs.layout, obs.sigma_e, 0.0)
+        assert got == pytest.approx(refs[0], rel=1e-12)
+
+    def test_zero_noise_with_mirrored_gauges_raises(self):
+        """Mirrored fibers give exactly dependent strain rows; without gauge
+        noise the shared covariance is singular and the evidence refuses,
+        naming sigma_e, instead of adding jitter."""
+        op = np.array([[1.0, 0.0, 0.5], [-1.0, 0.0, -0.5], [0.0, 1.0, 0.0]])
+        layout = SensorLayout(sensors=(
+            Sensor("T", 1.0, 0.0, "top", 0, 0.0, "main"),
+            Sensor("B", 1.0, 0.0, "bottom", 0, 0.0, "main"),
+            Sensor("M", 2.0, 0.0, "top", 1, 0.0, "main"),
+        ))
+        obs = ObservationSet(np.ones((3, 2)), np.array([0.0, 1.0]), 0.0,
+                             np.array([0.5, 1.0]), layout)
+        ensemble = PriorEnsemble(np.zeros((3, 2)), np.eye(3))
+        w = Hyperparameters(1.0, 1.0, 1.0)
+        with pytest.raises(FactorizationError, match="sigma_e"):
+            log_marginal(obs, w, ensemble, op)
+        with pytest.raises(FactorizationError, match="sigma_e"):
+            log_marginal_instant(obs.strains[:, 0], w, ensemble.instant(0), op, layout, 0.0, 0.5)
+
+
+@st.composite
+def _evidence_problems(draw):
+    """Random SPD prior, operator and gauge plan (some plan points shared),
+    residual data, hyperparameters and load levels including exact zeros."""
+    n_u = draw(st.integers(2, 7))
+    n_y = draw(st.integers(1, 6))
+    n_o = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n_u, n_u))
+    c_u = a @ a.T + 0.1 * n_u * np.eye(n_u)
+    p = rng.standard_normal((n_y, n_u))
+    xy = rng.uniform(0.0, 5.0, size=(n_y, 2))
+    for i in range(1, n_y):
+        if draw(st.booleans()):
+            xy[i] = xy[draw(st.integers(0, i - 1))]
+    layout = SensorLayout(sensors=tuple(
+        Sensor(f"s{i}", float(x), float(y), "top", 0, 0.0, "main") for i, (x, y) in enumerate(xy)
+    ))
+    gamma = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=n_o,
+                          max_size=n_o))
+    obs = ObservationSet(
+        strains=rng.standard_normal((n_y, n_o)), timestamps=np.arange(n_o, dtype=float),
+        sigma_e=draw(st.floats(0.2, 1.5)), gamma=np.array(gamma), layout=layout,
+    )
+    w = Hyperparameters(draw(st.floats(0.3, 2.0)), draw(st.floats(0.05, 3.0)),
+                        draw(st.floats(0.1, 10.0)))
+    return obs, PriorEnsemble(rng.standard_normal((n_u, n_o)), c_u), p, w
+
+
+@settings(max_examples=150, deadline=None)
+@given(_evidence_problems())
+def test_log_marginal_matches_textbook_density_per_instant(problem):
+    obs, ensemble, op, w = problem
+    terms = []
+    for k in range(obs.n_instants):
+        c_d = mismatch_covariance(obs.layout, w, float(obs.gamma[k]))
+        s = w.rho**2 * op @ ensemble.cov @ op.T + c_d + noise_covariance(obs.n_sensors, obs.sigma_e)
+        terms.append(oracles.gaussian_logpdf(obs.strains[:, k], w.rho * op @ ensemble.means[:, k], s))
+    got = log_marginal(obs, w, ensemble, op)
+    assert abs(got - math.fsum(terms)) <= 1e-10 * math.fsum(abs(t) for t in terms)
