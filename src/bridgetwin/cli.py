@@ -30,6 +30,7 @@ from .model import ConfigError, load_model_config, validate_model
 from .pipeline import TwinContext
 from .statfem import (
     Hyperparameters,
+    ObservationSet,
     SensorLayout,
     mismatch_covariance,
     noise_covariance,
@@ -128,9 +129,13 @@ def _resolve_w_star(spec: str) -> Hyperparameters:
     return dataio.parse_hyperparameters(spec)
 
 
-def _observations(ctx: TwinContext, args):
+def _windowed(args) -> tuple[TwinContext, ObservationSet]:
+    """The context and the recording cut to --window, --stride and --gamma-min."""
+    ctx = _context(args)
     sigma_e = None if args.sigma_e is None else args.sigma_e * dataio.MICROSTRAIN
-    return ctx.observations_from_csv(args.obs, sigma_e=sigma_e)
+    t0, t1 = args.window if args.window else (None, None)
+    obs = ctx.observations_from_csv(args.obs, sigma_e=sigma_e)
+    return ctx, obs.window(t0, t1, stride=args.stride, gamma_min=args.gamma_min)
 
 
 def _band_row(mean: float, std: float) -> tuple[str, str, str]:
@@ -254,12 +259,8 @@ def _mcmc_config(args) -> McmcConfig:
 
 
 def _cmd_infer(args) -> int:
-    ctx = _context(args)
-    obs_full = _observations(ctx, args)
-    t0, t1 = (args.window if args.window else (None, None))
-    obs = obs_full.window(t0, t1, stride=args.stride, gamma_min=args.gamma_min)
-    indices = ctx.match_instants(obs.timestamps)
-    priors = ctx.prior_series(indices)
+    ctx, obs = _windowed(args)
+    priors = ctx.prior_series(ctx.match_instants(obs.timestamps))
 
     config = _mcmc_config(args)
     chain = sample_hyperposterior(obs, priors, ctx.strain_op, config)
@@ -281,7 +282,7 @@ def _cmd_infer(args) -> int:
 
 
 def _posterior_pieces(ctx: TwinContext, obs, w: Hyperparameters, time: float):
-    """Windowed instant nearest the requested time plus its conditioned dofs."""
+    """Windowed instant nearest ``time``, its mismatch covariance and conditioned dofs."""
     k = int(np.argmin(np.abs(obs.timestamps - time)))
     t_k = float(obs.timestamps[k])
     gamma_k = float(obs.gamma[k])
@@ -290,21 +291,17 @@ def _posterior_pieces(ctx: TwinContext, obs, w: Hyperparameters, time: float):
     c_d = mismatch_covariance(ctx.layout, w, gamma_k)
     c_e = noise_covariance(obs.n_sensors, obs.sigma_e)
     post_u = displacement_posterior(obs.strains[:, k], w, prior_k, ctx.strain_op, c_d, c_e)
-    return k, t_k, gamma_k, prior_k, post_u
+    return k, t_k, gamma_k, prior_k, c_d, post_u
 
 
 def _cmd_posterior(args) -> int:
-    ctx = _context(args)
-    obs_full = _observations(ctx, args)
-    t0, t1 = (args.window if args.window else (None, None))
-    obs = obs_full.window(t0, t1, stride=args.stride, gamma_min=args.gamma_min)
+    ctx, obs = _windowed(args)
     w = _resolve_w_star(args.w_star)
-    k, t_k, gamma_k, prior_k, post_u = _posterior_pieces(ctx, obs, w, args.time)
+    k, t_k, gamma_k, prior_k, c_d, post_u = _posterior_pieces(ctx, obs, w, args.time)
 
     p = ctx.strain_op.matrix
     prior_strain = GaussianBelief(p @ prior_k.mean, p @ prior_k.cov @ p.T)
     fe_strain = GaussianBelief(p @ post_u.mean, p @ post_u.cov @ p.T)
-    c_d = mismatch_covariance(ctx.layout, w, gamma_k)
     z = true_strain_posterior(post_u, w, ctx.strain_op, c_d)
 
     out = Path(args.out)
@@ -336,12 +333,9 @@ def _cmd_posterior(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    ctx = _context(args)
-    obs_full = _observations(ctx, args)
-    t0, t1 = (args.window if args.window else (None, None))
-    obs = obs_full.window(t0, t1, stride=args.stride, gamma_min=args.gamma_min)
+    ctx, obs = _windowed(args)
     w = _resolve_w_star(args.w_star)
-    k, t_k, gamma_k, _, post_u = _posterior_pieces(ctx, obs, w, args.time)
+    k, t_k, gamma_k, _, _, post_u = _posterior_pieces(ctx, obs, w, args.time)
 
     held_out = SensorLayout.resolve(ctx.model, dataio.read_layout_entries(args.locations))
     op = ctx.operator_for(held_out)

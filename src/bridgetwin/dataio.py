@@ -16,7 +16,7 @@ import re
 
 import numpy as np
 
-from .statfem import Hyperparameters, ObservationSet, SensorLayout
+from .statfem import Hyperparameters, ObservationSet
 
 MICROSTRAIN = 1e-6
 
@@ -106,14 +106,6 @@ def read_observation_table(path: str) -> tuple[list[str], np.ndarray, np.ndarray
 
 
 # -- sensor layouts -----------------------------------------------------------
-
-
-def write_layout(path: str, layout: SensorLayout) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "x", "y", "fiber", "line"])
-        for s in layout.sensors:
-            writer.writerow([s.id, format_si(s.x), format_si(s.y), s.fiber, s.line or ""])
 
 
 def read_layout_entries(path: str) -> list[dict]:

@@ -11,8 +11,9 @@ map to global (w, rx, ry) for a member with direction cosines (c, s) is
 
 so a member along x has theta = -ry, phi = rx. Besides the deterministic
 solve, this module carries the strain extraction operator, the jitter
-policy for nearly singular covariances, Gaussian beliefs over the free
-dofs, and the push of a load covariance through the inverse stiffness.
+policy for nearly singular covariances, the squared exponential kernel,
+Gaussian beliefs over the free dofs, and the push of a load covariance
+through the inverse stiffness.
 """
 
 from __future__ import annotations
@@ -222,6 +223,13 @@ class StrainOperator:
         return self.matrix.shape[0]
 
 
+def operator_matrix(strain_op) -> np.ndarray:
+    """The matrix of a :class:`StrainOperator`; a bare array passes through."""
+    if isinstance(strain_op, StrainOperator):
+        return strain_op.matrix
+    return np.asarray(strain_op, dtype=float)
+
+
 def build_strain_operator(model: GrillageModel, dof_map: DofMap, sensors) -> StrainOperator:
     """Assemble the gauge strain operator.
 
@@ -287,6 +295,20 @@ def chol_psd(cov: np.ndarray) -> tuple[np.ndarray, float]:
     )
 
 
+def squared_distances(points) -> np.ndarray:
+    """Pairwise squared plan distances between the rows of an (n, 2) array."""
+    p = np.asarray(points, dtype=float)
+    diff = p[:, None, :] - p[None, :, :]
+    return np.sum(diff * diff, axis=-1)
+
+
+def sq_exp_correlation(d2: np.ndarray, ell: float) -> np.ndarray:
+    """Unit-amplitude squared exponential kernel exp(-d2 / (2 ell^2)) from
+    squared plan distances; the one builder of the mismatch and deck-load
+    kernels."""
+    return np.exp(-d2 / (2.0 * ell * ell))
+
+
 def _check_symmetric(cov: np.ndarray, what: str) -> None:
     scale = np.max(np.abs(cov)) if cov.size else 0.0
     if not np.allclose(cov, cov.T, atol=1e-10 * scale + 1e-300, rtol=0.0):
@@ -337,23 +359,10 @@ class GaussianBelief:
 def propagate_prior(
     stiffness: StiffnessMatrix, mean_force: np.ndarray, force_cov: np.ndarray
 ) -> GaussianBelief:
-    """Push a Gaussian load through the linear system.
-
-    For f ~ N(mean, C_f) the displacement is u ~ N(K^-1 mean, K^-1 C_f K^-T),
-    computed with the cached Cholesky factor and never an explicit inverse.
-    The load covariance is proven PSD by the jitter policy first; any jitter
-    used is recorded on the returned belief.
-    """
-    force_cov = np.asarray(force_cov, dtype=float)
-    _check_symmetric(force_cov, "load covariance")
-    _, jitter = chol_psd(force_cov)
-    if jitter > 0.0:
-        force_cov = force_cov + jitter * np.eye(force_cov.shape[0])
-    mean = solve(stiffness, np.asarray(mean_force, dtype=float))
-    half = solve(stiffness, force_cov)
-    cov = solve(stiffness, half.T)
-    cov = 0.5 * (cov + cov.T)
-    return GaussianBelief(mean, cov, jitter=jitter)
+    """Push a Gaussian load through the linear system: :func:`propagate_prior_series`
+    on one column, so u ~ N(K^-1 mean, K^-1 C_f K^-T)."""
+    mean_forces = np.asarray(mean_force, dtype=float)[:, None]
+    return propagate_prior_series(stiffness, mean_forces, force_cov).instant(0)
 
 
 @dataclass
@@ -393,7 +402,7 @@ class PriorEnsemble:
 
     def projected(self, strain_op) -> tuple[np.ndarray, np.ndarray]:
         """(strain means (n_y, n_instants), strain covariance (n_y, n_y))."""
-        p = strain_op.matrix if hasattr(strain_op, "matrix") else np.asarray(strain_op)
+        p = operator_matrix(strain_op)
         entry = self._cache.get(id(p))
         if entry is None:
             strain_cov = p @ self.cov @ p.T
@@ -404,7 +413,11 @@ class PriorEnsemble:
 def propagate_prior_series(
     stiffness: StiffnessMatrix, mean_forces: np.ndarray, force_cov: np.ndarray
 ) -> PriorEnsemble:
-    """Vectorized :func:`propagate_prior` over the columns of ``mean_forces``."""
+    """Push loads f_k ~ N(m_k, C_f), one column of ``mean_forces`` each, through
+    the linear system: u_k ~ N(K^-1 m_k, K^-1 C_f K^-T), with the cached
+    Cholesky factor and no explicit inverse. The covariance is solved once and
+    shared by every column; C_f is proven PSD by the jitter policy first and
+    any jitter used is recorded on the returned ensemble."""
     mean_forces = np.asarray(mean_forces, dtype=float)
     if mean_forces.ndim != 2:
         raise ValueError("mean_forces must be (n_free, n_instants)")

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .fem import DOF_W, DofMap, _element_global_slots, element_transform, hermite_shape
+from .fem import (DOF_W, DofMap, _element_global_slots, element_transform, hermite_shape,
+                  sq_exp_correlation, squared_distances)
 from .model import ConfigError, GrillageModel
 
 _TIME_EPS = 1e-9
@@ -84,32 +85,6 @@ def axle_positions(scenario: TrainScenario, t: float, span: float) -> np.ndarray
     return pos[(pos >= 0.0) & (pos <= span)]
 
 
-class _LineGeometry:
-    """Arc-length lookup along a model line."""
-
-    def __init__(self, model: GrillageModel, name: str) -> None:
-        self.path = model.line_nodes(name)
-        self.elements = model.line_elements(name)
-        lengths = [model.element_length(model.elements[k]) for k in self.elements]
-        self.cum = np.concatenate([[0.0], np.cumsum(lengths)])
-        self.model = model
-
-    @property
-    def length(self) -> float:
-        return float(self.cum[-1])
-
-    def locate(self, s: float) -> tuple[int, float]:
-        if s < -_TIME_EPS or s > self.length + _TIME_EPS:
-            raise ValueError(f"arc length {s} outside line of length {self.length}")
-        k = int(np.clip(np.searchsorted(self.cum, s, side="right") - 1, 0, len(self.elements) - 1))
-        t = (s - self.cum[k]) / (self.cum[k + 1] - self.cum[k])
-        t = min(max(t, 0.0), 1.0)
-        e = self.model.elements[self.elements[k]]
-        if e.node_i != self.path[k]:
-            t = 1.0 - t
-        return self.elements[k], t
-
-
 def _scatter_point_load(
     model: GrillageModel, dof_map: DofMap, out: np.ndarray, element: int, t: float, load: float
 ) -> None:
@@ -126,14 +101,25 @@ def _scatter_point_load(
             out[pos] += value
 
 
+def _train_forces(model: GrillageModel, dof_map: DofMap, scenario: TrainScenario, times) -> np.ndarray:
+    """Consistent free-dof forces of the train, one column per time.
+
+    Every axle position of every instant is located on the track line in
+    one call; the loads are then scattered instant by instant, axle by axle.
+    """
+    span = model.line_length(scenario.track_line)
+    placed = [axle_positions(scenario, float(t), span) for t in times]
+    elements, local_t = model.locate_on_line(scenario.track_line, np.concatenate(placed))
+    columns = np.repeat(np.arange(len(placed)), [p.size for p in placed])
+    forces = np.zeros((dof_map.n_free, len(placed)))
+    for k, element, t in zip(columns.tolist(), elements.tolist(), local_t.tolist()):
+        _scatter_point_load(model, dof_map, forces[:, k], element, t, scenario.axle_load)
+    return forces
+
+
 def nodal_loads(model: GrillageModel, dof_map: DofMap, scenario: TrainScenario, t: float) -> np.ndarray:
     """Consistent free-dof force vector for the train at time t."""
-    geom = _LineGeometry(model, scenario.track_line)
-    f = np.zeros(dof_map.n_free)
-    for s in axle_positions(scenario, t, geom.length):
-        element, local_t = geom.locate(float(s))
-        _scatter_point_load(model, dof_map, f, element, local_t, scenario.axle_load)
-    return f
+    return _train_forces(model, dof_map, scenario, [t])[:, 0]
 
 
 @dataclass
@@ -152,14 +138,6 @@ class LoadSeries:
     def __len__(self) -> int:
         return self.timestamps.shape[0]
 
-    def select(self, indices: np.ndarray) -> "LoadSeries":
-        return LoadSeries(
-            self.timestamps[indices], self.forces[:, indices], self.gamma[indices], self.scenario
-        )
-
-    def filtered(self, gamma_min: float) -> "LoadSeries":
-        return self.select(np.nonzero(self.gamma >= gamma_min)[0])
-
 
 def load_series(model: GrillageModel, dof_map: DofMap, scenario: TrainScenario) -> LoadSeries:
     """Evaluate the train forcing at every recording instant.
@@ -167,13 +145,8 @@ def load_series(model: GrillageModel, dof_map: DofMap, scenario: TrainScenario) 
     Raises :class:`ValueError` when the train never touches the span inside
     the window, which would leave an empty effective observation window.
     """
-    geom = _LineGeometry(model, scenario.track_line)
     times = scenario.timestamps()
-    forces = np.zeros((dof_map.n_free, len(times)))
-    for k, t in enumerate(times):
-        for s in axle_positions(scenario, float(t), geom.length):
-            element, local_t = geom.locate(float(s))
-            _scatter_point_load(model, dof_map, forces[:, k], element, local_t, scenario.axle_load)
+    forces = _train_forces(model, dof_map, scenario, times)
     norms = np.linalg.norm(forces, axis=0)
     peak = norms.max()
     if peak == 0.0:
@@ -259,8 +232,7 @@ def force_covariance(
     for q, entries in enumerate(cols):
         for pos, value in entries:
             basis[pos, q] += value
-    diff = points[:, None, :] - points[None, :, :]
-    kernel = spec.sigma**2 * np.exp(-np.sum(diff * diff, axis=-1) / (2.0 * spec.length_scale**2))
+    kernel = spec.sigma**2 * sq_exp_correlation(squared_distances(points), spec.length_scale)
     cov = basis @ kernel @ basis.T
     return 0.5 * (cov + cov.T)
 

@@ -235,37 +235,60 @@ class GrillageModel:
             out.append(k)
         return out
 
-    def locate_on_line(self, name: str, s: float) -> tuple[int, float]:
-        """Map arc length ``s`` along a line to (element index, local coordinate).
-
-        The local coordinate runs 0..1 from the element's first node.
-        """
+    def _line_table(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(elements, lengths, start arc lengths + total, reversed flags) in path order."""
         path = self.line_nodes(name)
         elems = self.line_elements(name)
-        if s < -_GEOM_TOL:
-            raise ConfigError(f"arc length {s} is negative")
-        acc = 0.0
-        for k, (a, elem_idx) in enumerate(zip(path[:-1], elems)):
-            e = self.elements[elem_idx]
-            length = self.element_length(e)
-            if s <= acc + length + _GEOM_TOL:
-                t = (s - acc) / length
-                t = min(max(t, 0.0), 1.0)
-                if e.node_i != a:
-                    t = 1.0 - t
-                return elem_idx, t
-            acc += length
-        raise ConfigError(f"arc length {s} exceeds line {name!r} length {acc}")
+        lengths = np.array([self.element_length(self.elements[k]) for k in elems])
+        starts = np.concatenate([[0.0], np.cumsum(lengths)])
+        flipped = np.array([self.elements[k].node_i != a for k, a in zip(elems, path)])
+        return np.array(elems), lengths, starts, flipped
 
-    def locate_point(self, x: float, y: float, tol: float = 1e-6) -> tuple[int, float]:
+    def line_length(self, name: str) -> float:
+        """Arc length of a line, summed exactly as :meth:`locate_on_line` sums it."""
+        return float(self._line_table(name)[2][-1])
+
+    def locate_on_line(self, name: str, s):
+        """Map arc length ``s`` along a line to (element index, local coordinate).
+
+        The local coordinate runs 0..1 from the element's first node and is
+        ``(s - start_k) / length_k`` on the k-th element of the path. A point
+        on an interior node belongs to the element before it (t = 1 there,
+        or 0 on an element laid against the path). ``s`` may be an array:
+        every entry is located in one pass and the result is a pair of
+        arrays. Raises :class:`ConfigError` for a negative arc length or one
+        past the end of the line.
+        """
+        elems, lengths, starts, flipped = self._line_table(name)
+        s_arr = np.asarray(s, dtype=float)
+        if np.any(s_arr < -_GEOM_TOL):
+            raise ConfigError(f"arc length {s_arr.min()} is negative")
+        beyond = ~(s_arr <= starts[-1] + _GEOM_TOL)
+        if np.any(beyond):
+            raise ConfigError(f"arc length {s_arr[beyond].flat[0]} exceeds line {name!r} length {starts[-1]}")
+        # the first element whose far end (within tolerance) is at or past s
+        k = np.searchsorted(starts[1:] + _GEOM_TOL, s_arr, side="left")
+        t = np.clip((s_arr - starts[k]) / lengths[k], 0.0, 1.0)
+        t = np.where(flipped[k], 1.0 - t, t)
+        if s_arr.ndim == 0:
+            return int(elems[k]), float(t)
+        return elems[k], t
+
+    def locate_point(self, x: float, y: float, tol: float = 1e-6,
+                     line: str | None = None) -> tuple[int, float]:
         """Find the element carrying plan point (x, y) and its local coordinate.
 
+        With ``line`` only the elements chaining that line are candidates,
+        which disambiguates stations at girder/crossbeam junctions. Among
+        equally close elements the first in element (or path) order wins.
         Raises :class:`ConfigError` when the point is farther than ``tol``
-        from every member axis.
+        from every candidate member axis.
         """
         p = np.array([x, y], dtype=float)
         best: tuple[float, int, float] | None = None
-        for k, e in enumerate(self.elements):
+        candidates = range(len(self.elements)) if line is None else self.line_elements(line)
+        for k in candidates:
+            e = self.elements[k]
             a = self.nodes[e.node_i]
             d = self.nodes[e.node_j] - a
             l2 = float(d @ d)
@@ -276,7 +299,8 @@ class GrillageModel:
             if best is None or gap < best[0]:
                 best = (gap, k, t)
         if best is None or best[0] > tol:
-            raise ConfigError(f"point ({x}, {y}) does not lie on any member (tol {tol})")
+            where = "any member" if line is None else f"line {line!r}"
+            raise ConfigError(f"point ({x}, {y}) does not lie on {where} (tol {tol})")
         return best[1], best[2]
 
 

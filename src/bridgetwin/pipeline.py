@@ -3,12 +3,15 @@
 A :class:`TwinContext` holds one bridge model, one crossing scenario and
 one gauge layout, with the assembled system, strain operator, load series
 and propagated priors cached behind it. Commands and tests build the
-context once and pull windows, priors and observation sets from it.
+context once and pull windows, priors and observation sets from it. The
+context is frozen, so no configuration can change underneath its caches;
+``dataclasses.replace`` gives a new context with fresh caches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,14 +26,15 @@ from .fem import (
     propagate_prior_series,
     solve,
 )
-from .loading import LoadSeries, RandomLoadSpec, TrainScenario, load_scenario_config, load_series
+from .loading import (LoadSeries, RandomLoadSpec, TrainScenario, force_covariance, load_scenario_config,
+                      load_series)
 from .model import ConfigError, GrillageModel, load_model_config
 from .statfem import ObservationSet, SensorLayout
 
 _MATCH_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class TwinContext:
     model: GrillageModel
     scenario: TrainScenario
@@ -40,10 +44,6 @@ class TwinContext:
     stiffness: StiffnessMatrix
     strain_op: StrainOperator
     series: LoadSeries
-    _force_cov: np.ndarray = field(default=None, repr=False)
-    _dof_cov: np.ndarray = field(default=None, repr=False)
-    _full_means: np.ndarray = field(default=None, repr=False)
-    _dof_jitter: float = 0.0
 
     @classmethod
     def build(
@@ -68,29 +68,26 @@ class TwinContext:
         entries = dataio.read_layout_entries(sensors_path)
         return cls.build(model, scenario, random_load, entries)
 
-    def force_cov(self) -> np.ndarray:
-        if self._force_cov is None:
-            from .loading import force_covariance
+    @cached_property
+    def _force_cov(self) -> np.ndarray:
+        return force_covariance(self.model, self.dof_map, self.random_load)
 
-            self._force_cov = force_covariance(self.model, self.dof_map, self.random_load)
+    @cached_property
+    def _prior(self) -> PriorEnsemble:
+        return propagate_prior_series(self.stiffness, self.series.forces, self.force_cov())
+
+    def force_cov(self) -> np.ndarray:
         return self._force_cov
 
     def prior_series(self, indices=None) -> PriorEnsemble:
         """Propagated dof priors at the selected instants (all by default).
 
-        The shared covariance is solved once and reused across calls; only
-        the means are solved per selection.
+        Every instant is solved once, on first use, and the selections share
+        that one covariance.
         """
-        if self._dof_cov is None:
-            full = propagate_prior_series(self.stiffness, self.series.forces, self.force_cov())
-            self._dof_cov = full.cov
-            self._dof_jitter = full.jitter
-            self._full_means = full.means
-        if indices is None:
-            means = self._full_means
-        else:
-            means = self._full_means[:, np.asarray(indices)]
-        return PriorEnsemble(means, self._dof_cov, jitter=self._dof_jitter)
+        full = self._prior
+        means = full.means if indices is None else full.means[:, np.asarray(indices)]
+        return PriorEnsemble(means, full.cov, jitter=full.jitter)
 
     def strain_means(self, indices=None) -> np.ndarray:
         """Deterministic model strains P u_k at the selected instants."""

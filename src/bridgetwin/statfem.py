@@ -26,7 +26,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, cholesky, eigh, solve_triangular
 from scipy.linalg.blas import dgemm
 
-from .fem import FactorizationError, GaussianBelief, PriorEnsemble, StrainOperator, chol_psd
+from .fem import (FactorizationError, GaussianBelief, PriorEnsemble, chol_psd, operator_matrix,
+                  sq_exp_correlation, squared_distances)
 from .loading import select_window
 from .model import ConfigError, GrillageModel
 
@@ -111,7 +112,7 @@ class SensorLayout:
 
     def squared_distances(self) -> np.ndarray:
         if self._d2 is None:
-            self._d2 = _squared_distances(self.points)
+            self._d2 = squared_distances(self.points)
         return self._d2
 
     def subset(self, ids) -> "SensorLayout":
@@ -135,43 +136,15 @@ class SensorLayout:
             x, y = float(entry["x"]), float(entry["y"])
             fiber = str(entry["fiber"])
             line = entry.get("line")
-            if line:
-                element, t = _locate_on_named_line(model, str(line), x, y, tol)
-            else:
-                element, t = model.locate_point(x, y, tol)
+            element, t = model.locate_point(x, y, tol, line=str(line) if line else None)
             sensors.append(Sensor(sid, x, y, fiber, element, t, None if line is None else str(line)))
         return cls(tuple(sensors))
-
-
-def _locate_on_named_line(model: GrillageModel, line: str, x: float, y: float, tol: float):
-    p = np.array([x, y])
-    best = None
-    for k in model.line_elements(line):
-        e = model.elements[k]
-        a = model.nodes[e.node_i]
-        d = model.nodes[e.node_j] - a
-        l2 = float(d @ d)
-        t = float(np.clip((p - a) @ d / l2, 0.0, 1.0))
-        gap = float(np.hypot(*(p - (a + t * d))))
-        if best is None or gap < best[0]:
-            best = (gap, k, t)
-    if best is None or best[0] > tol:
-        raise ConfigError(f"point ({x}, {y}) does not lie on line {line!r} (tol {tol})")
-    return best[1], best[2]
 
 
 def _squared_distances(layout_or_points) -> np.ndarray:
     if isinstance(layout_or_points, SensorLayout):
         return layout_or_points.squared_distances()
-    p = np.asarray(layout_or_points, dtype=float)
-    diff = p[:, None, :] - p[None, :, :]
-    return np.sum(diff * diff, axis=-1)
-
-
-def sq_exp_correlation(d2: np.ndarray, ell: float) -> np.ndarray:
-    """Unit-amplitude squared exponential kernel exp(-d2 / (2 ell^2)) from
-    squared plan distances; the one builder of the mismatch kernel."""
-    return np.exp(-d2 / (2.0 * ell * ell))
+    return squared_distances(layout_or_points)
 
 
 def sq_exp_covariance(points, sigma: float, ell: float) -> np.ndarray:
@@ -270,12 +243,6 @@ class ObservationSet:
         return self.select(idx)
 
 
-def _operator_matrix(strain_op) -> np.ndarray:
-    if isinstance(strain_op, StrainOperator):
-        return strain_op.matrix
-    return np.asarray(strain_op, dtype=float)
-
-
 def displacement_posterior(
     y: np.ndarray,
     w: Hyperparameters,
@@ -296,7 +263,7 @@ def displacement_posterior(
     loads that excite only part of the structure. S is factored with the
     jitter policy; any jitter used is recorded on the returned belief.
     """
-    p = _operator_matrix(strain_op)
+    p = operator_matrix(strain_op)
     y = np.asarray(y, dtype=float).reshape(-1)
     n_y, n_u = p.shape
     if y.shape[0] != n_y:
@@ -321,7 +288,7 @@ def true_strain_posterior(
     posterior: GaussianBelief, w: Hyperparameters, strain_op, mismatch_cov: np.ndarray
 ) -> GaussianBelief:
     """Belief over the latent true gauge strains rho P u + d given data."""
-    p = _operator_matrix(strain_op)
+    p = operator_matrix(strain_op)
     mean = w.rho * (p @ posterior.mean)
     cov = w.rho * w.rho * (p @ posterior.cov @ p.T) + mismatch_cov
     return GaussianBelief(mean, 0.5 * (cov + cov.T), jitter=posterior.jitter)

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import chol_psd
+from .fem import chol_psd, sq_exp_correlation
 from .loading import select_window
 from .model import Element, GrillageModel, SectionSpec
-from .statfem import ObservationSet, SensorLayout, sq_exp_correlation
+from .statfem import ObservationSet, SensorLayout
 
 
 @dataclass(frozen=True)

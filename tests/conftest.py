@@ -5,11 +5,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from bridgetwin.loading import RandomLoadSpec
+from bridgetwin.dataio import read_layout_entries
+from bridgetwin.loading import RandomLoadSpec, load_scenario_config
 from bridgetwin.model import (
     MaterialSpec,
     SectionSpec,
     cantilever_template,
+    load_model_config,
     simply_supported_beam_template,
 )
 from bridgetwin.pipeline import TwinContext
@@ -52,9 +54,10 @@ def study_ctx():
     mismatch amplitude so the recovered hyperparameters are attributable to
     the sampler, not to prior misfit.
     """
-    ctx = TwinContext.from_files(BRIDGE_YAML, TRAIN_YAML, SENSORS_EAST)
-    ctx.random_load = RandomLoadSpec(sigma=150.0, length_scale=1.0)
-    return ctx
+    scenario, _ = load_scenario_config(TRAIN_YAML)
+    return TwinContext.build(load_model_config(BRIDGE_YAML), scenario,
+                             RandomLoadSpec(sigma=150.0, length_scale=1.0),
+                             read_layout_entries(SENSORS_EAST))
 
 
 @pytest.fixture()

@@ -18,6 +18,7 @@ from bridgetwin.model import (
     validate_model,
 )
 
+from bridgetwin.statfem import SensorLayout
 from conftest import BRIDGE_YAML
 
 
@@ -147,15 +148,60 @@ class TestGeometryQueries:
         with pytest.raises(ConfigError):
             ss_beam.locate_point(2.5, 1.0)
 
-    def test_locate_on_line(self, plain_section):
+    def test_locate_point_on_a_named_line(self, bundled_ctx):
+        """A gauge station at a girder/crossbeam junction binds to the named
+        girder; naming the other girder is an error that names the line."""
+        model = bundled_ctx.model
+        east = model.line_elements("east")
+        node = model.line_nodes("east")[2]
+        x, y = model.nodes[node]
+        assert any(node in (e.node_i, e.node_j) and k not in east for k, e in enumerate(model.elements))
+        elem, t = model.locate_point(x, y, line="east")
+        assert elem in east
+        assert t in (0.0, 1.0)
+        layout = SensorLayout.resolve(model, [{"id": "J", "x": x, "y": y, "fiber": "top", "line": "east"}])
+        assert (layout.sensors[0].element, layout.sensors[0].t) == (elem, t)
+        with pytest.raises(ConfigError, match="line 'west'"):
+            model.locate_point(x, y, line="west")
+        with pytest.raises(ConfigError, match="'north'"):
+            model.locate_point(x, y, line="north")
+
+    @pytest.fixture()
+    def girders(self, plain_section):
+        """Two 20 m girders of four 5 m elements; ``back`` walks the east one backwards."""
         m = two_girder_template(span=20.0, girder_spacing=6.0, n_crossbeams=5,
                                 girder_section=plain_section, crossbeam_section=plain_section)
+        m.lines["back"] = m.lines["east"][::-1]
+        return m
+
+    def test_locate_on_line(self, girders):
+        m = girders
         elem, t = m.locate_on_line("east", 7.5)
         xi = m.nodes[m.elements[elem].node_i, 0]
         xj = m.nodes[m.elements[elem].node_j, 0]
         assert xi + t * (xj - xi) == pytest.approx(7.5)
         with pytest.raises(ConfigError):
             m.locate_on_line("north", 1.0)
+        # an interior node belongs to the element before it along the line
+        east = m.line_elements("east")
+        assert m.locate_on_line("east", 10.0) == (east[1], 1.0)
+        assert m.locate_on_line("east", 0.0) == (east[0], 0.0)
+        assert m.locate_on_line("east", 20.0) == (east[-1], 1.0)
+        assert m.locate_on_line("back", 5.0) == (east[3], 0.0)
+        assert m.locate_on_line("back", 1.25) == (east[3], 0.75)
+        for bad in (-0.5, 20.5, np.array([1.0, -0.5]), np.array([20.5, 1.0])):
+            with pytest.raises(ConfigError):
+                m.locate_on_line("east", bad)
+
+    def test_array_of_arc_lengths_matches_scalar_calls(self, girders):
+        s = [0.0, 2.5, 5.0, 5.0 + 1e-12, 7.5, 10.0, 19.9, 20.0]
+        for line in ("east", "back"):
+            elems, ts = girders.locate_on_line(line, np.array(s))
+            assert elems.shape == ts.shape == (len(s),)
+            for e_k, t_k, s_k in zip(elems, ts, s):
+                assert (e_k, t_k) == girders.locate_on_line(line, s_k)
+        elems, ts = girders.locate_on_line("east", np.array([]))
+        assert elems.size == ts.size == 0
 
     def test_element_length(self, ss_beam):
         assert ss_beam.element_length(ss_beam.elements[0]) == pytest.approx(1.0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,18 @@ class TestBuild:
     def test_operator_rows_follow_layout(self, bundled_ctx):
         op = bundled_ctx.operator_for(bundled_ctx.layout)
         assert [r.sensor_id for r in op.rows] == bundled_ctx.layout.ids
+
+    def test_context_is_frozen(self, bundled_ctx):
+        """No configuration can change underneath the cached priors."""
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bundled_ctx.random_load = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bundled_ctx.series = None
+
+    def test_replace_gives_fresh_caches(self, bundled_ctx, study_ctx):
+        softer = dataclasses.replace(bundled_ctx, random_load=study_ctx.random_load)
+        np.testing.assert_array_equal(softer.force_cov(), study_ctx.force_cov())
+        assert not np.array_equal(softer.force_cov(), bundled_ctx.force_cov())
 
 
 class TestPriorSeries:
