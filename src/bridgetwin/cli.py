@@ -3,9 +3,9 @@
 Subcommands cover the whole loop: model construction and inspection,
 prior simulation, synthetic recordings, gauge calibration, hyperparameter
 inference, posterior extraction and held-out prediction. Every successful
-run writes a JSON manifest naming its inputs, seeds, versions and output
-files; failures exit 2 (configuration), 3 (numerics) or 4 (file system)
-with a single-line error on stderr. Set TWIN_LOG=debug for diagnostics.
+run writes a JSON manifest naming its inputs, seeds, versions, BLAS thread
+settings and output files; failures exit 2 (configuration), 3 (numerics)
+or 4 (file system) with a single-line error on stderr. Set TWIN_LOG=debug for diagnostics.
 """
 
 from __future__ import annotations
@@ -104,6 +104,12 @@ def _write_manifest(path: Path, command: str, args: argparse.Namespace, outputs,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "python": platform.python_version(),
+        },
+        # recorded, never acted on: seeded reruns are byte-identical only on one thread setting
+        "environment": {
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+            "cpu_count": os.cpu_count(),
         },
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }

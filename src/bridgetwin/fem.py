@@ -38,8 +38,8 @@ class FactorizationError(RuntimeError):
     """A matrix that must be positive definite failed to factor."""
 
 
-def hermite_shape(t: float, length: float) -> np.ndarray:
-    """Cubic Hermite shape functions on (w1, theta1, w2, theta2), t in [0, 1]."""
+def hermite_shape(t, length) -> np.ndarray:
+    """Cubic Hermite shape functions on (w1, theta1, w2, theta2), t in [0, 1]; arrays stack on axis 0."""
     t2, t3 = t * t, t * t * t
     return np.array([
         1.0 - 3.0 * t2 + 2.0 * t3,
@@ -49,8 +49,8 @@ def hermite_shape(t: float, length: float) -> np.ndarray:
     ])
 
 
-def hermite_curvature(t: float, length: float) -> np.ndarray:
-    """Second arc-length derivatives of the Hermite shapes at t in [0, 1]."""
+def hermite_curvature(t, length) -> np.ndarray:
+    """Second arc-length derivatives of the Hermite shapes at t in [0, 1], stacked likewise."""
     l2 = length * length
     return np.array([
         (12.0 * t - 6.0) / l2,
@@ -79,16 +79,40 @@ def element_stiffness(section: SectionSpec, length: float) -> np.ndarray:
     return k
 
 
-def element_transform(c: float, s: float) -> np.ndarray:
-    """6x6 map from global (w, rx, ry) pairs to local element dofs."""
-    n = np.array([
-        [1.0, 0.0, 0.0],
-        [0.0, s, -c],
-        [0.0, c, s],
-    ])
-    out = np.zeros((6, 6))
-    out[:3, :3] = n
-    out[3:, 3:] = n
+def element_transform(c, s) -> np.ndarray:
+    """6x6 map from global (w, rx, ry) pairs to local element dofs; arrays of
+    direction cosines give a stack of maps, shape (..., 6, 6)."""
+    c, s = np.asarray(c, dtype=float), np.asarray(s, dtype=float)
+    n = np.zeros(c.shape + (3, 3))
+    n[..., 0, 0] = 1.0
+    n[..., 1, 1], n[..., 1, 2], n[..., 2, 1], n[..., 2, 2] = s, -c, c, s
+    out = np.zeros(c.shape + (6, 6))
+    out[..., :3, :3] = out[..., 3:, 3:] = n
+    return out
+
+
+def element_geometry(model: GrillageModel, elements) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lengths (n,), direction cosines (n, 2) and global dof slots ``3 node + dof``
+    (n, 6: node_i then node_j) of the listed elements, in one array pass."""
+    ends = model.element_nodes(elements)
+    d = model.nodes[ends[:, 1]] - model.nodes[ends[:, 0]]
+    lengths = np.hypot(d[:, 0], d[:, 1])
+    slots = 3 * np.repeat(ends, 3, axis=1) + np.tile(np.arange(3), 2)
+    return lengths, d / lengths[:, None], slots
+
+
+def element_columns(model: GrillageModel, dof_map: DofMap, elements, local, columns, n_columns) -> np.ndarray:
+    """The one element-to-dof scatter, into an (n_free, n_columns) array: row k
+    of ``local`` (n, 6), on (w1, theta1, phi1, w2, theta2, phi2) of element
+    ``elements[k]``, is rotated to global (w, rx, ry) pairs and added into
+    column ``columns[k]`` by one indexed add, in listed order; constrained
+    dofs drop out."""
+    _, cosines, slots = element_geometry(model, elements)
+    values = np.einsum("ki,kij->kj", local, element_transform(cosines[:, 0], cosines[:, 1]))
+    pos = dof_map.index.reshape(-1)[slots]
+    k, slot = np.nonzero(pos >= 0)
+    out = np.zeros((dof_map.n_free, n_columns))
+    np.add.at(out, (pos[k, slot], columns[k]), values[k, slot])
     return out
 
 
@@ -153,10 +177,6 @@ class StiffnessMatrix:
         return self._factor
 
 
-def _element_global_slots(e) -> list[int]:
-    return [3 * e.node_i + d for d in range(3)] + [3 * e.node_j + d for d in range(3)]
-
-
 def assemble(model: GrillageModel) -> tuple[StiffnessMatrix, DofMap]:
     """Assemble the global stiffness and prove it positive definite.
 
@@ -166,13 +186,11 @@ def assemble(model: GrillageModel) -> tuple[StiffnessMatrix, DofMap]:
     dof_map = build_dof_map(model)
     n_full = 3 * model.n_nodes
     k_full = np.zeros((n_full, n_full))
-    for e in model.elements:
-        length = model.element_length(e)
-        c, s = model.element_vector(e) / length
+    lengths, cosines, slots = element_geometry(model, range(len(model.elements)))
+    for e, length, (c, s), slot in zip(model.elements, lengths.tolist(), cosines.tolist(), slots):
         t = element_transform(c, s)
         k_g = t.T @ element_stiffness(e.section, length) @ t
-        slots = _element_global_slots(e)
-        k_full[np.ix_(slots, slots)] += k_g
+        k_full[np.ix_(slot, slot)] += k_g
     k_full = 0.5 * (k_full + k_full.T)
 
     keep = [3 * node + dof for node, dof in dof_map.free]
@@ -240,29 +258,22 @@ def build_strain_operator(model: GrillageModel, dof_map: DofMap, sensors) -> Str
     row of the carrying element mapped to global dofs; rows at mirrored
     fibers differ only in sign.
     """
-    rows = []
-    meta = []
-    for sensor in sensors:
-        e = model.elements[sensor.element]
-        length = model.element_length(e)
-        c, s = model.element_vector(e) / length
-        if sensor.fiber not in ("top", "bottom"):
-            raise ValueError(f"sensor {sensor.id!r} has unknown fiber {sensor.fiber!r}")
-        z = e.section.fiber_distance if sensor.fiber == "top" else -e.section.fiber_distance
-        curv = hermite_curvature(sensor.t, length)
-        local = np.zeros(6)
-        local[[0, 1, 3, 4]] = -z * curv
-        row_global = local @ element_transform(c, s)
-        row = np.zeros(dof_map.n_free)
-        for slot, value in zip(_element_global_slots(e), row_global):
-            pos = dof_map.index[slot // 3, slot % 3]
-            if pos >= 0:
-                row[pos] += value
-        rows.append(row)
-        meta.append(StrainRow(str(sensor.id), sensor.element, float(sensor.t), sensor.fiber))
-    if not rows:
+    sensors = list(sensors)
+    if not sensors:
         raise ValueError("strain operator needs at least one sensor")
-    return StrainOperator(np.array(rows), tuple(meta))
+    bad = [sensor for sensor in sensors if sensor.fiber not in ("top", "bottom")]
+    if bad:
+        raise ValueError(f"sensor {bad[0].id!r} has unknown fiber {bad[0].fiber!r}")
+    elements = np.array([sensor.element for sensor in sensors], dtype=int)
+    fiber = np.array([model.elements[sensor.element].section.fiber_distance for sensor in sensors])
+    z = np.where([sensor.fiber == "top" for sensor in sensors], fiber, -fiber)
+    curv = hermite_curvature(np.array([sensor.t for sensor in sensors], dtype=float),
+                             element_geometry(model, elements)[0])
+    local = np.zeros((len(sensors), 6))
+    local[:, [0, 1, 3, 4]] = (-z * curv).T
+    meta = tuple(StrainRow(str(s.id), s.element, float(s.t), s.fiber) for s in sensors)
+    rows = element_columns(model, dof_map, elements, local, np.arange(len(sensors)), len(sensors)).T
+    return StrainOperator(np.ascontiguousarray(rows), meta)
 
 
 def chol_psd(cov: np.ndarray) -> tuple[np.ndarray, float]:

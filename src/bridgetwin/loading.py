@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .fem import (DOF_W, DofMap, _element_global_slots, element_transform, hermite_shape,
-                  sq_exp_correlation, squared_distances)
+from .fem import (DofMap, element_columns, element_geometry, hermite_shape, sq_exp_correlation,
+                  squared_distances)
 from .model import ConfigError, GrillageModel
 
 _TIME_EPS = 1e-9
@@ -85,36 +85,21 @@ def axle_positions(scenario: TrainScenario, t: float, span: float) -> np.ndarray
     return pos[(pos >= 0.0) & (pos <= span)]
 
 
-def _scatter_point_load(
-    model: GrillageModel, dof_map: DofMap, out: np.ndarray, element: int, t: float, load: float
-) -> None:
-    e = model.elements[element]
-    length = model.element_length(e)
-    c, s = model.element_vector(e) / length
-    shape = hermite_shape(t, length)
-    local = np.zeros(6)
-    local[[0, 1, 3, 4]] = load * shape
-    f_global = element_transform(c, s).T @ local
-    for slot, value in zip(_element_global_slots(e), f_global):
-        pos = dof_map.index[slot // 3, slot % 3]
-        if pos >= 0:
-            out[pos] += value
-
-
 def _train_forces(model: GrillageModel, dof_map: DofMap, scenario: TrainScenario, times) -> np.ndarray:
     """Consistent free-dof forces of the train, one column per time.
 
     Every axle position of every instant is located on the track line in
-    one call; the loads are then scattered instant by instant, axle by axle.
+    one call, and its load-scaled shape vector is scattered into its
+    instant's column in one more, which sums each instant's axles in order.
     """
     span = model.line_length(scenario.track_line)
     placed = [axle_positions(scenario, float(t), span) for t in times]
     elements, local_t = model.locate_on_line(scenario.track_line, np.concatenate(placed))
+    local = np.zeros((elements.size, 6))
+    shape = hermite_shape(local_t, element_geometry(model, elements)[0])
+    local[:, [0, 1, 3, 4]] = (scenario.axle_load * shape).T
     columns = np.repeat(np.arange(len(placed)), [p.size for p in placed])
-    forces = np.zeros((dof_map.n_free, len(placed)))
-    for k, element, t in zip(columns.tolist(), elements.tolist(), local_t.tolist()):
-        _scatter_point_load(model, dof_map, forces[:, k], element, t, scenario.axle_load)
-    return forces
+    return element_columns(model, dof_map, elements, local, columns, len(placed))
 
 
 def nodal_loads(model: GrillageModel, dof_map: DofMap, scenario: TrainScenario, t: float) -> np.ndarray:
@@ -208,30 +193,16 @@ def force_covariance(
     xi = 0.5 * (xi + 1.0)
     wq = 0.5 * wq
 
-    points = []
-    cols = []  # (free dof position, weight) pairs per gauss point
-    for e in model.elements:
-        length = model.element_length(e)
-        a = model.nodes[e.node_i]
-        d = model.nodes[e.node_j] - a
-        pos_i = dof_map.index[e.node_i, DOF_W]
-        pos_j = dof_map.index[e.node_j, DOF_W]
-        for t, w in zip(xi, wq):
-            points.append(a + t * d)
-            shape = hermite_shape(float(t), length)
-            weight = w * length * width
-            entries = []
-            if pos_i >= 0:
-                entries.append((pos_i, weight * shape[0]))
-            if pos_j >= 0:
-                entries.append((pos_j, weight * shape[2]))
-            cols.append(entries)
-
-    points = np.array(points)
-    basis = np.zeros((dof_map.n_free, len(cols)))
-    for q, entries in enumerate(cols):
-        for pos, value in entries:
-            basis[pos, q] += value
+    n_elements = len(model.elements)
+    elements = np.repeat(np.arange(n_elements), quad_order)
+    lengths = element_geometry(model, elements)[0]
+    shape = hermite_shape(np.tile(xi, n_elements), lengths)
+    weight = np.tile(wq, n_elements) * lengths * width
+    local = np.zeros((elements.size, 6))
+    local[:, [0, 3]] = (weight * shape[[0, 2]]).T
+    basis = element_columns(model, dof_map, elements, local, np.arange(elements.size), elements.size)
+    ends = model.nodes[model.element_nodes()][:, None]  # (n_elements, 1, node_i/node_j, 2)
+    points = (ends[..., 0, :] + xi[:, None] * (ends[..., 1, :] - ends[..., 0, :])).reshape(-1, 2)
     kernel = spec.sigma**2 * sq_exp_correlation(squared_distances(points), spec.length_scale)
     cov = basis @ kernel @ basis.T
     return 0.5 * (cov + cov.T)

@@ -205,11 +205,13 @@ class GrillageModel:
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
-    def element_vector(self, e: Element) -> np.ndarray:
-        return self.nodes[e.node_j] - self.nodes[e.node_i]
-
     def element_length(self, e: Element) -> float:
-        return float(np.hypot(*self.element_vector(e)))
+        return float(np.hypot(*(self.nodes[e.node_j] - self.nodes[e.node_i])))
+
+    def element_nodes(self, elements=None) -> np.ndarray:
+        """(n, 2) node indices (node_i, node_j) of the listed elements, all when None."""
+        ends = np.array([(e.node_i, e.node_j) for e in self.elements], dtype=int).reshape(-1, 2)
+        return ends if elements is None else ends[np.asarray(elements, dtype=int)]
 
     def span(self) -> float:
         xs = self.nodes[:, 0]
@@ -274,34 +276,39 @@ class GrillageModel:
             return int(elems[k]), float(t)
         return elems[k], t
 
-    def locate_point(self, x: float, y: float, tol: float = 1e-6,
-                     line: str | None = None) -> tuple[int, float]:
+    def locate_point(self, x, y, tol: float = 1e-6, line: str | None = None):
         """Find the element carrying plan point (x, y) and its local coordinate.
 
         With ``line`` only the elements chaining that line are candidates,
         which disambiguates stations at girder/crossbeam junctions. Among
         equally close elements the first in element (or path) order wins.
-        Raises :class:`ConfigError` when the point is farther than ``tol``
+        ``x`` and ``y`` may be arrays: every point is tested against every
+        candidate in one array pass and the result is a pair of arrays.
+        Raises :class:`ConfigError` for the first point farther than ``tol``
         from every candidate member axis.
         """
-        p = np.array([x, y], dtype=float)
-        best: tuple[float, int, float] | None = None
-        candidates = range(len(self.elements)) if line is None else self.line_elements(line)
-        for k in candidates:
-            e = self.elements[k]
-            a = self.nodes[e.node_i]
-            d = self.nodes[e.node_j] - a
-            l2 = float(d @ d)
-            if l2 <= _GEOM_TOL:
-                continue
-            t = float(np.clip((p - a) @ d / l2, 0.0, 1.0))
-            gap = float(np.hypot(*(p - (a + t * d))))
-            if best is None or gap < best[0]:
-                best = (gap, k, t)
-        if best is None or best[0] > tol:
+        candidates = np.arange(len(self.elements)) if line is None else np.array(self.line_elements(line))
+        ends = self.nodes[self.element_nodes(candidates)]
+        a, d = ends[:, 0], ends[:, 1] - ends[:, 0]
+        # stacked 1x2 @ 2x1 products round as the 1-d ``u @ v`` does
+        l2 = (d[:, None, :] @ d[:, :, None])[:, 0, 0]
+        usable = l2 > _GEOM_TOL
+        candidates, a, d, l2 = candidates[usable], a[usable], d[usable], l2[usable]
+        xs, ys = np.broadcast_arrays(np.asarray(x), np.asarray(y))
+        p = np.stack([xs, ys], axis=-1).astype(float)[..., None, :]  # (..., 1, 2) against (candidates, 2)
+        t = np.clip(((p - a)[..., None, :] @ d[:, :, None])[..., 0, 0] / l2, 0.0, 1.0)
+        off = p - (a + t[..., None] * d)
+        gap = np.hypot(off[..., 0], off[..., 1])
+        missed = ~(gap.min(axis=-1, initial=np.inf) <= tol)
+        if np.any(missed):
+            i = np.flatnonzero(missed)[0]
             where = "any member" if line is None else f"line {line!r}"
-            raise ConfigError(f"point ({x}, {y}) does not lie on {where} (tol {tol})")
-        return best[1], best[2]
+            raise ConfigError(f"point ({xs.flat[i]}, {ys.flat[i]}) does not lie on {where} (tol {tol})")
+        k = np.argmin(gap, axis=-1)
+        t = np.take_along_axis(t, k[..., None], axis=-1)[..., 0]
+        if xs.ndim == 0:
+            return int(candidates[k]), float(t)
+        return candidates[k], t
 
 
 def validate_model(model: GrillageModel) -> ValidationReport:

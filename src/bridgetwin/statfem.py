@@ -128,17 +128,21 @@ class SensorLayout:
         """Bind gauge descriptions (id, x, y, fiber[, line]) to elements.
 
         When a line is named the search is restricted to its members, which
-        disambiguates stations at girder/crossbeam junctions.
+        disambiguates stations at girder/crossbeam junctions. The gauges of
+        each line are located in one call, against one candidate list.
         """
-        sensors = []
-        for entry in entries:
-            sid = str(entry["id"])
-            x, y = float(entry["x"]), float(entry["y"])
-            fiber = str(entry["fiber"])
-            line = entry.get("line")
-            element, t = model.locate_point(x, y, tol, line=str(line) if line else None)
-            sensors.append(Sensor(sid, x, y, fiber, element, t, None if line is None else str(line)))
-        return cls(tuple(sensors))
+        entries = list(entries)
+        lines = [str(entry["line"]) if entry.get("line") else None for entry in entries]
+        xy = np.array([(float(entry["x"]), float(entry["y"])) for entry in entries]).reshape(-1, 2)
+        elements, ts = np.zeros(len(entries), dtype=int), np.zeros(len(entries))
+        for line in dict.fromkeys(lines):
+            rows = [i for i, name in enumerate(lines) if name == line]
+            elements[rows], ts[rows] = model.locate_point(xy[rows, 0], xy[rows, 1], tol, line=line)
+        return cls(tuple(
+            Sensor(str(entry["id"]), x, y, str(entry["fiber"]), int(k), float(t),
+                   None if entry.get("line") is None else str(entry["line"]))
+            for entry, (x, y), k, t in zip(entries, xy.tolist(), elements, ts)
+        ))
 
 
 def _squared_distances(layout_or_points) -> np.ndarray:

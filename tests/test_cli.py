@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -54,6 +55,14 @@ class TestModelCommand:
                          "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "nodes" in out and "span" in out
+
+    def test_manifest_records_the_thread_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        assert cli.main(["model", "build", "--config", BRIDGE_YAML, "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["environment"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                                           "cpu_count": os.cpu_count()}
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

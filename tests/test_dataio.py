@@ -2,10 +2,12 @@
 bit-exactness: a value written in microstrain must read back as the same
 float64, with no quantization drift on repeated save/load cycles."""
 
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgetwin.dataio import (
     format_microstrain,
@@ -56,6 +58,30 @@ class TestShiftDecimal:
                 got = Decimal(shift_decimal(t, shift))
                 want = Decimal(t).scaleb(shift)
                 assert got == want, (t, shift)
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=26)
+
+
+@st.composite
+def _decimal_literals(draw):
+    """Literals as a user CSV may hold them: signs, leading and trailing
+    zeros, bare trailing points, e/E exponents and mantissas past 20 digits."""
+    text = draw(st.sampled_from(["", "+", "-"])) + draw(_DIGITS)
+    if draw(st.booleans()):
+        text += "." + draw(st.one_of(st.just(""), _DIGITS))
+    if draw(st.booleans()):
+        text += draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"]))
+        text += draw(st.text("0123456789", min_size=1, max_size=3))
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(_decimal_literals(), st.integers(-30, 30))
+def test_shift_decimal_is_exact_scaling_of_any_literal(text, shift):
+    with localcontext() as ctx:
+        ctx.prec = 200  # scaleb rounds to the context precision; keep every digit
+        assert Decimal(shift_decimal(text, shift)) == Decimal(text).scaleb(shift)
 
 
 class TestMicrostrainRoundTrip:

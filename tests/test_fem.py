@@ -20,7 +20,7 @@ from bridgetwin.fem import (
     solve,
     support_reactions,
 )
-from bridgetwin.loading import RandomLoadSpec, force_covariance
+from bridgetwin.loading import RandomLoadSpec, TrainScenario, force_covariance, nodal_loads
 from bridgetwin.model import GrillageModel, cantilever_template
 from bridgetwin.statfem import Sensor, SensorLayout
 
@@ -90,9 +90,14 @@ class TestAssemblyAndSolve:
         assert u[dof_map.index[2, 0]] == pytest.approx(-exact, rel=1e-12)
 
     def test_plan_rotation_invariance(self, plain_section):
-        """A cantilever rotated in plan must deflect identically: the clamped
-        root is the one support set that looks the same from any heading."""
-        deflections = []
+        """A cantilever rotated in plan must deflect and strain identically: the
+        clamped root is the one support set that looks the same from any
+        heading. The axle load goes through ``nodal_loads`` and the gauge is
+        read through ``build_strain_operator``, so the element-to-dof scatter
+        is exercised at a heading where both direction cosines are nonzero."""
+        axle = TrainScenario(axle_offsets=(0.0,), axle_load=1000.0, speed=1.0, track_line="main",
+                             time_step=0.1, time_window=(0.0, 2.0))
+        deflections, strains = [], []
         for angle in (0.0, 0.655):
             c, s = np.cos(angle), np.sin(angle)
             nodes = np.array([[t * c, t * s] for t in np.linspace(0.0, 2.0, 3)])
@@ -103,7 +108,14 @@ class TestAssemblyAndSolve:
             f = np.zeros(dof_map.n_free)
             f[dof_map.index[2, 0]] = -1000.0
             deflections.append(solve(stiffness, f)[dof_map.index[2, 0]])
-        assert deflections[0] == pytest.approx(deflections[1], rel=1e-12)
+            u = solve(stiffness, nodal_loads(model, dof_map, axle, 1.3))
+            deflections.append(u[dof_map.index[2, 0]])
+            gauge = SensorLayout.resolve(model, [{"id": "G", "x": 0.7 * c, "y": 0.7 * s, "fiber": "top"}])
+            strains.append((build_strain_operator(model, dof_map, gauge.sensors).matrix @ u)[0])
+        assert deflections[0] == pytest.approx(deflections[2], rel=1e-12)
+        assert deflections[1] == pytest.approx(deflections[3], rel=1e-12)
+        assert strains[0] == pytest.approx(strains[1], rel=1e-12)
+        assert strains[0] != 0.0 and deflections[1] != 0.0
 
     def test_unsupported_model_fails_factorization(self, ss_beam):
         floating = GrillageModel(nodes=ss_beam.nodes, elements=ss_beam.elements, supports=(),

@@ -193,6 +193,17 @@ class TestGeometryQueries:
             with pytest.raises(ConfigError):
                 m.locate_on_line("east", bad)
 
+    def test_junction_point_binds_to_the_lowest_index_element(self, girders):
+        """With ``line=None`` a girder/crossbeam junction is equally close to
+        every member meeting there; the lowest element index wins."""
+        m = girders
+        node = m.line_nodes("east")[2]
+        touching = [k for k, e in enumerate(m.elements) if node in (e.node_i, e.node_j)]
+        assert len(touching) == 3
+        assert m.locate_point(*m.nodes[node]) == (touching[0], 1.0)
+        elems, ts = m.locate_point(np.array([m.nodes[node][0]] * 2), m.nodes[node][1])
+        assert elems.tolist() == [touching[0]] * 2 and ts.tolist() == [1.0, 1.0]
+
     def test_array_of_arc_lengths_matches_scalar_calls(self, girders):
         s = [0.0, 2.5, 5.0, 5.0 + 1e-12, 7.5, 10.0, 19.9, 20.0]
         for line in ("east", "back"):

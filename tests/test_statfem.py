@@ -369,3 +369,29 @@ def test_log_marginal_matches_textbook_density_per_instant(problem):
         terms.append(oracles.gaussian_logpdf(obs.strains[:, k], w.rho * op @ ensemble.means[:, k], s))
     got = log_marginal(obs, w, ensemble, op)
     assert abs(got - math.fsum(terms)) <= 1e-10 * math.fsum(abs(t) for t in terms)
+
+
+@st.composite
+def _conditioning_problems(draw):
+    """Random SPD dof prior, random operator, a kernel mismatch over random
+    plan points, positive gauge noise and data."""
+    n_u = draw(st.integers(1, 8))
+    n_y = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n_u, n_u)) * draw(st.floats(1e-3, 1e3))
+    c_u = a @ a.T + draw(st.floats(1e-6, 1.0)) * np.eye(n_u)
+    prior = GaussianBelief(rng.standard_normal(n_u), c_u)
+    p = rng.standard_normal((n_y, n_u))
+    w = Hyperparameters(draw(st.floats(0.1, 3.0)), draw(st.floats(0.01, 5.0)), draw(st.floats(0.1, 10.0)))
+    c_d = sq_exp_covariance(rng.uniform(0.0, 5.0, size=(n_y, 2)), w.sigma_d, w.ell_d)
+    c_e = noise_covariance(n_y, draw(st.floats(1e-3, 2.0)))
+    return rng.standard_normal(n_y), w, prior, p, c_d, c_e
+
+
+@settings(max_examples=200, deadline=None)
+@given(_conditioning_problems())
+def test_conditioning_never_widens_variances(problem):
+    y, w, prior, p, c_d, c_e = problem
+    post = displacement_posterior(y, w, prior, p, c_d, c_e)
+    prior_var = np.diagonal(prior.cov)
+    assert np.all(np.diagonal(post.cov) <= prior_var + 1e-12 * prior_var.max())
