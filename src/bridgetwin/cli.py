@@ -21,7 +21,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, dataio
 from .fem import FactorizationError, GaussianBelief
@@ -102,7 +101,6 @@ def _write_manifest(path: Path, command: str, args: argparse.Namespace, outputs,
         "versions": {
             "bridgetwin": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
         # recorded, never acted on: seeded reruns are byte-identical only on one thread setting
@@ -333,7 +331,7 @@ def _cmd_posterior(args) -> int:
                 dataio.format_microstrain(obs.strains[i, k]),
             ])
     print(f"wrote {out}: instant t={t_k:.6g} s (gamma {gamma_k:.3f}), "
-          f"{len(ctx.layout)} sensors, jitter {post_u.jitter:.3e}")
+          f"{len(ctx.layout)} sensors, prior jitter {post_u.jitter:.3e}")
     _write_manifest(Path(str(out) + ".manifest.json"), "posterior", args, [out])
     return 0
 

@@ -1,17 +1,20 @@
 """File formats: observation, layout, series and chain CSVs, JSON estimates.
 
 All strain columns on disk are in microstrain; everything in memory is
-dimensionless strain. The conversion is done textually by shifting the
-decimal exponent of a 17-significant-digit rendering, which is exact in
-both directions, so a recording survives write/read round trips
-bit-identically. Other SI quantities are rendered at 17 significant digits
-too, which round-trips float64 exactly.
+dimensionless strain. The conversion moves the decimal exponent by 6 and
+never multiplies: writing renders the 17 significant digits of a value with
+its exponent raised by 6, and reading hands the literal with its exponent
+lowered by 6 to float(), which rounds correctly. Both directions are exact,
+so a recording survives write/read round trips bit-identically. Other SI
+quantities are rendered at 17 significant digits too, which round-trips
+float64 exactly.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 
 import numpy as np
@@ -20,7 +23,8 @@ from .statfem import Hyperparameters, ObservationSet
 
 MICROSTRAIN = 1e-6
 
-_DECIMAL = re.compile(r"^([+-]?)(\d+)(?:\.(\d*))?(?:[eE]([+-]?\d+))?$")
+# the literals a strain cell may hold: no bare leading point, inf, nan or underscores
+_DECIMAL = re.compile(r"[+-]?\d+(?:\.\d*)?(?:[eE]([+-]?\d+))?")
 
 
 def format_si(x: float) -> str:
@@ -28,41 +32,48 @@ def format_si(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def shift_decimal(text: str, shift: int) -> str:
-    """Multiply a decimal literal by 10**shift exactly, in text space."""
-    text = text.strip()
-    m = _DECIMAL.match(text)
-    if m is None:
-        raise ValueError(f"not a finite decimal literal: {text!r}")
-    sign, intpart, fracpart, exp = m.group(1), m.group(2), m.group(3) or "", m.group(4)
-    digits = intpart + fracpart
-    point = len(intpart) + (int(exp) if exp else 0) + shift
-    stripped = digits.lstrip("0")
-    if not stripped:
-        return sign + "0"
-    # keep leading zeros out of the exponent bookkeeping
-    point -= len(digits) - len(stripped)
-    digits = stripped.rstrip("0") or "0"
-    if 0 < point <= 21 and point >= len(digits):
-        body = digits + "0" * (point - len(digits))
-    elif 0 < point <= 21:
-        body = digits[:point] + "." + digits[point:]
-    elif -4 < point <= 0:
-        body = "0." + "0" * (-point) + digits
-    else:
-        mant = digits if len(digits) == 1 else digits[0] + "." + digits[1:]
-        body = f"{mant}e{point - 1}"
-    return sign + body
-
-
 def format_microstrain(strain: float) -> str:
-    """Exact microstrain rendering of an internal strain value."""
-    return shift_decimal(format_si(strain), 6)
+    """Exact microstrain rendering of an internal strain value.
+
+    The 17 significant digits of ``strain`` lose their trailing zeros and
+    gain 6 on the decimal exponent; the value is written positionally when
+    its decimal point falls within (-4, 21] places of the first digit and
+    in e-notation otherwise, so 1.5e-06 becomes "1.5", 1.5e-10 "0.00015"
+    and 1e15 "1e21".
+    """
+    strain = float(strain)
+    if not math.isfinite(strain):
+        raise ValueError(f"not a finite strain: {strain!r}")
+    text = format(strain, ".16e")  # [-]d.dddddddddddddddde[+-]dd
+    sign = "-" if text[0] == "-" else ""
+    body = text[len(sign):]
+    digits = (body[0] + body[2:18]).rstrip("0")
+    if not digits:
+        return sign + "0"
+    point = int(body[19:]) + 7  # digits before the decimal point, after the shift
+    n = len(digits)
+    if 0 < point <= 21:
+        return sign + (digits + "0" * (point - n) if point >= n else digits[:point] + "." + digits[point:])
+    if -4 < point <= 0:
+        return sign + "0." + "0" * -point + digits
+    mantissa = digits if n == 1 else digits[0] + "." + digits[1:]
+    return f"{sign}{mantissa}e{point - 1}"
 
 
 def parse_microstrain(text: str) -> float:
-    """Exact internal strain value of a microstrain literal."""
-    return float(shift_decimal(text, -6))
+    """Exact internal strain value of a microstrain literal.
+
+    The literal's decimal exponent is lowered by 6 and float() rounds the
+    result once, correctly; anything but a finite decimal literal raises
+    ValueError.
+    """
+    text = text.strip()
+    m = _DECIMAL.fullmatch(text)
+    if m is None:
+        raise ValueError(f"not a finite decimal literal: {text!r}")
+    if m.group(1) is None:
+        return float(text + "e-6")
+    return float(f"{text[:m.start(1) - 1]}e{int(m.group(1)) - 6}")
 
 
 # -- observation recordings ---------------------------------------------------

@@ -78,28 +78,37 @@ class TrainScenario:
         return t0 + np.arange(n) * self.time_step
 
 
+def _axle_grid(scenario: TrainScenario, times, span: float) -> tuple[np.ndarray, np.ndarray]:
+    """Arc positions of every axle at every time, (n_times, n_axles), and
+    the mask of those on the span."""
+    head = scenario.speed * (np.asarray(times, dtype=float) - scenario.arrival_time)
+    pos = head[:, None] - np.asarray(scenario.axle_offsets)
+    return pos, (pos >= 0.0) & (pos <= span)
+
+
 def axle_positions(scenario: TrainScenario, t: float, span: float) -> np.ndarray:
     """Arc positions of the axles on the span at time t; off-span axles drop."""
-    head = scenario.speed * (t - scenario.arrival_time)
-    pos = head - np.asarray(scenario.axle_offsets)
-    return pos[(pos >= 0.0) & (pos <= span)]
+    pos, on_span = _axle_grid(scenario, [t], span)
+    return pos[on_span]
 
 
 def _train_forces(model: GrillageModel, dof_map: DofMap, scenario: TrainScenario, times) -> np.ndarray:
     """Consistent free-dof forces of the train, one column per time.
 
-    Every axle position of every instant is located on the track line in
-    one call, and its load-scaled shape vector is scattered into its
-    instant's column in one more, which sums each instant's axles in order.
+    Every axle of every instant is placed in one broadcast over times x
+    axles; the axles on the span are located on the track line in one call,
+    instant by instant in axle order, and their load-scaled shape vectors
+    are scattered into their instants' columns in one more, which sums each
+    instant's axles in that order.
     """
     span = model.line_length(scenario.track_line)
-    placed = [axle_positions(scenario, float(t), span) for t in times]
-    elements, local_t = model.locate_on_line(scenario.track_line, np.concatenate(placed))
+    pos, on_span = _axle_grid(scenario, times, span)
+    elements, local_t = model.locate_on_line(scenario.track_line, pos[on_span])
     local = np.zeros((elements.size, 6))
     shape = hermite_shape(local_t, element_geometry(model, elements)[0])
     local[:, [0, 1, 3, 4]] = (scenario.axle_load * shape).T
-    columns = np.repeat(np.arange(len(placed)), [p.size for p in placed])
-    return element_columns(model, dof_map, elements, local, columns, len(placed))
+    columns = np.nonzero(on_span)[0]
+    return element_columns(model, dof_map, elements, local, columns, len(pos))
 
 
 def nodal_loads(model: GrillageModel, dof_map: DofMap, scenario: TrainScenario, t: float) -> np.ndarray:

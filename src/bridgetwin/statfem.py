@@ -23,10 +23,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve, cholesky, eigh, solve_triangular
-from scipy.linalg.blas import dgemm
 
-from .fem import (FactorizationError, GaussianBelief, PriorEnsemble, chol_psd, operator_matrix,
+from .fem import (FactorizationError, GaussianBelief, PriorEnsemble, operator_matrix,
                   sq_exp_correlation, squared_distances)
 from .loading import select_window
 from .model import ConfigError, GrillageModel
@@ -264,8 +262,13 @@ def displacement_posterior(
 
     which is algebraically the standard linear-Gaussian update but never
     inverts C_u, so it accepts the singular dof covariances produced by
-    loads that excite only part of the structure. S is factored with the
-    jitter policy; any jitter used is recorded on the returned belief.
+    loads that excite only part of the structure. S^-1 comes from the
+    factors the evidence uses: with B = rho^2 P C_u P^T + C_e and
+    W^T B W = I, W^T C_d W = diag(lam), S^-1 = W diag(1/(lam + 1)) W^T.
+    Raises :class:`FactorizationError` naming sigma_e when B is not positive
+    definite, as at sigma_e = 0 with mirrored gauges, where the conditioned
+    covariance would be rounding noise; nothing is jittered here, and the
+    returned belief carries the prior's jitter.
     """
     p = operator_matrix(strain_op)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -277,15 +280,16 @@ def displacement_posterior(
 
     rho = w.rho
     gain = prior.cov @ p.T  # C_u P^T
-    s = rho * rho * (p @ gain) + mismatch_cov + noise_cov
-    s = 0.5 * (s + s.T)
-    lower, jitter = chol_psd(s)
-
+    b = rho * rho * (p @ gain) + noise_cov
+    sigma_e = math.sqrt(max(float(np.min(np.diagonal(noise_cov))), 0.0))
+    _, lam, whiten = _whiten(0.5 * (b + b.T), mismatch_cov, sigma_e)
+    half = whiten / np.sqrt(lam + 1.0)  # S^-1 = half half^T
+    weighted = half.T @ gain.T
     resid = y - rho * (p @ prior.mean)
-    mean = prior.mean + rho * gain @ cho_solve((lower, True), resid)
-    cov = prior.cov - rho * rho * gain @ cho_solve((lower, True), gain.T)
+    mean = prior.mean + rho * (weighted.T @ (half.T @ resid))
+    cov = prior.cov - rho * rho * (weighted.T @ weighted)
     cov = 0.5 * (cov + cov.T)
-    return GaussianBelief(mean, cov, jitter=jitter)
+    return GaussianBelief(mean, cov, jitter=prior.jitter)
 
 
 def true_strain_posterior(
@@ -313,16 +317,35 @@ def strain_predictive(
     return GaussianBelief(z.mean, 0.5 * (cov + cov.T), jitter=z.jitter)
 
 
-# One library: numpy and scipy each load an OpenBLAS with its own thread pool,
-# and handing 40 x 40 calls between the pools costs more than the arithmetic,
-# so every BLAS/LAPACK call of the evidence goes through scipy.
+# numpy only: scipy would load a second OpenBLAS with its own thread pool, and
+# handing 40 x 40 calls between two pools costs more than the arithmetic. The
+# triangular solves are products with the explicit inverse of the 40 x 40
+# factor, which numpy has and which costs less than the solves it replaces.
+def _whiten(b: np.ndarray, kernel: np.ndarray, sigma_e: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """(log det B, lam, W) with B = L L^T, L^-1 K L^-T = Q diag(lam) Q^T and
+    W = L^-T Q, so W^T (a K + B) W = diag(a lam + 1) for every a >= 0; lam
+    is clipped at 0. Raises :class:`FactorizationError` naming sigma_e, the
+    noise level in B, when B is not positive definite."""
+    try:
+        lower = np.linalg.cholesky(b)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(
+            f"rho^2 P C_u P^T + sigma_e^2 I is not positive definite at sigma_e = {sigma_e:.6g}; "
+            f"mirrored or coincident gauges make P C_u P^T singular, so sigma_e must be positive"
+        ) from exc
+    inverse_factor = np.linalg.inv(lower)
+    lam, q = np.linalg.eigh(inverse_factor @ kernel @ inverse_factor.T)
+    logdet_b = 2.0 * float(np.sum(np.log(np.diagonal(lower))))
+    return logdet_b, np.maximum(lam, 0.0), inverse_factor.T @ q
+
+
 def _evidence_terms(strains, gamma, sigma_e, d2, w: Hyperparameters, priors: PriorEnsemble,
                     strain_op) -> np.ndarray:
     """Log density of each column y_k under N(rho P u_k, S_k = a_k K + B).
 
     K is the unit mismatch kernel, a_k = (gamma_k sigma_d)^2 and
-    B = rho^2 P C_u P^T + sigma_e^2 I = L L^T. With L^-1 K L^-T =
-    Q diag(lam) Q^T and W = L^-T Q, W^T S_k W = diag(a_k lam + 1), so
+    B = rho^2 P C_u P^T + sigma_e^2 I. With W^T B W = I and
+    W^T K W = diag(lam) from :func:`_whiten`, W^T S_k W = diag(a_k lam + 1), so
     log det S_k = log det B + sum_j log(a_k lam_j + 1) and the quadratic
     form is sum_j z_jk^2 / (a_k lam_j + 1) with z_k = W^T (y_k - rho P u_k).
     lam is clipped at 0, so gamma_k = 0 gives exactly the B-only density.
@@ -333,21 +356,10 @@ def _evidence_terms(strains, gamma, sigma_e, d2, w: Hyperparameters, priors: Pri
     if means_s.shape[1] != n_o:
         raise ValueError(f"{n_o} instants but {means_s.shape[1]} priors")
     b = (w.rho * w.rho) * strain_cov + (sigma_e * sigma_e) * np.eye(n_y)
-    try:
-        lower = cholesky(b, lower=True)
-    except LinAlgError as exc:
-        raise FactorizationError(
-            f"rho^2 P C_u P^T + sigma_e^2 I is not positive definite at sigma_e = {sigma_e:.6g}; "
-            f"mirrored or coincident gauges make P C_u P^T singular, so sigma_e must be positive"
-        ) from exc
-    half = solve_triangular(lower, sq_exp_correlation(d2, w.ell_d), lower=True)
-    lam, q = eigh(solve_triangular(lower, half.T, lower=True))
-    lam = np.maximum(lam, 0.0)
-    # Z^T = R^T W with the residual R = Y - rho M; R^T is Fortran-ordered
-    resid = strains - w.rho * means_s
-    z_t = dgemm(1.0, resid.T, solve_triangular(lower, q, lower=True, trans="T"))
+    logdet_b, lam, whiten = _whiten(b, sq_exp_correlation(d2, w.ell_d), sigma_e)
+    # Z^T = R^T W with the residual R = Y - rho M
+    z_t = (strains - w.rho * means_s).T @ whiten
     scale = (gamma * w.sigma_d)[:, None] ** 2 * lam[None, :] + 1.0
-    logdet_b = 2.0 * float(np.sum(np.log(np.diagonal(lower))))
     quad = np.sum(z_t * z_t / scale, axis=1)
     return -0.5 * (n_y * LOG_2PI + logdet_b + np.sum(np.log(scale), axis=1) + quad)
 

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +208,16 @@ class TestPosteriorCommand:
         assert rc == 0
         assert out.read_text().splitlines()[0].startswith("# instant t=2 ")
 
+    def test_zero_noise_exits_3_naming_sigma_e(self, tmp_path, capsys):
+        """Conditioning at sigma_e = 0 factors a singular S: a numeric
+        failure naming its cause, never a silently jittered band."""
+        obs = _synth(tmp_path)
+        rc = cli.main(["posterior", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "0",
+                       "--w-star", "0.9,4.0,0.5", "--time", "2.0",
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert "sigma_e" in capsys.readouterr().err
+
     def test_malformed_w_star_exits_2(self, tmp_path):
         obs = _synth(tmp_path)
         rc = cli.main(["posterior", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0",
@@ -224,3 +237,22 @@ class TestPredictCommand:
         lines = out.read_text().splitlines()
         assert lines[1] == "sensor,x,y,fiber,mean,lo95,hi95"
         assert len(lines) == 2 + 20
+    def test_zero_noise_exits_3_naming_sigma_e(self, tmp_path, capsys):
+        obs = _synth(tmp_path)
+        rc = cli.main(["predict", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "0",
+                       "--w-star", "0.9,4.0,0.5", "--time", "2.0",
+                       "--locations", SENSORS_WEST, "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert "sigma_e" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy costs a fifth of a second per command and a second OpenBLAS
+    thread pool; the runtime is numpy-only."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", "import bridgetwin.cli, sys; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout.strip() == "False"

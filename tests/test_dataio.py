@@ -2,6 +2,8 @@
 bit-exactness: a value written in microstrain must read back as the same
 float64, with no quantization drift on repeated save/load cycles."""
 
+import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -16,11 +18,57 @@ from bridgetwin.dataio import (
     parse_microstrain,
     read_estimate,
     read_observation_table,
-    shift_decimal,
     write_estimate,
     write_observations,
 )
 from bridgetwin.statfem import Hyperparameters, ObservationSet, Sensor, SensorLayout
+
+
+_REFERENCE_DECIMAL = re.compile(r"^([+-]?)(\d+)(?:\.(\d*))?(?:[eE]([+-]?\d+))?$")
+
+
+def shift_decimal(text: str, shift: int) -> str:
+    """Multiply a decimal literal by 10**shift exactly, in text space.
+
+    The reference codec: the package once converted microstrain by this
+    text surgery, and its exponent-arithmetic codec must agree with it byte
+    for byte on writing and bit for bit on reading.
+    """
+    text = text.strip()
+    m = _REFERENCE_DECIMAL.match(text)
+    if m is None:
+        raise ValueError(f"not a finite decimal literal: {text!r}")
+    sign, intpart, fracpart, exp = m.group(1), m.group(2), m.group(3) or "", m.group(4)
+    digits = intpart + fracpart
+    point = len(intpart) + (int(exp) if exp else 0) + shift
+    stripped = digits.lstrip("0")
+    if not stripped:
+        return sign + "0"
+    # keep leading zeros out of the exponent bookkeeping
+    point -= len(digits) - len(stripped)
+    digits = stripped.rstrip("0") or "0"
+    if 0 < point <= 21 and point >= len(digits):
+        body = digits + "0" * (point - len(digits))
+    elif 0 < point <= 21:
+        body = digits[:point] + "." + digits[point:]
+    elif -4 < point <= 0:
+        body = "0." + "0" * (-point) + digits
+    else:
+        mant = digits if len(digits) == 1 else digits[0] + "." + digits[1:]
+        body = f"{mant}e{point - 1}"
+    return sign + body
+
+
+def reference_format(x: float) -> str:
+    return shift_decimal(format_si(x), 6)
+
+
+def reference_parse(text: str) -> float:
+    return float(shift_decimal(text, -6))
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.uint64))
 
 
 def _random_doubles(n, seed):
@@ -82,6 +130,66 @@ def test_shift_decimal_is_exact_scaling_of_any_literal(text, shift):
     with localcontext() as ctx:
         ctx.prec = 200  # scaleb rounds to the context precision; keep every digit
         assert Decimal(shift_decimal(text, shift)) == Decimal(text).scaleb(shift)
+
+
+def _near_power_of_ten(exponent: int, ulps: int, sign: float) -> float:
+    x = float(f"1e{exponent}")
+    toward = math.inf if ulps > 0 else 0.0
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, toward))
+    return sign * x
+
+
+# every finite double: hypothesis' floats (which draw +-0, subnormals and
+# the extremes), raw bit patterns, and powers of ten a few ulps either side,
+# among them 1e15 and 1e-27, which land next to 1e21 and 1e-21 once shifted
+_FINITE_DOUBLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))),
+    st.builds(_near_power_of_ten, st.integers(-330, 310), st.integers(-3, 3),
+              st.sampled_from([1.0, -1.0])),
+).filter(math.isfinite)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_FINITE_DOUBLES)
+def test_format_microstrain_matches_the_reference_renderer(x):
+    assert format_microstrain(x) == reference_format(x)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_decimal_literals(), _FINITE_DOUBLES.map(reference_format)))
+def test_parse_microstrain_matches_the_reference_reader(text):
+    assert _bits(parse_microstrain(text)) == _bits(reference_parse(text))
+
+
+def test_codec_matches_the_reference_on_random_bit_patterns():
+    rng = np.random.default_rng(3)
+    values = np.concatenate([
+        rng.integers(0, 2**64, size=20_000, dtype=np.uint64).view(np.float64),
+        _random_doubles(20_000, seed=4),
+    ])
+    for x in values[np.isfinite(values)].tolist():
+        text = format_microstrain(x)
+        assert text == reference_format(x)
+        assert _bits(parse_microstrain(text)) == _bits(reference_parse(text)) == _bits(x)
+
+
+@pytest.mark.parametrize("text", [".5", "inf", "nan", "1_0", "1e", "--1", "", "+", "1.2.3",
+                                  "0x12", "abc", "1e+", "Infinity", "-.5", "1 0"])
+def test_literals_the_reference_rejects_still_raise(text):
+    with pytest.raises(ValueError):
+        reference_parse(text)
+    with pytest.raises(ValueError):
+        parse_microstrain(text)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_non_finite_strains_are_not_written(x):
+    with pytest.raises(ValueError):
+        reference_format(x)
+    with pytest.raises(ValueError):
+        format_microstrain(x)
 
 
 class TestMicrostrainRoundTrip:

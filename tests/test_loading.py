@@ -116,11 +116,11 @@ class TestLoadSeries:
             load_series(ss_beam, assemble(ss_beam)[1], s)
 
     def test_forces_match_nodal_loads(self, bundled_ctx):
+        """The whole-window placement equals placing each instant alone, to the bit."""
         series = bundled_ctx.series
-        k = int(series.gamma.argmax())
-        f = nodal_loads(bundled_ctx.model, bundled_ctx.dof_map,
-                        series.scenario, float(series.timestamps[k]))
-        np.testing.assert_array_equal(series.forces[:, k], f)
+        f = np.column_stack([nodal_loads(bundled_ctx.model, bundled_ctx.dof_map, series.scenario, t)
+                             for t in series.timestamps.tolist()])
+        np.testing.assert_array_equal(series.forces, f)
 
 
 class TestSelectWindow:
