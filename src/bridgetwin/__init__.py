@@ -56,7 +56,6 @@ from .statfem import (
     SensorLayout,
     displacement_posterior,
     log_marginal,
-    log_marginal_instant,
     mismatch_covariance,
     noise_covariance,
     sq_exp_covariance,
@@ -69,7 +68,6 @@ from .synth import (
     estimate_noise_std,
     generate_observations,
     generate_truth,
-    perturb_sections,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dataio
-from .fem import FactorizationError, GaussianBelief
+from .fem import FactorizationError
 from .inference import McmcConfig, chain_diagnostics, point_estimate, sample_hyperposterior
 from .model import ConfigError, load_model_config, validate_model
 from .pipeline import TwinContext
@@ -303,9 +303,8 @@ def _cmd_posterior(args) -> int:
     w = _resolve_w_star(args.w_star)
     k, t_k, gamma_k, prior_k, c_d, post_u = _posterior_pieces(ctx, obs, w, args.time)
 
-    p = ctx.strain_op.matrix
-    prior_strain = GaussianBelief(p @ prior_k.mean, p @ prior_k.cov @ p.T)
-    fe_strain = GaussianBelief(p @ post_u.mean, p @ post_u.cov @ p.T)
+    prior_strain = prior_k.project(ctx.strain_op)
+    fe_strain = post_u.project(ctx.strain_op)
     z = true_strain_posterior(post_u, w, ctx.strain_op, c_d)
 
     out = Path(args.out)

@@ -125,19 +125,10 @@ class DofMap:
 
     index: np.ndarray
     free: tuple[tuple[int, int], ...]
-    constrained: tuple[tuple[int, int], ...]
 
     @property
     def n_free(self) -> int:
         return len(self.free)
-
-    def expand(self, values: np.ndarray) -> np.ndarray:
-        """Scatter free-dof values into the full (3 n_nodes, ...) vector."""
-        values = np.asarray(values, dtype=float)
-        full = np.zeros((self.index.size,) + values.shape[1:])
-        for pos, (node, dof) in enumerate(self.free):
-            full[3 * node + dof] = values[pos]
-        return full
 
 
 def build_dof_map(model: GrillageModel) -> DofMap:
@@ -146,23 +137,20 @@ def build_dof_map(model: GrillageModel) -> DofMap:
         for name in sup.dofs:
             fixed[sup.node, DOF_NAMES.index(name)] = True
     index = np.full((model.n_nodes, 3), -1, dtype=int)
-    free, constrained = [], []
+    free = []
     for node in range(model.n_nodes):
         for dof in range(3):
-            if fixed[node, dof]:
-                constrained.append((node, dof))
-            else:
+            if not fixed[node, dof]:
                 index[node, dof] = len(free)
                 free.append((node, dof))
-    return DofMap(index, tuple(free), tuple(constrained))
+    return DofMap(index, tuple(free))
 
 
 @dataclass
 class StiffnessMatrix:
-    """Constrained SPD system plus the unreduced matrix for reactions."""
+    """The constrained SPD system on the free dofs."""
 
     matrix: np.ndarray
-    full_matrix: np.ndarray
 
 
 def assemble(model: GrillageModel) -> tuple[StiffnessMatrix, DofMap]:
@@ -189,7 +177,7 @@ def assemble(model: GrillageModel) -> tuple[StiffnessMatrix, DofMap]:
         raise FactorizationError(
             "stiffness matrix is not positive definite: unconstrained rigid body modes"
         ) from exc
-    return StiffnessMatrix(k_free, k_full), dof_map
+    return StiffnessMatrix(k_free), dof_map
 
 
 def solve(stiffness: StiffnessMatrix, forces: np.ndarray) -> np.ndarray:
@@ -205,16 +193,6 @@ def solve(stiffness: StiffnessMatrix, forces: np.ndarray) -> np.ndarray:
     if forces.shape[0] != n:
         raise ValueError(f"force vector has {forces.shape[0]} rows, system has {n}")
     return np.linalg.solve(stiffness.matrix, forces)
-
-
-def support_reactions(
-    stiffness: StiffnessMatrix, dof_map: DofMap, u_free: np.ndarray, f_free: np.ndarray
-) -> dict[tuple[int, str], float]:
-    """Reactions at constrained dofs for a solved displacement field."""
-    u_full = dof_map.expand(u_free)
-    f_full = dof_map.expand(f_free)
-    r = stiffness.full_matrix @ u_full - f_full
-    return {(node, DOF_NAMES[dof]): float(r[3 * node + dof]) for node, dof in dof_map.constrained}
 
 
 @dataclass(frozen=True)
@@ -318,6 +296,15 @@ def sq_exp_correlation(d2: np.ndarray, ell: float) -> np.ndarray:
     return np.exp(-d2 / (2.0 * ell * ell))
 
 
+def _project_covariance(p: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """P C P^T, symmetrised as 0.5 (X + X^T): rounding leaves the product
+    asymmetric, by more than the symmetry check allows once conditioning has
+    cancelled C down to rounding noise. The diagonal is bit-exact, since
+    0.5 (x + x) == x."""
+    projected = p @ cov @ p.T
+    return 0.5 * (projected + projected.T)
+
+
 def _check_symmetric(cov: np.ndarray, what: str) -> None:
     scale = np.max(np.abs(cov)) if cov.size else 0.0
     if not np.allclose(cov, cov.T, atol=1e-10 * scale + 1e-300, rtol=0.0):
@@ -328,14 +315,13 @@ def _check_symmetric(cov: np.ndarray, what: str) -> None:
 class GaussianBelief:
     """Multivariate normal over a vector of physical quantities.
 
-    ``jitter`` records any diagonal inflation applied while factoring the
-    covariance, either upstream or lazily by :meth:`chol`.
+    ``jitter`` records any diagonal inflation applied upstream while
+    factoring the covariance it was derived from.
     """
 
     mean: np.ndarray
     cov: np.ndarray
     jitter: float = 0.0
-    _chol: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.mean = np.asarray(self.mean, dtype=float).reshape(-1)
@@ -349,20 +335,14 @@ class GaussianBelief:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    def chol(self) -> np.ndarray:
-        if self._chol is None:
-            self._chol, added = chol_psd(self.cov)
-            self.jitter += added
-        return self._chol
-
     def std(self) -> np.ndarray:
         return np.sqrt(np.clip(np.diagonal(self.cov), 0.0, None))
 
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        """Draw samples; shape (dim,) for size None, else (size, dim)."""
-        k = 1 if size is None else size
-        draws = self.mean + (self.chol() @ rng.standard_normal((self.dim, k))).T
-        return draws[0] if size is None else draws
+    def project(self, strain_op) -> "GaussianBelief":
+        """The belief pushed through a linear map: N(P m, P C P^T), keeping
+        the jitter."""
+        p = operator_matrix(strain_op)
+        return GaussianBelief(p @ self.mean, _project_covariance(p, self.cov), jitter=self.jitter)
 
 
 def propagate_prior(
@@ -393,19 +373,6 @@ class PriorEnsemble:
     def __len__(self) -> int:
         return self.means.shape[1]
 
-    @classmethod
-    def from_beliefs(cls, beliefs) -> "PriorEnsemble":
-        """Stack per-instant beliefs that share one covariance."""
-        beliefs = list(beliefs)
-        if not beliefs:
-            raise ValueError("need at least one prior instant")
-        cov = beliefs[0].cov
-        for b in beliefs[1:]:
-            if not np.allclose(b.cov, cov, rtol=1e-12, atol=0.0):
-                raise ValueError("per-instant priors must share one covariance")
-        means = np.column_stack([b.mean for b in beliefs])
-        return cls(means, cov, jitter=max(b.jitter for b in beliefs))
-
     def instant(self, k: int) -> GaussianBelief:
         return GaussianBelief(self.means[:, k], self.cov, jitter=self.jitter)
 
@@ -414,8 +381,7 @@ class PriorEnsemble:
         p = operator_matrix(strain_op)
         entry = self._cache.get(id(p))
         if entry is None:
-            strain_cov = p @ self.cov @ p.T
-            entry = self._cache[id(p)] = (p, p @ self.means, 0.5 * (strain_cov + strain_cov.T))
+            entry = self._cache[id(p)] = (p, p @ self.means, _project_covariance(p, self.cov))
         return entry[1], entry[2]
 
 

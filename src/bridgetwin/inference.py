@@ -154,9 +154,6 @@ def sample_hyperposterior(
     The evidence of the whole recording is the product over instants, so
     the log target is the summed log marginal.
     """
-    if not isinstance(priors, PriorEnsemble):
-        priors = PriorEnsemble.from_beliefs(priors)
-
     def log_target(vec: np.ndarray) -> float:
         return log_marginal(obs, Hyperparameters.from_array(vec), priors, strain_op)
 

@@ -50,9 +50,6 @@ class Hyperparameters:
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.rho, self.sigma_d, self.ell_d])
-
     @classmethod
     def from_array(cls, values) -> "Hyperparameters":
         rho, sigma_d, ell_d = (float(v) for v in values)
@@ -295,11 +292,17 @@ def displacement_posterior(
 def true_strain_posterior(
     posterior: GaussianBelief, w: Hyperparameters, strain_op, mismatch_cov: np.ndarray
 ) -> GaussianBelief:
-    """Belief over the latent true gauge strains rho P u + d given data."""
-    p = operator_matrix(strain_op)
-    mean = w.rho * (p @ posterior.mean)
-    cov = w.rho * w.rho * (p @ posterior.cov @ p.T) + mismatch_cov
-    return GaussianBelief(mean, 0.5 * (cov + cov.T), jitter=posterior.jitter)
+    """Belief over the latent true gauge strains rho P u + d given data:
+    N(rho P m, rho^2 P C P^T + C_d) for the dof posterior N(m, C).
+
+    The bands add the prior mismatch covariance C_d and leave out the update
+    of d by the data y, so they are conservative: wider than the joint
+    posterior of rho P u + d. ``oracles.latent_strain_belief`` in the tests
+    encodes the same formula.
+    """
+    fe = posterior.project(strain_op)
+    return GaussianBelief(w.rho * fe.mean, w.rho * w.rho * fe.cov + mismatch_cov,
+                          jitter=fe.jitter)
 
 
 def strain_predictive(
@@ -313,8 +316,7 @@ def strain_predictive(
     so held-out locations just need their own operator rows.
     """
     z = true_strain_posterior(posterior, w, strain_op, mismatch_cov)
-    cov = z.cov + noise_cov
-    return GaussianBelief(z.mean, 0.5 * (cov + cov.T), jitter=z.jitter)
+    return GaussianBelief(z.mean, z.cov + noise_cov, jitter=z.jitter)
 
 
 # numpy only: scipy would load a second OpenBLAS with its own thread pool, and
@@ -339,62 +341,34 @@ def _whiten(b: np.ndarray, kernel: np.ndarray, sigma_e: float) -> tuple[float, n
     return logdet_b, np.maximum(lam, 0.0), inverse_factor.T @ q
 
 
-def _evidence_terms(strains, gamma, sigma_e, d2, w: Hyperparameters, priors: PriorEnsemble,
-                    strain_op) -> np.ndarray:
-    """Log density of each column y_k under N(rho P u_k, S_k = a_k K + B).
-
-    K is the unit mismatch kernel, a_k = (gamma_k sigma_d)^2 and
-    B = rho^2 P C_u P^T + sigma_e^2 I. With W^T B W = I and
-    W^T K W = diag(lam) from :func:`_whiten`, W^T S_k W = diag(a_k lam + 1), so
-    log det S_k = log det B + sum_j log(a_k lam_j + 1) and the quadratic
-    form is sum_j z_jk^2 / (a_k lam_j + 1) with z_k = W^T (y_k - rho P u_k).
-    lam is clipped at 0, so gamma_k = 0 gives exactly the B-only density.
-    Each term reads only its own column, so it is independent of order.
-    """
-    means_s, strain_cov = priors.projected(strain_op)
-    n_y, n_o = strains.shape
-    if means_s.shape[1] != n_o:
-        raise ValueError(f"{n_o} instants but {means_s.shape[1]} priors")
-    b = (w.rho * w.rho) * strain_cov + (sigma_e * sigma_e) * np.eye(n_y)
-    logdet_b, lam, whiten = _whiten(b, sq_exp_correlation(d2, w.ell_d), sigma_e)
-    # Z^T = R^T W with the residual R = Y - rho M
-    z_t = (strains - w.rho * means_s).T @ whiten
-    scale = (gamma * w.sigma_d)[:, None] ** 2 * lam[None, :] + 1.0
-    quad = np.sum(z_t * z_t / scale, axis=1)
-    return -0.5 * (n_y * LOG_2PI + logdet_b + np.sum(np.log(scale), axis=1) + quad)
-
-
-def log_marginal_instant(y_k: np.ndarray, w: Hyperparameters, prior: GaussianBelief, strain_op,
-                         points, sigma_e: float, gamma_k: float) -> float:
-    """Log evidence of one instant: y_k against N(rho P u_bar, S).
-
-    S = rho^2 P C_u P^T + C_d(gamma_k) + sigma_e^2 I, with the mismatch
-    kernel evaluated over the gauge plan positions; :func:`log_marginal`'s
-    route on a single instant.
-    """
-    if not 0.0 <= gamma_k <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma_k}")
-    y_k = np.asarray(y_k, dtype=float).reshape(-1, 1)
-    single = PriorEnsemble(prior.mean[:, None], prior.cov)
-    terms = _evidence_terms(y_k, np.array([gamma_k]), sigma_e, _squared_distances(points), w,
-                            single, strain_op)
-    return float(terms[0])
-
-
-def log_marginal(obs: ObservationSet, w: Hyperparameters, priors, strain_op) -> float:
+def log_marginal(obs: ObservationSet, w: Hyperparameters, priors: PriorEnsemble, strain_op) -> float:
     """Log evidence of a whole recording under instant independence.
 
-    ``priors`` is a :class:`PriorEnsemble` or a sequence of per-instant
-    beliefs sharing one covariance. One call costs one Cholesky factor of
-    the n_y x n_y covariance B = rho^2 P C_u P^T + sigma_e^2 I shared by
-    all instants, one eigensolve of the whitened mismatch kernel and one
-    (n_y x n_y)(n_y x n_instants) product; each instant then adds O(n_y).
-    Raises :class:`FactorizationError` when B is singular, as it is at
-    sigma_e = 0. Sums with compensated summation so the result is
-    independent of instant order.
+    Each column y_k is scored under N(rho P u_k, S_k = a_k K + B), with K the
+    unit mismatch kernel, a_k = (gamma_k sigma_d)^2 and
+    B = rho^2 P C_u P^T + sigma_e^2 I shared by all instants. With
+    W^T B W = I and W^T K W = diag(lam) from :func:`_whiten`,
+    W^T S_k W = diag(a_k lam + 1), so log det S_k = log det B +
+    sum_j log(a_k lam_j + 1) and the quadratic form is
+    sum_j z_jk^2 / (a_k lam_j + 1) with z_k = W^T (y_k - rho P u_k). lam is
+    clipped at 0, so gamma_k = 0 gives exactly the B-only density.
+
+    One call costs one Cholesky factor of B, one eigensolve of the whitened
+    mismatch kernel and one (n_y x n_y)(n_y x n_instants) product; each
+    instant then adds O(n_y). Raises :class:`FactorizationError` when B is
+    singular, as it is at sigma_e = 0. Sums with compensated summation so
+    the result is independent of instant order.
     """
-    if not isinstance(priors, PriorEnsemble):
-        priors = PriorEnsemble.from_beliefs(priors)
-    terms = _evidence_terms(obs.strains, obs.gamma, obs.sigma_e, obs.layout.squared_distances(),
-                            w, priors, strain_op)
+    means_s, strain_cov = priors.projected(strain_op)
+    n_y, n_o = obs.strains.shape
+    if means_s.shape[1] != n_o:
+        raise ValueError(f"{n_o} instants but {means_s.shape[1]} priors")
+    b = (w.rho * w.rho) * strain_cov + (obs.sigma_e * obs.sigma_e) * np.eye(n_y)
+    kernel = sq_exp_correlation(obs.layout.squared_distances(), w.ell_d)
+    logdet_b, lam, whiten = _whiten(b, kernel, obs.sigma_e)
+    # Z^T = R^T W with the residual R = Y - rho M
+    z_t = (obs.strains - w.rho * means_s).T @ whiten
+    scale = (obs.gamma * w.sigma_d)[:, None] ** 2 * lam[None, :] + 1.0
+    quad = np.sum(z_t * z_t / scale, axis=1)
+    terms = -0.5 * (n_y * LOG_2PI + logdet_b + np.sum(np.log(scale), axis=1) + quad)
     return math.fsum(terms.tolist())

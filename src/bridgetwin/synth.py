@@ -16,7 +16,6 @@ import numpy as np
 
 from .fem import chol_psd, sq_exp_correlation
 from .loading import select_window
-from .model import Element, GrillageModel, SectionSpec
 from .statfem import ObservationSet, SensorLayout
 
 
@@ -111,27 +110,3 @@ def estimate_noise_std(obs: ObservationSet, quiet_window: tuple[float, float]) -
         raise ValueError(f"quiet window {quiet_window} holds fewer than two instants")
     block = obs.strains[:, idx]
     return float(np.sqrt(np.mean(np.var(block, axis=1, ddof=1))))
-
-
-def perturb_sections(model: GrillageModel, bending_scale: float) -> GrillageModel:
-    """A stiffness-perturbed copy of a model, for misspecified-truth studies.
-
-    Scales every element's bending stiffness; supports, lines and sections'
-    other constants are untouched.
-    """
-    if bending_scale <= 0.0:
-        raise ValueError(f"bending scale must be positive, got {bending_scale}")
-    elements = [
-        Element(
-            e.node_i, e.node_j,
-            SectionSpec(
-                e.section.bending_stiffness * bending_scale,
-                e.section.torsion_stiffness,
-                e.section.fiber_distance,
-            ),
-        )
-        for e in model.elements
-    ]
-    return GrillageModel(
-        model.nodes.copy(), elements, list(model.supports), dict(model.lines), model.deck_spacing
-    )

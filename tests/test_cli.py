@@ -218,6 +218,17 @@ class TestPosteriorCommand:
         assert rc == 3
         assert "sigma_e" in capsys.readouterr().err
 
+    def test_tiny_noise_still_writes_bands(self, tmp_path):
+        """At sigma_e = 0.001 ue the conditioned dof covariance is mostly
+        rounding noise; its strain projection must still be a valid
+        covariance, not a configuration error."""
+        obs = _synth(tmp_path)
+        out = tmp_path / "bands.csv"
+        rc = cli.main(["posterior", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "0.001",
+                       "--w-star", "0.9,4.0,0.5", "--time", "2.0", "--out", str(out)])
+        assert rc == 0
+        assert len(out.read_text().splitlines()) == 2 + 40
+
     def test_malformed_w_star_exits_2(self, tmp_path):
         obs = _synth(tmp_path)
         rc = cli.main(["posterior", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0",

@@ -1,7 +1,10 @@
 import gc
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from bridgetwin.fem import (
@@ -18,11 +21,17 @@ from bridgetwin.fem import (
     propagate_prior,
     propagate_prior_series,
     solve,
-    support_reactions,
 )
 from bridgetwin.loading import RandomLoadSpec, TrainScenario, force_covariance, nodal_loads
 from bridgetwin.model import GrillageModel, cantilever_template
-from bridgetwin.statfem import Sensor, SensorLayout
+from bridgetwin.statfem import (
+    Hyperparameters,
+    Sensor,
+    SensorLayout,
+    displacement_posterior,
+    noise_covariance,
+    sq_exp_covariance,
+)
 
 
 class TestShapeFunctions:
@@ -123,15 +132,6 @@ class TestAssemblyAndSolve:
         with pytest.raises(FactorizationError):
             assemble(floating)
 
-    def test_reactions_balance_applied_load(self, ss_beam):
-        stiffness, dof_map = assemble(ss_beam)
-        f = np.zeros(dof_map.n_free)
-        f[dof_map.index[1, 0]] = -750.0
-        u = solve(stiffness, f)
-        reactions = support_reactions(stiffness, dof_map, u, f)
-        total = sum(r for (_, dof), r in reactions.items() if dof == "w")
-        assert total == pytest.approx(750.0, rel=1e-9)
-
 
 class TestStrainOperator:
     def _layout(self, model, xs):
@@ -197,13 +197,10 @@ class TestGaussianBelief:
         with pytest.raises(ValueError):
             GaussianBelief(mean=np.zeros(2), cov=np.array([[1.0, 0.5], [0.0, 1.0]]))
 
-    def test_std_and_sampling_moments(self):
+    def test_std_is_root_of_diagonal(self):
         cov = np.array([[4.0, 1.0], [1.0, 2.0]])
         belief = GaussianBelief(mean=np.array([1.0, -2.0]), cov=cov)
         np.testing.assert_allclose(belief.std(), np.sqrt([4.0, 2.0]))
-        draws = belief.sample(np.random.default_rng(8), size=200_000)
-        np.testing.assert_allclose(draws.mean(axis=0), belief.mean, atol=0.02)
-        np.testing.assert_allclose(np.cov(draws.T), cov, rtol=0.03)
 
 
 class TestPriorPropagation:
@@ -264,15 +261,40 @@ class TestPriorPropagation:
             ref_cov = second.matrix @ ensemble.cov @ second.matrix.T
             np.testing.assert_array_equal(cov, 0.5 * (ref_cov + ref_cov.T))
 
-    def test_from_beliefs_stacks_means_and_rejects_distinct_covariances(self):
-        cov = np.array([[2.0, 0.5], [0.5, 1.0]])
-        beliefs = [GaussianBelief(np.array([1.0, 2.0]), cov),
-                   GaussianBelief(np.array([3.0, 4.0]), cov, jitter=1e-9)]
-        ensemble = PriorEnsemble.from_beliefs(beliefs)
-        np.testing.assert_array_equal(ensemble.means, [[1.0, 3.0], [2.0, 4.0]])
-        assert ensemble.cov is cov
-        assert ensemble.jitter == 1e-9
-        with pytest.raises(ValueError, match="share one covariance"):
-            PriorEnsemble.from_beliefs([beliefs[0], GaussianBelief(np.zeros(2), 2.0 * cov)])
-        with pytest.raises(ValueError, match="at least one"):
-            PriorEnsemble.from_beliefs([])
+
+@st.composite
+def _projection_problems(draw):
+    """A random operator and a belief to push through it: a PSD prior of any
+    rank, or a full-rank prior conditioned on gauges whose noise reaches down
+    to 1e-9 of the strain scale, where the conditioned covariance is mostly
+    rounding noise and the bare product P C P^T can fail the symmetry check."""
+    n_u = draw(st.integers(1, 8))
+    n_y = draw(st.integers(1, n_u))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amp = draw(st.floats(1e-3, 1e3))
+    a = rng.standard_normal((n_u, draw(st.integers(1, n_u)))) * amp
+    p = rng.standard_normal((n_y, n_u))
+    if not draw(st.booleans()):
+        return GaussianBelief(rng.standard_normal(n_u), a @ a.T), p
+    c_u = a @ a.T + draw(st.floats(1e-4, 1.0)) * amp * amp * np.eye(n_u)
+    prior = GaussianBelief(rng.standard_normal(n_u) * amp, c_u, jitter=draw(st.floats(0.0, 1e-9)))
+    scale = math.sqrt(float(np.mean(np.diagonal(p @ c_u @ p.T))))
+    w = Hyperparameters(draw(st.floats(0.1, 3.0)), scale * draw(st.floats(0.01, 2.0)),
+                        draw(st.floats(0.1, 10.0)))
+    c_d = sq_exp_covariance(rng.uniform(0.0, 5.0, size=(n_y, 2)), w.sigma_d, w.ell_d)
+    c_e = noise_covariance(n_y, scale * 10.0 ** draw(st.floats(-9.0, 0.0)))
+    return displacement_posterior(scale * rng.standard_normal(n_y), w, prior, p, c_d, c_e), p
+
+
+@settings(max_examples=200, deadline=None)
+@given(_projection_problems())
+def test_projection_is_symmetric_with_the_bare_products_diagonal(problem):
+    """project() always yields a valid belief, and its variances are the
+    bits of diag(P C P^T): band tables keep their bytes."""
+    belief, p = problem
+    projected = belief.project(p)
+    np.testing.assert_array_equal(projected.cov, projected.cov.T)
+    np.testing.assert_array_equal(np.diagonal(projected.cov).view(np.uint64),
+                                  np.diagonal(p @ belief.cov @ p.T).view(np.uint64))
+    np.testing.assert_array_equal(projected.mean.view(np.uint64), (p @ belief.mean).view(np.uint64))
+    assert projected.jitter == belief.jitter

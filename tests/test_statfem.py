@@ -16,7 +16,6 @@ from bridgetwin.statfem import (
     SensorLayout,
     displacement_posterior,
     log_marginal,
-    log_marginal_instant,
     mismatch_covariance,
     noise_covariance,
     sq_exp_correlation,
@@ -41,10 +40,15 @@ def _random_instance(rng, n_u=6, n_y=3):
     return mean, c_u, p, points, w, c_d, c_e, y
 
 
+def _instant_evidence(obs, w, ensemble, op, k):
+    """log_marginal of instant k alone, as a one-instant recording and prior."""
+    return log_marginal(obs.select([k]), w, PriorEnsemble(ensemble.means[:, [k]], ensemble.cov), op)
+
+
 class TestHyperparameters:
     def test_round_trip(self):
         w = Hyperparameters(1.1, 2e-6, 0.8)
-        assert Hyperparameters.from_array(w.as_array()) == w
+        assert Hyperparameters.from_array((1.1, 2e-6, 0.8)) == w
 
     def test_rejects_nonpositive(self):
         for bad in ((0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0)):
@@ -230,9 +234,12 @@ class TestLogMarginal:
     def test_instant_matches_textbook_density(self):
         rng = np.random.default_rng(3)
         mean, c_u, p, points, w, c_d, c_e, y = _random_instance(rng)
-        prior = GaussianBelief(mean=mean, cov=c_u)
-        got = log_marginal_instant(y, w, prior, p, points, sigma_e=np.sqrt(c_e[0, 0]),
-                                   gamma_k=1.0)
+        layout = SensorLayout(sensors=tuple(
+            Sensor(f"s{i}", float(x), float(z), "top", 0, 0.0, "main")
+            for i, (x, z) in enumerate(points)
+        ))
+        obs = ObservationSet(y[:, None], np.zeros(1), float(np.sqrt(c_e[0, 0])), np.ones(1), layout)
+        got = log_marginal(obs, w, PriorEnsemble(mean[:, None], c_u), p)
         s = w.rho**2 * p @ c_u @ p.T + c_d + c_e
         ref = oracles.gaussian_logpdf(y, w.rho * p @ mean, s)
         assert got == pytest.approx(ref, rel=1e-12)
@@ -262,8 +269,8 @@ class TestLogMarginal:
         obs, ensemble, op = self._series_problem(rng)
         w = Hyperparameters(1.1, 0.9, 1.4)
         fast = log_marginal(obs, w, ensemble, op)
-        beliefs = [ensemble.instant(k) for k in range(obs.n_instants)]
-        slow = log_marginal(obs, w, beliefs, op)
+        slow = math.fsum(_instant_evidence(obs, w, ensemble, op, k)
+                         for k in range(obs.n_instants))
         assert fast == pytest.approx(slow, rel=1e-12)
 
     def test_sum_is_order_insensitive(self):
@@ -286,11 +293,8 @@ class TestLogMarginal:
         obs, ensemble, op = self._series_problem(rng)
         w = Hyperparameters(1.0, 1.0, 1.0)
         total = log_marginal(obs, w, ensemble, op)
-        ref = sum(
-            log_marginal_instant(obs.strains[:, k], w, ensemble.instant(k), op,
-                                 obs.layout.points, obs.sigma_e, float(obs.gamma[k]))
-            for k in range(obs.n_instants)
-        )
+        ref = sum(_instant_evidence(obs, w, ensemble, op, k)
+                  for k in range(obs.n_instants))
         assert total == pytest.approx(ref, rel=1e-12)
 
     def test_zero_gamma_is_the_noise_and_prior_density(self):
@@ -305,8 +309,7 @@ class TestLogMarginal:
         refs = [oracles.gaussian_logpdf(obs.strains[:, k], w.rho * op @ ensemble.means[:, k], b)
                 for k in range(obs.n_instants)]
         assert log_marginal(obs, w, ensemble, op) == pytest.approx(math.fsum(refs), rel=1e-12)
-        got = log_marginal_instant(obs.strains[:, 0], w, ensemble.instant(0), op,
-                                   obs.layout, obs.sigma_e, 0.0)
+        got = _instant_evidence(obs, w, ensemble, op, 0)
         assert got == pytest.approx(refs[0], rel=1e-12)
 
     def test_zero_noise_with_mirrored_gauges_raises(self):
@@ -326,7 +329,7 @@ class TestLogMarginal:
         with pytest.raises(FactorizationError, match="sigma_e"):
             log_marginal(obs, w, ensemble, op)
         with pytest.raises(FactorizationError, match="sigma_e"):
-            log_marginal_instant(obs.strains[:, 0], w, ensemble.instant(0), op, layout, 0.0, 0.5)
+            _instant_evidence(obs, w, ensemble, op, 0)
 
 
 @st.composite

@@ -9,7 +9,6 @@ from bridgetwin.synth import (
     estimate_noise_std,
     generate_observations,
     generate_truth,
-    perturb_sections,
 )
 
 
@@ -119,13 +118,3 @@ class TestEstimateNoiseStd:
         with pytest.raises(ValueError):
             estimate_noise_std(obs, quiet_window=(5.0, 6.0))
 
-
-class TestPerturbSections:
-    def test_scales_bending_only(self, ss_beam):
-        bumped = perturb_sections(ss_beam, bending_scale=1.2)
-        for orig, new in zip(ss_beam.elements, bumped.elements):
-            assert new.section.bending_stiffness == pytest.approx(1.2 * orig.section.bending_stiffness)
-            assert new.section.torsion_stiffness == orig.section.torsion_stiffness
-            assert new.section.fiber_distance == orig.section.fiber_distance
-        # geometry untouched
-        np.testing.assert_array_equal(bumped.nodes, ss_beam.nodes)
