@@ -11,7 +11,6 @@ or 4 (file system) with a single-line error on stderr. Set TWIN_LOG=debug for di
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -41,8 +40,6 @@ from .synth import DiscrepancySpec, generate_observations, generate_truth
 
 log = logging.getLogger(__name__)
 
-_BAND = 1.959963984540054  # two-sided 95% normal quantile
-
 
 def fbg_mechanical_strain(
     rel_shift_s: float,
@@ -55,7 +52,8 @@ def fbg_mechanical_strain(
     """Temperature-compensated mechanical strain from FBG wavelength shifts.
 
     ``rel_shift_s`` and ``rel_shift_t`` are the relative wavelength shifts
-    of the strain and temperature gratings; the temperature reading is
+    of the strain and temperature gratings, floats or arrays of a series,
+    which convert elementwise; the temperature reading is
     removed through the temperature sensitivity ratio and the substrate
     expansion term:
 
@@ -142,14 +140,6 @@ def _windowed(args) -> tuple[TwinContext, ObservationSet]:
     return ctx, obs.window(t0, t1, stride=args.stride, gamma_min=args.gamma_min)
 
 
-def _band_row(mean: float, std: float) -> tuple[str, str, str]:
-    return (
-        dataio.format_microstrain(mean),
-        dataio.format_microstrain(mean - _BAND * std),
-        dataio.format_microstrain(mean + _BAND * std),
-    )
-
-
 # -- subcommand bodies --------------------------------------------------------
 
 
@@ -183,13 +173,7 @@ def _cmd_simulate(args) -> int:
     std_s = np.sqrt(np.clip(np.diagonal(strain_cov), 0.0, None))
 
     strain_path = out / "prior_strains.csv"
-    with open(strain_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "sensor", "mean", "lo95", "hi95"])
-        for k in range(len(ctx.series)):
-            t_text = dataio.format_si(ctx.series.timestamps[k])
-            for i, sid in enumerate(ctx.layout.ids):
-                writer.writerow([t_text, sid, *_band_row(means_s[i, k], std_s[i])])
+    dataio.write_prior_bands(str(strain_path), ctx.series.timestamps, ctx.layout.ids, means_s, std_s)
 
     loads_path = out / "loads.csv"
     dataio.write_load_series(str(loads_path), ctx.series)
@@ -224,33 +208,19 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    with open(args.input, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "rel_shift_s" not in reader.fieldnames:
-            raise ConfigError(f"{args.input} must have a rel_shift_s column")
-        has_t = "t" in reader.fieldnames
-        has_temp = "rel_shift_t" in reader.fieldnames
-        rows = list(reader)
-    if not rows:
-        raise ConfigError(f"{args.input} holds no data rows")
-
+    times, shift_s, shift_t = dataio.read_shift_table(args.input)
+    strain = fbg_mechanical_strain(
+        shift_s,
+        0.0 if shift_t is None else shift_t,
+        k_eps=args.k_eps,
+        k_t=args.k_t,
+        k_tt=args.k_tt,
+        alpha_sub=args.alpha_sub,
+    )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow((["t"] if has_t else []) + ["strain"])
-        for row in rows:
-            strain = fbg_mechanical_strain(
-                float(row["rel_shift_s"]),
-                float(row["rel_shift_t"]) if has_temp else 0.0,
-                k_eps=args.k_eps,
-                k_t=args.k_t,
-                k_tt=args.k_tt,
-                alpha_sub=args.alpha_sub,
-            )
-            prefix = [row["t"]] if has_t else []
-            writer.writerow(prefix + [dataio.format_microstrain(strain)])
-    print(f"wrote {out}: {len(rows)} rows (k_eps {args.k_eps})")
+    dataio.write_strain_series(str(out), times, strain)
+    print(f"wrote {out}: {len(strain)} rows (k_eps {args.k_eps})")
     _write_manifest(Path(str(out) + ".manifest.json"), "calibrate", args, [out])
     return 0
 
@@ -281,6 +251,10 @@ def _cmd_infer(args) -> int:
     print(f"w*: rho {w_star.rho:.6g}, sigma_d {w_star.sigma_d / dataio.MICROSTRAIN:.6g} ue, "
           f"ell_d {w_star.ell_d:.6g} m")
     print(diag.render())
+    lo, hi = config.acceptance_band
+    if not lo <= chain.acceptance_rate <= hi:
+        print(f"warning: acceptance rate {chain.acceptance_rate:.3f} is outside the band "
+              f"[{lo:g}, {hi:g}]; the chain may mix poorly", file=sys.stderr)
     _write_manifest(out / "manifest.json", "infer", args, [chain_path, estimate_path], seed=args.seed)
     return 0
 
@@ -309,26 +283,10 @@ def _cmd_posterior(args) -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        fh.write(f"# instant t={dataio.format_si(t_k)} gamma={dataio.format_si(gamma_k)}; "
-                 "strains in microstrain; lo95/hi95 = mean -/+ 1.96 std\n")
-        writer.writerow([
-            "sensor", "x", "y", "fiber",
-            "prior_mean", "prior_lo95", "prior_hi95",
-            "fe_mean", "fe_lo95", "fe_hi95",
-            "z_mean", "z_lo95", "z_hi95",
-            "observed",
-        ])
-        pr_std, fe_std, z_std = prior_strain.std(), fe_strain.std(), z.std()
-        for i, s in enumerate(ctx.layout.sensors):
-            writer.writerow([
-                s.id, dataio.format_si(s.x), dataio.format_si(s.y), s.fiber,
-                *_band_row(prior_strain.mean[i], pr_std[i]),
-                *_band_row(fe_strain.mean[i], fe_std[i]),
-                *_band_row(z.mean[i], z_std[i]),
-                dataio.format_microstrain(obs.strains[i, k]),
-            ])
+    bands = {"prior": prior_strain, "fe": fe_strain, "z": z}
+    dataio.write_sensor_bands(str(out), t_k, gamma_k, ctx.layout.sensors,
+                              {name: (b.mean, b.std()) for name, b in bands.items()},
+                              observed=obs.strains[:, k])
     print(f"wrote {out}: instant t={t_k:.6g} s (gamma {gamma_k:.3f}), "
           f"{len(ctx.layout)} sensors, prior jitter {post_u.jitter:.3e}")
     _write_manifest(Path(str(out) + ".manifest.json"), "posterior", args, [out])
@@ -348,17 +306,7 @@ def _cmd_predict(args) -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        fh.write(f"# instant t={dataio.format_si(t_k)} gamma={dataio.format_si(gamma_k)}; "
-                 "strains in microstrain; lo95/hi95 = mean -/+ 1.96 std\n")
-        writer.writerow(["sensor", "x", "y", "fiber", "mean", "lo95", "hi95"])
-        std = pred.std()
-        for i, s in enumerate(held_out.sensors):
-            writer.writerow([
-                s.id, dataio.format_si(s.x), dataio.format_si(s.y), s.fiber,
-                *_band_row(pred.mean[i], std[i]),
-            ])
+    dataio.write_sensor_bands(str(out), t_k, gamma_k, held_out.sensors, {"": (pred.mean, pred.std())})
     print(f"wrote {out}: {len(held_out)} held-out sensors at t={t_k:.6g} s")
     _write_manifest(Path(str(out) + ".manifest.json"), "predict", args, [out])
     return 0

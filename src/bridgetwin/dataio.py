@@ -8,13 +8,20 @@ lowered by 6 to float(), which rounds correctly. Both directions are exact,
 so a recording survives write/read round trips bit-identically. Other SI
 quantities are rendered at 17 significant digits too, which round-trips
 float64 exactly.
+
+Tables go through one writer, ``write_table``, and strain cells are written
+and read a block of rows at a time: a block's strain cells are rendered by
+one bulk ``%e`` conversion and array-level digit and exponent shuffling, and
+read by one grammar check and one float() pass. The per-cell functions
+``format_microstrain`` and ``parse_microstrain`` are the one-cell blocks.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
-import math
 import re
 
 import numpy as np
@@ -22,14 +29,90 @@ import numpy as np
 from .statfem import Hyperparameters, ObservationSet
 
 MICROSTRAIN = 1e-6
+BAND_Z = 1.959963984540054  # two-sided 95% normal quantile: lo95/hi95 = mean -/+ BAND_Z std
 
-# the literals a strain cell may hold: no bare leading point, inf, nan or underscores
-_DECIMAL = re.compile(r"[+-]?\d+(?:\.\d*)?(?:[eE]([+-]?\d+))?")
+# a table block holds about this many cells, which bounds the codec's temporaries
+_BLOCK_CELLS = 1 << 12
 
 
 def format_si(x: float) -> str:
     """Render a float at 17 significant digits; parses back bit-identically."""
     return format(float(x), ".17g")
+
+
+def _si_cells(values) -> list[str]:
+    return list(map(format_si, np.asarray(values, dtype=float).tolist()))
+
+
+# -- the microstrain codec ----------------------------------------------------
+
+# every value's 17 significant digits at one width: sign, digit, '.', 16
+# digits, 'e', exponent sign, two exponent digits and a third or a space
+_E_FORMAT = "%-+24.16e"
+_E_DIGITS = np.r_[1, 3:19]
+_CELL_WIDTH = 24  # the longest cell: '-', 17 digits, '.', 'e' and a 4-character exponent
+_MAX_SHIFT = 6  # a digit sits at most this many places right of its index: '-0.000d'
+
+
+def _cell_templates(neg: np.ndarray, point: np.ndarray, n_sig: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The layout of cells with sign ``neg``, ``point`` digits before the
+    decimal point after the shift and ``n_sig`` significant digits, and
+    their lengths. A place holds either an ASCII character or, below 32,
+    how far right of its index the digit it shows has moved: a digit index
+    below 0 or above 16 shows a '0'."""
+    # positional within (-4, 21] places of the first digit, e-notation otherwise;
+    # a positional value below 1 is its digits behind 1 - point zeros: "0.000ddd"
+    positional = (point > 0) & (point <= 21)
+    fraction = (point > -4) & (point <= 0)
+    lead = np.where(fraction, 1 - point, 0)
+    dot_at = np.where(positional, point, 1)
+    dot = np.where(positional, point < n_sig, fraction | (n_sig > 1))
+    mantissa = np.maximum(n_sig + lead, dot_at) + dot
+    # e-notation appends 'e' and the exponent point - 1: [-]d[d[d]]
+    e_value = point - 1
+    e_mag = np.abs(e_value)
+    e_len = np.where(positional | fraction, 0, 2 + (e_value < 0) + (e_mag >= 10) + (e_mag >= 100))
+
+    q = np.arange(_CELL_WIDTH) - neg[:, None]  # place after the sign
+    tmpl = neg[:, None] + lead[:, None] + (dot[:, None] & (q > dot_at[:, None]))
+    tmpl = np.where(dot[:, None] & (q == dot_at[:, None]), ord("."), tmpl)
+    # place k of the exponent text, counted back from its end
+    k = (mantissa + e_len)[:, None] - 1 - q
+    e_digit = e_mag[:, None] // 10 ** np.clip(k, 0, 3) % 10 + ord("0")
+    e_text = np.where(k == e_len[:, None] - 1, ord("e"),
+                      np.where((k == e_len[:, None] - 2) & (e_value[:, None] < 0), ord("-"), e_digit))
+    tmpl = np.where(q >= mantissa[:, None], e_text, tmpl)
+    tmpl = np.where(q < 0, ord("-"), tmpl)
+    return tmpl.astype(np.uint8), neg + mantissa + e_len
+
+
+def _render_microstrain(values) -> tuple[np.ndarray, np.ndarray]:
+    """``format_microstrain`` of every value of a float array at once: the
+    cells' ASCII characters, shape (n, 24), valid up to their lengths (n,)."""
+    x = np.asarray(values, dtype=float).ravel()
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise ValueError(f"not a finite strain: {float(x[~finite][0])!r}")
+    n = x.size
+    e = np.frombuffer((_E_FORMAT * n % tuple(x.tolist())).encode("ascii"), np.uint8).reshape(n, 24)
+    # the 17 digits with room for every shift on either side
+    padded = np.full((n, _MAX_SHIFT + _CELL_WIDTH), ord("0"), np.uint8)
+    digits = padded[:, _MAX_SHIFT:_MAX_SHIFT + 17]
+    digits[:] = e[:, _E_DIGITS]
+    nonzero = digits != ord("0")
+    zero = ~nonzero.any(axis=1)
+    n_sig = np.where(zero, 1, 17 - np.argmax(nonzero[:, ::-1], axis=1))  # digits without trailing zeros
+    exp = e[:, 21:24].astype(np.int64) - ord("0")
+    exp = np.where(e[:, 23] == ord(" "), 10 * exp[:, 0] + exp[:, 1], 100 * exp[:, 0] + 10 * exp[:, 1] + exp[:, 2])
+    point = np.where(zero, 1, np.where(e[:, 20] == ord("-"), -exp, exp) + 7)
+    neg = e[:, 0] == ord("-")
+    # cells sharing sign, point and digit count share a layout: build each layout once
+    shapes, cell_shape = np.unique((point * 32 + n_sig) * 2 + neg, return_inverse=True)
+    layouts, lengths = _cell_templates(shapes & 1, (shapes >> 1) // 32, (shapes >> 1) % 32)
+    chars = layouts[cell_shape]
+    for shift in set(layouts[layouts <= _MAX_SHIFT].tolist()):
+        np.copyto(chars, padded[:, _MAX_SHIFT - shift:_MAX_SHIFT - shift + _CELL_WIDTH], where=chars == shift)
+    return chars, lengths[cell_shape]
 
 
 def format_microstrain(strain: float) -> str:
@@ -41,23 +124,40 @@ def format_microstrain(strain: float) -> str:
     in e-notation otherwise, so 1.5e-06 becomes "1.5", 1.5e-10 "0.00015"
     and 1e15 "1e21".
     """
-    strain = float(strain)
-    if not math.isfinite(strain):
-        raise ValueError(f"not a finite strain: {strain!r}")
-    text = format(strain, ".16e")  # [-]d.dddddddddddddddde[+-]dd
-    sign = "-" if text[0] == "-" else ""
-    body = text[len(sign):]
-    digits = (body[0] + body[2:18]).rstrip("0")
-    if not digits:
-        return sign + "0"
-    point = int(body[19:]) + 7  # digits before the decimal point, after the shift
-    n = len(digits)
-    if 0 < point <= 21:
-        return sign + (digits + "0" * (point - n) if point >= n else digits[:point] + "." + digits[point:])
-    if -4 < point <= 0:
-        return sign + "0." + "0" * -point + digits
-    mantissa = digits if n == 1 else digits[0] + "." + digits[1:]
-    return f"{sign}{mantissa}e{point - 1}"
+    chars, lengths = _render_microstrain([float(strain)])
+    return chars[0, :lengths[0]].tobytes().decode("ascii")
+
+
+# the literals a strain cell may hold: no bare leading point, inf, nan or
+# underscores; a block is its cells each followed by a comma, and a cell may
+# also hold whitespace around its literal
+_LITERAL = r"[+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?"
+_CELLS = re.compile(rf"(?:{_LITERAL},)*+")
+_SPACED_CELLS = re.compile(rf"(?:\s*{_LITERAL}\s*,)*+")
+_SPACE = re.compile(r"\s+")
+_EXPONENT = re.compile("[eE]")
+
+
+def _parse_microstrain(cells: list[str]) -> np.ndarray | None:
+    """Internal strain values of microstrain literals, or None when a cell is
+    not a finite decimal literal. Each literal's decimal exponent is lowered
+    by 6 in text and float() rounds the result once, correctly."""
+    text = ",".join(cells) + ","
+    if text.count(",") != len(cells):
+        return None
+    if _CELLS.fullmatch(text) is None:
+        if _SPACED_CELLS.fullmatch(text) is None:
+            return None
+        text = _SPACE.sub("", text)
+    lowered = text.replace(",", "e-6,")[:-1].split(",")
+    if "e" in text or "E" in text:
+        # the cells that carry an exponent lower it instead
+        b = np.frombuffer(text.encode("utf-8"), np.uint8)
+        ends = np.flatnonzero(b == ord(","))
+        for i in np.searchsorted(ends, np.flatnonzero(b | 32 == ord("e"))).tolist():
+            mantissa, exponent = _EXPONENT.split(lowered[i][:-3])
+            lowered[i] = f"{mantissa}e{int(exponent) - 6}"
+    return np.fromiter(map(float, lowered), float, len(cells))
 
 
 def parse_microstrain(text: str) -> float:
@@ -67,13 +167,114 @@ def parse_microstrain(text: str) -> float:
     result once, correctly; anything but a finite decimal literal raises
     ValueError.
     """
-    text = text.strip()
-    m = _DECIMAL.fullmatch(text)
-    if m is None:
-        raise ValueError(f"not a finite decimal literal: {text!r}")
-    if m.group(1) is None:
-        return float(text + "e-6")
-    return float(f"{text[:m.start(1) - 1]}e{int(m.group(1)) - 6}")
+    values = _parse_microstrain([text])
+    if values is None:
+        raise ValueError(f"not a finite decimal literal: {text.strip()!r}")
+    return float(values[0])
+
+
+# -- tables -------------------------------------------------------------------
+
+
+def _csv_fields(values) -> list[bytes]:
+    """Each value as the csv module writes it inside a row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    fields = []
+    for value in values:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow([value, ""])  # a lone empty field would be quoted
+        fields.append(buf.getvalue()[:-3].encode("utf-8"))
+    return fields
+
+
+def _csv_row(values) -> bytes:
+    buf = io.StringIO()
+    csv.writer(buf).writerow(values)
+    return buf.getvalue().encode("utf-8")
+
+
+def _text_cells(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A text column rendered once per distinct value: the rendered
+    characters (n_distinct, width), their lengths, and each row's code."""
+    index = {v: i for i, v in enumerate(dict.fromkeys(values))}
+    codes = np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+    fields = _csv_fields(index)
+    width = max([1, *map(len, fields)])
+    chars = np.frombuffer(b"".join(f.ljust(width, b"\0") for f in fields), np.uint8)
+    return chars.reshape(len(fields), width), np.array([len(f) for f in fields]), codes
+
+
+def _table_block(columns, texts, lo: int, hi: int) -> bytes:
+    """Rows [lo, hi) of a table as CSV bytes."""
+    rows = hi - lo
+    strains = [c[lo:hi] for c in columns if isinstance(c, np.ndarray)]
+    if strains:
+        chars, lengths = _render_microstrain(np.stack(strains, axis=1))
+        strain_cells = zip(chars.reshape(rows, len(strains), -1).transpose(1, 0, 2),
+                           lengths.reshape(rows, len(strains)).T)
+    cells = []
+    for text in texts:
+        if text is None:
+            cells.append(next(strain_cells))
+        else:
+            chars, lengths, codes = text
+            cells.append((chars[codes[lo:hi]], lengths[codes[lo:hi]]))
+    # each cell's slot holds its characters and a separator: ',' or, last, '\r\n'
+    widths = [chars.shape[1] + 1 for chars, _ in cells]
+    widths[-1] += 1
+    buf = np.empty((rows, sum(widths)), np.uint8)
+    keep = np.empty(buf.shape, bool)
+    r = np.arange(rows)
+    at = 0
+    for (chars, lengths), width in zip(cells, widths):
+        buf[:, at:at + chars.shape[1]] = chars
+        buf[r, at + lengths] = ord(",")
+        keep[:, at:at + width] = np.arange(width) <= lengths[:, None]
+        at += width
+    at -= width
+    buf[r, at + lengths] = ord("\r")
+    buf[r, at + lengths + 1] = ord("\n")
+    keep[:, at:] = np.arange(width) <= lengths[:, None] + 1
+    return buf[keep].tobytes()
+
+
+def write_table(path: str, header: list[str], columns: list, comment: str = "") -> None:
+    """The one CSV writer: equal-length columns under a header row, after
+    ``comment`` written verbatim. A float array is a strain column written in
+    microstrain; any other sequence holds the text of its cells, each
+    distinct text rendered once by the csv module. Rows are written a block
+    at a time."""
+    n_rows = len(columns[0])
+    if any(len(c) != n_rows for c in columns) or len(header) != len(columns):
+        raise ValueError("table columns must match the header and have equal lengths")
+    texts = [None if isinstance(c, np.ndarray) else _text_cells(c) for c in columns]
+    step = max(1, _BLOCK_CELLS // len(columns))
+    with open(path, "wb") as fh:
+        fh.write(comment.encode("utf-8") + _csv_row(header))
+        for lo in range(0, n_rows, step):
+            fh.write(_table_block(columns, texts, lo, min(lo + step, n_rows)))
+
+
+def _rows(path: str, reader, width: int):
+    """(line, row) of the non-blank rows left in ``reader``, each ``width`` cells."""
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != width:
+            raise ValueError(f"{path}:{reader.line_num} has {len(row)} cells, expected {width}")
+        yield reader.line_num, row
+
+
+def _records(path: str, fh, required: set[str], usage: str):
+    """The header of a CSV that names the ``required`` columns, and its rows
+    as (line, {column: cell})."""
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if not header or not required.issubset(header):
+        raise ValueError(f"{path} must have {usage}")
+    return header, ((line, dict(zip(header, row))) for line, row in _rows(path, reader, len(header)))
 
 
 # -- observation recordings ---------------------------------------------------
@@ -81,39 +282,43 @@ def parse_microstrain(text: str) -> float:
 
 def write_observations(path: str, obs: ObservationSet) -> None:
     """CSV with a time column and one microstrain column per sensor id."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + obs.layout.ids)
-        for k in range(obs.n_instants):
-            row = [format_si(obs.timestamps[k])]
-            row.extend(format_microstrain(v) for v in obs.strains[:, k])
-            writer.writerow(row)
+    write_table(path, ["t"] + obs.layout.ids,
+                [_si_cells(obs.timestamps), *obs.strains])
+
+
+def _strain_block(path: str, ids: list[str], block: list) -> np.ndarray:
+    """The strain cells of a block of (line, row) recording rows, row by row."""
+    cells = [cell for _, row in block for cell in row[1:]]
+    values = _parse_microstrain(cells)
+    if values is None:
+        i = next(i for i, cell in enumerate(cells) if _parse_microstrain([cell]) is None)
+        line = block[i // len(ids)][0]
+        raise ValueError(f"{path}:{line}: sensor {ids[i % len(ids)]}: "
+                         f"not a finite decimal literal: {cells[i].strip()!r}")
+    return values
 
 
 def read_observation_table(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Read a recording CSV: (sensor ids, timestamps, strains (n_y, n_o))."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path} is empty") from None
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path} is empty")
         if not header or header[0] != "t":
             raise ValueError(f"{path} must start with a 't' column")
         ids = header[1:]
         if not ids:
             raise ValueError(f"{path} has no sensor columns")
-        times, rows = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(ids) + 1:
-                raise ValueError(f"{path}:{line_no} has {len(row)} cells, expected {len(ids) + 1}")
-            times.append(float(row[0]))
-            rows.append([parse_microstrain(cell) for cell in row[1:]])
-    if not rows:
+        rows = _rows(path, reader, len(ids) + 1)
+        step = max(1, _BLOCK_CELLS // len(ids))
+        times, strains = [], []
+        while block := list(itertools.islice(rows, step)):
+            times.extend(float(row[0]) for _, row in block)
+            strains.append(_strain_block(path, ids, block))
+    if not times:
         raise ValueError(f"{path} holds no data rows")
-    return ids, np.array(times), np.array(rows).T
+    return ids, np.array(times), np.concatenate(strains).reshape(-1, len(ids)).T
 
 
 # -- sensor layouts -----------------------------------------------------------
@@ -122,25 +327,89 @@ def read_observation_table(path: str) -> tuple[list[str], np.ndarray, np.ndarray
 def read_layout_entries(path: str) -> list[dict]:
     """Sensor descriptions from CSV, ready for SensorLayout.resolve."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"id", "x", "y", "fiber"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"{path} must have columns id,x,y,fiber[,line]")
+        _, records = _records(path, fh, {"id", "x", "y", "fiber"}, "columns id,x,y,fiber[,line]")
         entries = []
-        for row in reader:
-            entry = {
-                "id": row["id"],
-                "x": float(row["x"]),
-                "y": float(row["y"]),
-                "fiber": row["fiber"].strip(),
-            }
-            line = (row.get("line") or "").strip()
-            if line:
-                entry["line"] = line
+        for line, row in records:
+            try:
+                entry = {"id": row["id"], "x": float(row["x"]), "y": float(row["y"]),
+                         "fiber": row["fiber"].strip()}
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line}: {exc}") from None
+            if row.get("line", "").strip():
+                entry["line"] = row["line"].strip()
             entries.append(entry)
     if not entries:
         raise ValueError(f"{path} lists no sensors")
     return entries
+
+
+# -- band tables --------------------------------------------------------------
+
+
+def _band_columns(mean: np.ndarray, std: np.ndarray) -> list[np.ndarray]:
+    return [mean, mean - BAND_Z * std, mean + BAND_Z * std]
+
+
+def write_prior_bands(path: str, timestamps: np.ndarray, ids: list[str],
+                      means: np.ndarray, std: np.ndarray) -> None:
+    """One row per instant and sensor: the prior strain mean (n_y, n_o) with
+    its 95% band from the per-sensor std (n_y,), in microstrain."""
+    n_o = len(timestamps)
+    write_table(path, ["t", "sensor", "mean", "lo95", "hi95"], [
+        [t for t in _si_cells(timestamps) for _ in ids],
+        ids * n_o,
+        *_band_columns(np.asarray(means).T.ravel(), np.tile(std, n_o)),
+    ])
+
+
+def write_sensor_bands(path: str, t: float, gamma: float, sensors, bands: dict,
+                       observed: np.ndarray | None = None) -> None:
+    """One row per sensor at one instant: its place, then mean, lo95 and hi95
+    in microstrain of each named (mean, std) band, columns prefixed by the
+    name unless it is empty, and the observed strain when given."""
+    header = ["sensor", "x", "y", "fiber"]
+    columns = [[s.id for s in sensors], _si_cells([s.x for s in sensors]),
+               _si_cells([s.y for s in sensors]), [s.fiber for s in sensors]]
+    for name, (mean, std) in bands.items():
+        header += [f"{name}_{c}" if name else c for c in ("mean", "lo95", "hi95")]
+        columns += _band_columns(np.asarray(mean, dtype=float), np.asarray(std, dtype=float))
+    if observed is not None:
+        header.append("observed")
+        columns.append(np.asarray(observed, dtype=float))
+    comment = (f"# instant t={format_si(t)} gamma={format_si(gamma)}; "
+               "strains in microstrain; lo95/hi95 = mean -/+ 1.96 std\n")
+    write_table(path, header, columns, comment)
+
+
+# -- FBG calibration tables ---------------------------------------------------
+
+
+def read_shift_table(path: str) -> tuple[list[str] | None, np.ndarray, np.ndarray | None]:
+    """Relative wavelength shifts of an FBG CSV with a rel_shift_s column and
+    optional rel_shift_t and t columns: (t cells as written or None,
+    strain grating shifts, temperature grating shifts or None)."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header, records = _records(path, fh, {"rel_shift_s"}, "a rel_shift_s column")
+        shifts = [c for c in ("rel_shift_s", "rel_shift_t") if c in header]
+        times, values = [], []
+        for line, row in records:
+            try:
+                values.append([float(row[c]) for c in shifts])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line}: {exc}") from None
+            times.append(row.get("t"))
+    if not values:
+        raise ValueError(f"{path} holds no data rows")
+    values = np.array(values).T
+    return (times if "t" in header else None), values[0], (values[1] if len(shifts) > 1 else None)
+
+
+def write_strain_series(path: str, times: list[str] | None, strains: np.ndarray) -> None:
+    """Strain in microstrain, after the t cells when given."""
+    if times is None:
+        write_table(path, ["strain"], [strains])
+    else:
+        write_table(path, ["t", "strain"], [times, strains])
 
 
 # -- load series and chains ---------------------------------------------------
@@ -149,30 +418,21 @@ def read_layout_entries(path: str) -> list[dict]:
 def write_load_series(path: str, series) -> None:
     """CSV of per-instant force norm and relative intensity."""
     norms = np.linalg.norm(series.forces, axis=0)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "f_norm", "gamma"])
-        for k in range(len(series)):
-            writer.writerow([
-                format_si(series.timestamps[k]), format_si(norms[k]), format_si(series.gamma[k]),
-            ])
+    write_table(path, ["t", "f_norm", "gamma"],
+                [_si_cells(series.timestamps), _si_cells(norms), _si_cells(series.gamma)])
 
 
 def write_chain(path: str, chain) -> None:
     """Kept samples, one row per iteration; sigma_d in microstrain."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "rho", "sigma_d", "ell_d", "log_post", "accepted"])
-        for k in range(len(chain)):
-            rho, sigma_d, ell_d = chain.samples[k]
-            writer.writerow([
-                chain.first_iteration + k,
-                format_si(rho),
-                format_microstrain(sigma_d),
-                format_si(ell_d),
-                format_si(chain.log_density[k]),
-                int(chain.accepted[k]),
-            ])
+    n = len(chain)
+    write_table(path, ["iter", "rho", "sigma_d", "ell_d", "log_post", "accepted"], [
+        [str(chain.first_iteration + k) for k in range(n)],
+        _si_cells(chain.samples[:, 0]),
+        chain.samples[:, 1],
+        _si_cells(chain.samples[:, 2]),
+        _si_cells(chain.log_density),
+        [str(int(a)) for a in chain.accepted],
+    ])
 
 
 def write_estimate(path: str, w: Hyperparameters, diagnostics=None) -> None:

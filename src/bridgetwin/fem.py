@@ -61,20 +61,28 @@ def hermite_curvature(t, length) -> np.ndarray:
 
 def element_stiffness(section: SectionSpec, length: float) -> np.ndarray:
     """Local 6x6 stiffness on (w1, theta1, phi1, w2, theta2, phi2)."""
-    if length <= 0.0:
-        raise ValueError(f"element length must be positive, got {length}")
-    ei, gj, l = section.bending_stiffness, section.torsion_stiffness, length
-    k = np.zeros((6, 6))
-    b = ei / l**3 * np.array([
-        [12.0, 6.0 * l, -12.0, 6.0 * l],
-        [6.0 * l, 4.0 * l * l, -6.0 * l, 2.0 * l * l],
-        [-12.0, -6.0 * l, 12.0, -6.0 * l],
-        [6.0 * l, 2.0 * l * l, -6.0 * l, 4.0 * l * l],
-    ])
-    idx = np.array([0, 1, 3, 4])
-    k[np.ix_(idx, idx)] = b
-    t = gj / l * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    k[np.ix_([2, 5], [2, 5])] = t
+    return _local_stiffness([section.bending_stiffness], [section.torsion_stiffness], [length])[0]
+
+
+def _local_stiffness(ei, gj, lengths) -> np.ndarray:
+    """Local stiffnesses (n, 6, 6) of n elements from their bending and
+    torsion stiffnesses and lengths, each of length n."""
+    l = np.asarray(lengths, dtype=float)
+    if np.any(l <= 0.0):
+        raise ValueError(f"element length must be positive, got {l[l <= 0.0][0]}")
+    # Python's pow: numpy's vectorised power may differ from it in the last bit
+    cube = np.array([x**3 for x in l.tolist()])
+    twelve, six, four, two = np.full_like(l, 12.0), 6.0 * l, 4.0 * l * l, 2.0 * l * l
+    b = np.stack([
+        twelve, six, -twelve, six,
+        six, four, -six, two,
+        -twelve, -six, twelve, -six,
+        six, two, -six, four,
+    ], axis=-1).reshape(-1, 4, 4) * (np.asarray(ei, dtype=float) / cube)[:, None, None]
+    g = np.asarray(gj, dtype=float) / l
+    k = np.zeros((l.size, 6, 6))
+    k[:, [[0], [1], [3], [4]], [0, 1, 3, 4]] = b
+    k[:, [[2], [5]], [2, 5]] = np.stack([g, -g, -g, g], axis=-1).reshape(-1, 2, 2)
     return k
 
 
@@ -163,10 +171,11 @@ def assemble(model: GrillageModel) -> tuple[StiffnessMatrix, DofMap]:
     n_full = 3 * model.n_nodes
     k_full = np.zeros((n_full, n_full))
     lengths, cosines, slots = element_geometry(model, range(len(model.elements)))
-    for e, length, (c, s), slot in zip(model.elements, lengths.tolist(), cosines.tolist(), slots):
-        t = element_transform(c, s)
-        k_g = t.T @ element_stiffness(e.section, length) @ t
-        k_full[np.ix_(slot, slot)] += k_g
+    local = _local_stiffness([e.section.bending_stiffness for e in model.elements],
+                             [e.section.torsion_stiffness for e in model.elements], lengths)
+    t = element_transform(cosines[:, 0], cosines[:, 1])
+    # one stacked t^T k t, then every element's block added in element order
+    np.add.at(k_full, (slots[:, :, None], slots[:, None, :]), np.swapaxes(t, 1, 2) @ local @ t)
     k_full = 0.5 * (k_full + k_full.T)
 
     keep = [3 * node + dof for node, dof in dof_map.free]

@@ -8,8 +8,9 @@ import pytest
 
 from bridgetwin import cli
 from bridgetwin.cli import fbg_mechanical_strain
-from bridgetwin.dataio import parse_microstrain, read_observation_table
+from bridgetwin.dataio import format_microstrain, parse_microstrain, read_observation_table
 from bridgetwin.fem import FactorizationError
+from bridgetwin.inference import McmcConfig
 
 from conftest import BRIDGE_YAML, SENSORS_EAST, SENSORS_WEST, TRAIN_YAML
 
@@ -92,6 +93,15 @@ class TestSimulateCommand:
         assert (out / "loads.csv").exists()
         assert (out / "manifest.json").exists()
 
+    def test_ragged_sensor_row_exits_2_naming_file_and_line(self, tmp_path, capsys):
+        sensors = tmp_path / "east.csv"
+        sensors.write_text("id,x,y,fiber,line\nT01,2.0,0.0,top,main\nB01,2.0\n")
+        rc = cli.main(["simulate", "--model", BRIDGE_YAML, "--scenario", TRAIN_YAML,
+                       "--sensors", str(sensors), "--out", str(tmp_path / "sim")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"{sensors}:3" in err[0]
+
     def test_band_ordering(self, tmp_path):
         out = tmp_path / "sim"
         cli.main(["simulate", *_CTX_ARGS, "--out", str(out)])
@@ -141,6 +151,27 @@ class TestCalibrateCommand:
         assert parse_microstrain(eps0) == pytest.approx(1e-6, rel=1e-12)
 
 
+    def test_ragged_row_exits_2_naming_file_and_line(self, tmp_path, capsys):
+        src = tmp_path / "shifts.csv"
+        src.write_text("t,rel_shift_s\n0.0,7.8e-7\n0.004\n")
+        rc = cli.main(["calibrate", "--in", str(src), "--out", str(tmp_path / "strain.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"{src}:3" in err[0]
+
+    def test_output_matches_per_row_conversion(self, tmp_path):
+        src = tmp_path / "shifts.csv"
+        rows = [(0.004 * k, 1e-6 * (k - 3) ** 3, 2e-6 * k) for k in range(9)]
+        src.write_text("t,rel_shift_s,rel_shift_t\n" + "".join(f"{t!r},{s!r},{u!r}\n" for t, s, u in rows))
+        out = tmp_path / "strain.csv"
+        assert cli.main(["calibrate", "--in", str(src), "--out", str(out), "--k-t", "0.1"]) == 0
+        lines = out.read_text().splitlines()[1:]
+        for (t, s, u), line in zip(rows, lines):
+            t_cell, strain = line.split(",")
+            assert t_cell == repr(t)
+            assert strain == format_microstrain(fbg_mechanical_strain(s, u, k_t=0.1))
+
+
 class TestInferCommand:
     def test_end_to_end_and_determinism(self, tmp_path):
         obs = _synth(tmp_path)
@@ -165,6 +196,25 @@ class TestInferCommand:
         assert (outs[0] / "estimate.json").read_bytes() == (outs[1] / "estimate.json").read_bytes()
         assert _manifest_payload(outs[0] / "manifest.json") == \
             _manifest_payload(outs[1] / "manifest.json")
+
+    @pytest.mark.parametrize("stride,iters,seed,warns", [(25, "200", "2", True), (50, "400", "5", False)])
+    def test_warns_when_acceptance_leaves_its_band(self, tmp_path, capsys, stride, iters, seed, warns):
+        """A short chain whose acceptance rate ends outside McmcConfig's band
+        says so in one stderr line; one inside it says nothing."""
+        obs = _synth(tmp_path)
+        out = tmp_path / "fit"
+        rc = cli.main(["infer", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0",
+                       "--window", "1.0", "3.0", "--stride", str(stride),
+                       "--iters", iters, "--seed", seed, "--out", str(out)])
+        assert rc == 0
+        rate = json.loads((out / "estimate.json").read_text())["acceptance_rate"]
+        lo, hi = McmcConfig().acceptance_band
+        assert (not lo <= rate <= hi) == warns
+        err = capsys.readouterr().err.strip().splitlines()
+        warnings = [line for line in err if line.startswith("warning: acceptance rate")]
+        assert len(warnings) == int(warns)
+        if warns:
+            assert f"{rate:.3f}" in warnings[0]
 
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch):
         obs = _synth(tmp_path)
@@ -229,6 +279,21 @@ class TestPosteriorCommand:
         assert rc == 0
         assert len(out.read_text().splitlines()) == 2 + 40
 
+    def test_malformed_strain_cell_exits_2_naming_line_and_sensor(self, tmp_path, capsys):
+        obs = _synth(tmp_path)
+        lines = obs.read_bytes().split(b"\r\n")
+        row = lines[500].split(b",")
+        row[6] = b"1.5x"  # t, T01, B01, T02, B02, T03, then B03
+        lines[500] = b",".join(row)
+        obs.write_bytes(b"\r\n".join(lines))
+        rc = cli.main(["posterior", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0",
+                       "--w-star", "0.9,4.0,0.5", "--time", "2.0",
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert f"{obs}:501: sensor B03: not a finite decimal literal: '1.5x'" in err[0]
+
     def test_malformed_w_star_exits_2(self, tmp_path):
         obs = _synth(tmp_path)
         rc = cli.main(["posterior", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0",
@@ -248,6 +313,18 @@ class TestPredictCommand:
         lines = out.read_text().splitlines()
         assert lines[1] == "sensor,x,y,fiber,mean,lo95,hi95"
         assert len(lines) == 2 + 20
+    def test_ragged_locations_row_exits_2_naming_file_and_line(self, tmp_path, capsys):
+        obs = _synth(tmp_path)
+        locations = tmp_path / "west.csv"
+        locations.write_text(Path(SENSORS_WEST).read_text().rstrip("\n") + "\nW99,10.0\n")
+        n_lines = len(locations.read_text().splitlines())
+        rc = cli.main(["predict", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0",
+                       "--w-star", "0.9,4.0,0.5", "--time", "2.0",
+                       "--locations", str(locations), "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"{locations}:{n_lines} has 2 cells" in err[0]
+
     def test_zero_noise_exits_3_naming_sigma_e(self, tmp_path, capsys):
         obs = _synth(tmp_path)
         rc = cli.main(["predict", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "0",

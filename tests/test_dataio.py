@@ -2,6 +2,7 @@
 bit-exactness: a value written in microstrain must read back as the same
 float64, with no quantization drift on repeated save/load cycles."""
 
+import csv
 import math
 import re
 from decimal import Decimal, localcontext
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bridgetwin import dataio
 from bridgetwin.dataio import (
+    BAND_Z,
     format_microstrain,
     format_si,
     parse_hyperparameters,
@@ -20,6 +23,9 @@ from bridgetwin.dataio import (
     read_observation_table,
     write_estimate,
     write_observations,
+    write_prior_bands,
+    write_sensor_bands,
+    write_table,
 )
 from bridgetwin.statfem import Hyperparameters, ObservationSet, Sensor, SensorLayout
 
@@ -182,6 +188,156 @@ def test_literals_the_reference_rejects_still_raise(text):
         reference_parse(text)
     with pytest.raises(ValueError):
         parse_microstrain(text)
+
+
+# one representative of each rendering regime: positional, "0.000d",
+# e-notation with 1-, 2- and 3-digit exponents, +-0, subnormals and the extremes
+_REGIME_EDGES = [1.5e-6, -123456.789e-6, 1e-6, 1e14, 9.999999999999999e14,
+                 1.5e-10, -1e-10, 1.2345e-9, 9.99e-11,
+                 1e15, 1e-11, -2.5e-37, 1e-20, 3e-100, 1.7976931348623157e308,
+                 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308]
+_BLOCK_DOUBLES = st.one_of(_FINITE_DOUBLES, st.sampled_from(_REGIME_EDGES))
+
+
+def _cells(path):
+    """The cells of a written table below its header."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_BLOCK_DOUBLES, min_size=1, max_size=120), st.integers(1, 4), st.integers(1, 9))
+def test_block_writer_matches_the_reference_renderer(tmp_path_factory, values, n_cols, block_cells):
+    """Every regime mixed in one block, in blocks small enough that runs
+    straddle the row-block boundaries."""
+    path = tmp_path_factory.mktemp("blocks") / "table.csv"
+    n_rows = -(-len(values) // n_cols)
+    grid = np.resize(np.array(values), (n_cols, n_rows))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_BLOCK_CELLS", block_cells)
+        write_table(path, [f"c{j}" for j in range(n_cols)], list(grid))
+    rows = _cells(path)
+    assert len(rows) == n_rows
+    for k, row in enumerate(rows):
+        assert row == [reference_format(float(v)) for v in grid[:, k]]
+
+
+def test_block_writer_across_the_default_block_size(tmp_path):
+    values = _random_doubles(3 * dataio._BLOCK_CELLS // 2 + 17, seed=6)
+    path = tmp_path / "long.csv"
+    write_table(path, ["t", "strain"], [[str(k) for k in range(values.size)], values])
+    assert [row[1] for row in _cells(path)] == [reference_format(float(v)) for v in values]
+
+
+def test_write_table_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError):
+        write_table(tmp_path / "x.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
+
+
+@st.composite
+def _literal_tables(draw):
+    """Rows of microstrain literals of every accepted shape, some padded
+    with whitespace, and their sensor count."""
+    n_ids = draw(st.integers(1, 5))
+    n_rows = draw(st.integers(1, 8))
+    pad = st.sampled_from(["", "", " ", "\t", "  "])
+    cells = [[draw(pad) + draw(_decimal_literals()) + draw(pad) for _ in range(n_ids)]
+             for _ in range(n_rows)]
+    return n_ids, cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(_literal_tables(), st.integers(1, 9))
+def test_block_reader_matches_the_reference_reader(tmp_path_factory, table, block_cells):
+    n_ids, cells = table
+    path = tmp_path_factory.mktemp("read") / "rec.csv"
+    lines = ["t," + ",".join(f"s{i}" for i in range(n_ids))]
+    lines += [f"{k * 0.5}," + ",".join(row) for k, row in enumerate(cells)]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_BLOCK_CELLS", block_cells)
+        ids, times, strains = read_observation_table(path)
+    assert ids == [f"s{i}" for i in range(n_ids)]
+    np.testing.assert_array_equal(times, np.arange(len(cells)) * 0.5)
+    want = np.array([[reference_parse(c) for c in row] for row in cells]).T
+    assert strains.shape == want.shape
+    assert [_bits(v) for v in strains.ravel()] == [_bits(v) for v in want.ravel()]
+
+
+@pytest.mark.parametrize("text", [".5", "inf", "nan", "1_0", "1e", "--1", "", "+", "1.2.3",
+                                  "0x12", "abc", "1e+", "Infinity", "-.5", "1 0"])
+def test_rejected_literal_mid_table_names_its_cell(tmp_path, text):
+    path = tmp_path / "rec.csv"
+    path.write_text(f"t,a,b,c\n0,1.5,2,3e-2\n0.5,4,{text},6.\n1,+7,8,9\n")
+    with pytest.raises(ValueError) as err:
+        read_observation_table(path)
+    assert f"{path}:3: sensor b:" in str(err.value)
+
+
+def test_bad_cell_in_a_long_recording_names_line_and_sensor(tmp_path):
+    obs = _obs(n_y=5, n_o=3 * dataio._BLOCK_CELLS // 5)
+    path = tmp_path / "obs.csv"
+    write_observations(path, obs)
+    lines = path.read_bytes().split(b"\r\n")
+    row = lines[1000].split(b",")
+    row[4] = b"1.5x"
+    lines[1000] = b",".join(row)
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:1001: sensor s3: .*'1\.5x'"):
+        read_observation_table(path)
+
+
+def _reference_prior_bands(path, timestamps, ids, means, std):
+    """The per-row writer band tables were once written by."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "sensor", "mean", "lo95", "hi95"])
+        for k in range(len(timestamps)):
+            t_text = format_si(timestamps[k])
+            for i, sid in enumerate(ids):
+                m, s = means[i, k], std[i]
+                writer.writerow([t_text, sid, format_microstrain(m),
+                                 format_microstrain(m - BAND_Z * s), format_microstrain(m + BAND_Z * s)])
+
+
+def _reference_sensor_bands(path, t, gamma, sensors, bands, observed):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        fh.write(f"# instant t={format_si(t)} gamma={format_si(gamma)}; "
+                 "strains in microstrain; lo95/hi95 = mean -/+ 1.96 std\n")
+        writer.writerow(["sensor", "x", "y", "fiber"]
+                        + [f"{n}_{c}" for n in bands for c in ("mean", "lo95", "hi95")] + ["observed"])
+        for i, s in enumerate(sensors):
+            row = [s.id, format_si(s.x), format_si(s.y), s.fiber]
+            for mean, std in bands.values():
+                m, sd = mean[i], std[i]
+                row += [format_microstrain(m), format_microstrain(m - BAND_Z * sd),
+                        format_microstrain(m + BAND_Z * sd)]
+            writer.writerow(row + [format_microstrain(observed[i])])
+
+
+def test_prior_band_table_matches_the_per_row_writer(tmp_path):
+    rng = np.random.default_rng(8)
+    ids = ["T01", "B01", "needs,quotes", 'a "q"', "T02"]
+    timestamps = np.arange(2000) * 0.004
+    means = rng.standard_normal((len(ids), timestamps.size)) * 10.0 ** rng.integers(-12, -2, (len(ids), 1))
+    means[0, :5] = [0.0, -0.0, 5e-324, 1e15, -1e-11]
+    std = np.abs(rng.standard_normal(len(ids))) * 1e-6
+    write_prior_bands(tmp_path / "new.csv", timestamps, ids, means, std)
+    _reference_prior_bands(tmp_path / "ref.csv", timestamps, ids, means, std)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_sensor_band_table_matches_the_per_row_writer(tmp_path):
+    rng = np.random.default_rng(9)
+    sensors = [Sensor(f"s{i}", 0.1 * i, -2.0, "top" if i % 2 else "bottom", 0, 0.0, "main")
+               for i in range(7)]
+    bands = {name: (rng.standard_normal(7) * 1e-5, np.abs(rng.standard_normal(7)) * 1e-6)
+             for name in ("prior", "fe", "z")}
+    observed = rng.standard_normal(7) * 1e-5
+    write_sensor_bands(tmp_path / "new.csv", 2.004, 0.75, sensors, bands, observed)
+    _reference_sensor_bands(tmp_path / "ref.csv", 2.004, 0.75, sensors, bands, observed)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 
@@ -7,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import BRIDGE_YAML
 from bridgetwin.fem import (
     FactorizationError,
     GaussianBelief,
     PriorEnsemble,
     assemble,
+    build_dof_map,
     build_strain_operator,
     chol_psd,
+    element_geometry,
     element_stiffness,
     element_transform,
     hermite_curvature,
@@ -23,7 +27,7 @@ from bridgetwin.fem import (
     solve,
 )
 from bridgetwin.loading import RandomLoadSpec, TrainScenario, force_covariance, nodal_loads
-from bridgetwin.model import GrillageModel, cantilever_template
+from bridgetwin.model import GrillageModel, cantilever_template, load_model_config
 from bridgetwin.statfem import (
     Hyperparameters,
     Sensor,
@@ -78,6 +82,57 @@ class TestElementMatrices:
         angle = 0.61
         t = element_transform(np.cos(angle), np.sin(angle))
         np.testing.assert_allclose(t.T @ t, np.eye(6), atol=1e-14)
+
+
+def _reference_element_stiffness(section, length):
+    ei, gj, l = section.bending_stiffness, section.torsion_stiffness, length
+    k = np.zeros((6, 6))
+    k[np.ix_([0, 1, 3, 4], [0, 1, 3, 4])] = ei / l**3 * np.array([
+        [12.0, 6.0 * l, -12.0, 6.0 * l],
+        [6.0 * l, 4.0 * l * l, -6.0 * l, 2.0 * l * l],
+        [-12.0, -6.0 * l, 12.0, -6.0 * l],
+        [6.0 * l, 2.0 * l * l, -6.0 * l, 4.0 * l * l],
+    ])
+    k[np.ix_([2, 5], [2, 5])] = gj / l * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return k
+
+
+def _looped_stiffness(model):
+    """The per-element loop assembly once ran: the reference its stacked
+    product and indexed add must reproduce bit for bit."""
+    dof_map = build_dof_map(model)
+    k_full = np.zeros((3 * model.n_nodes, 3 * model.n_nodes))
+    lengths, cosines, slots = element_geometry(model, range(len(model.elements)))
+    for e, length, (c, s), slot in zip(model.elements, lengths.tolist(), cosines.tolist(), slots):
+        t = element_transform(c, s)
+        k_full[np.ix_(slot, slot)] += t.T @ _reference_element_stiffness(e.section, length) @ t
+    k_full = 0.5 * (k_full + k_full.T)
+    keep = [3 * node + dof for node, dof in dof_map.free]
+    return k_full[np.ix_(keep, keep)]
+
+
+class TestStackedAssembly:
+    def test_bundled_bridge_matches_the_element_loop(self):
+        model = load_model_config(BRIDGE_YAML)
+        assert assemble(model)[0].matrix.tobytes() == _looped_stiffness(model).tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.0, 2.0 * math.pi), st.integers(0, 2**32 - 1))
+    def test_rotated_perturbed_grids_match_the_element_loop(self, angle, seed):
+        model = load_model_config(BRIDGE_YAML)
+        rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        jitter = 0.05 * np.random.default_rng(seed).standard_normal(model.nodes.shape)
+        model = dataclasses.replace(model, nodes=(model.nodes + jitter) @ rot.T)
+        assert assemble(model)[0].matrix.tobytes() == _looped_stiffness(model).tobytes()
+
+    def test_single_element_stiffness_is_the_stacked_one(self, plain_section):
+        for length in (0.3, 1.3, 7.25):
+            np.testing.assert_array_equal(element_stiffness(plain_section, length),
+                                          _reference_element_stiffness(plain_section, length))
+
+    def test_non_positive_length_rejected(self, plain_section):
+        with pytest.raises(ValueError, match="length must be positive"):
+            element_stiffness(plain_section, 0.0)
 
 
 class TestAssemblyAndSolve:
