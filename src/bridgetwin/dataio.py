@@ -86,9 +86,8 @@ def _cell_templates(neg: np.ndarray, point: np.ndarray, n_sig: np.ndarray) -> tu
     return tmpl.astype(np.uint8), neg + mantissa + e_len
 
 
-def _render_microstrain(values) -> tuple[np.ndarray, np.ndarray]:
-    """``format_microstrain`` of every value of a float array at once: the
-    cells' ASCII characters, shape (n, 24), valid up to their lengths (n,)."""
+def _render_microstrain(values) -> list[str]:
+    """``format_microstrain`` of every value of a float array at once."""
     x = np.asarray(values, dtype=float).ravel()
     finite = np.isfinite(x)
     if not finite.all():
@@ -112,7 +111,9 @@ def _render_microstrain(values) -> tuple[np.ndarray, np.ndarray]:
     chars = layouts[cell_shape]
     for shift in set(layouts[layouts <= _MAX_SHIFT].tolist()):
         np.copyto(chars, padded[:, _MAX_SHIFT - shift:_MAX_SHIFT - shift + _CELL_WIDTH], where=chars == shift)
-    return chars, lengths[cell_shape]
+    # NUL past each cell's end: a bytes view of the row drops trailing NULs
+    chars[np.arange(_CELL_WIDTH) >= lengths[cell_shape][:, None]] = 0
+    return chars.view(f"S{_CELL_WIDTH}").ravel().astype(str).tolist()
 
 
 def format_microstrain(strain: float) -> str:
@@ -124,17 +125,15 @@ def format_microstrain(strain: float) -> str:
     in e-notation otherwise, so 1.5e-06 becomes "1.5", 1.5e-10 "0.00015"
     and 1e15 "1e21".
     """
-    chars, lengths = _render_microstrain([float(strain)])
-    return chars[0, :lengths[0]].tobytes().decode("ascii")
+    return _render_microstrain([float(strain)])[0]
 
 
-# the literals a strain cell may hold: no bare leading point, inf, nan or
-# underscores; a block is its cells each followed by a comma, and a cell may
-# also hold whitespace around its literal
-_LITERAL = r"[+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?"
-_CELLS = re.compile(rf"(?:{_LITERAL},)*+")
-_SPACED_CELLS = re.compile(rf"(?:\s*{_LITERAL}\s*,)*+")
-_SPACE = re.compile(r"\s+")
+# a strain cell: a literal with optional whitespace around it, and no bare leading
+# point, inf, nan or underscores. A block of cells, each followed by a comma, is
+# valid when deleting every match leaves nothing: a match ends at the first
+# comma, so it is one cell, and unlike one match over the whole block this
+# keeps no backtracking state per cell
+_CELL = re.compile(r"\s*[+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?\s*,")
 _EXPONENT = re.compile("[eE]")
 
 
@@ -143,12 +142,9 @@ def _parse_microstrain(cells: list[str]) -> np.ndarray | None:
     not a finite decimal literal. Each literal's decimal exponent is lowered
     by 6 in text and float() rounds the result once, correctly."""
     text = ",".join(cells) + ","
-    if text.count(",") != len(cells):
+    if text.count(",") != len(cells) or _CELL.sub("", text):
         return None
-    if _CELLS.fullmatch(text) is None:
-        if _SPACED_CELLS.fullmatch(text) is None:
-            return None
-        text = _SPACE.sub("", text)
+    text = "".join(text.split())
     lowered = text.replace(",", "e-6,")[:-1].split(",")
     if "e" in text or "E" in text:
         # the cells that carry an exponent lower it instead
@@ -176,105 +172,69 @@ def parse_microstrain(text: str) -> float:
 # -- tables -------------------------------------------------------------------
 
 
-def _csv_fields(values) -> list[bytes]:
-    """Each value as the csv module writes it inside a row."""
+def _csv_cells(values) -> list[str]:
+    """Each text value as the csv module writes it inside a row; each
+    distinct value is rendered once."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    fields = []
-    for value in values:
+    rendered = {}
+    for value in dict.fromkeys(values):
         buf.seek(0)
         buf.truncate()
         writer.writerow([value, ""])  # a lone empty field would be quoted
-        fields.append(buf.getvalue()[:-3].encode("utf-8"))
-    return fields
-
-
-def _csv_row(values) -> bytes:
-    buf = io.StringIO()
-    csv.writer(buf).writerow(values)
-    return buf.getvalue().encode("utf-8")
-
-
-def _text_cells(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A text column rendered once per distinct value: the rendered
-    characters (n_distinct, width), their lengths, and each row's code."""
-    index = {v: i for i, v in enumerate(dict.fromkeys(values))}
-    codes = np.fromiter(map(index.__getitem__, values), np.intp, len(values))
-    fields = _csv_fields(index)
-    width = max([1, *map(len, fields)])
-    chars = np.frombuffer(b"".join(f.ljust(width, b"\0") for f in fields), np.uint8)
-    return chars.reshape(len(fields), width), np.array([len(f) for f in fields]), codes
-
-
-def _table_block(columns, texts, lo: int, hi: int) -> bytes:
-    """Rows [lo, hi) of a table as CSV bytes."""
-    rows = hi - lo
-    strains = [c[lo:hi] for c in columns if isinstance(c, np.ndarray)]
-    if strains:
-        chars, lengths = _render_microstrain(np.stack(strains, axis=1))
-        strain_cells = zip(chars.reshape(rows, len(strains), -1).transpose(1, 0, 2),
-                           lengths.reshape(rows, len(strains)).T)
-    cells = []
-    for text in texts:
-        if text is None:
-            cells.append(next(strain_cells))
-        else:
-            chars, lengths, codes = text
-            cells.append((chars[codes[lo:hi]], lengths[codes[lo:hi]]))
-    # each cell's slot holds its characters and a separator: ',' or, last, '\r\n'
-    widths = [chars.shape[1] + 1 for chars, _ in cells]
-    widths[-1] += 1
-    buf = np.empty((rows, sum(widths)), np.uint8)
-    keep = np.empty(buf.shape, bool)
-    r = np.arange(rows)
-    at = 0
-    for (chars, lengths), width in zip(cells, widths):
-        buf[:, at:at + chars.shape[1]] = chars
-        buf[r, at + lengths] = ord(",")
-        keep[:, at:at + width] = np.arange(width) <= lengths[:, None]
-        at += width
-    at -= width
-    buf[r, at + lengths] = ord("\r")
-    buf[r, at + lengths + 1] = ord("\n")
-    keep[:, at:] = np.arange(width) <= lengths[:, None] + 1
-    return buf[keep].tobytes()
+        rendered[value] = buf.getvalue()[:-3]
+    return list(map(rendered.__getitem__, values))
 
 
 def write_table(path: str, header: list[str], columns: list, comment: str = "") -> None:
     """The one CSV writer: equal-length columns under a header row, after
     ``comment`` written verbatim. A float array is a strain column written in
-    microstrain; any other sequence holds the text of its cells, each
-    distinct text rendered once by the csv module. Rows are written a block
-    at a time."""
+    microstrain; any other sequence holds the text of its cells. Rows are
+    rendered and written a block at a time, with the csv module's quoting
+    and line ends."""
     n_rows = len(columns[0])
     if any(len(c) != n_rows for c in columns) or len(header) != len(columns):
         raise ValueError("table columns must match the header and have equal lengths")
-    texts = [None if isinstance(c, np.ndarray) else _text_cells(c) for c in columns]
+    columns = [c if isinstance(c, np.ndarray) else _csv_cells(c) for c in columns]
+    strain_at = [i for i, c in enumerate(columns) if isinstance(c, np.ndarray)]
     step = max(1, _BLOCK_CELLS // len(columns))
-    with open(path, "wb") as fh:
-        fh.write(comment.encode("utf-8") + _csv_row(header))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(comment)
+        csv.writer(fh).writerow(header)
         for lo in range(0, n_rows, step):
-            fh.write(_table_block(columns, texts, lo, min(lo + step, n_rows)))
+            block = [c[lo:lo + step] for c in columns]
+            if strain_at:
+                # one rendering for all the block's strain cells, column after column
+                rows = len(block[0])
+                cells = _render_microstrain(np.stack([block[i] for i in strain_at]))
+                for k, i in enumerate(strain_at):
+                    block[i] = cells[k * rows:(k + 1) * rows]
+            fh.write("".join([",".join(row) + "\r\n" for row in zip(*block)]))
 
 
-def _rows(path: str, reader, width: int):
-    """(line, row) of the non-blank rows left in ``reader``, each ``width`` cells."""
+def _rows(path: str, reader, least: int, most: int):
+    """(line, row) of the non-blank rows left in ``reader``, each of ``least``
+    to ``most`` cells."""
     for row in reader:
         if not row:
             continue
-        if len(row) != width:
-            raise ValueError(f"{path}:{reader.line_num} has {len(row)} cells, expected {width}")
+        if not least <= len(row) <= most:
+            expected = most if least == most else f"{least} to {most}"
+            raise ValueError(f"{path}:{reader.line_num} has {len(row)} cells, expected {expected}")
         yield reader.line_num, row
 
 
 def _records(path: str, fh, required: set[str], usage: str):
     """The header of a CSV that names the ``required`` columns, and its rows
-    as (line, {column: cell})."""
+    as (line, {column: cell}). A row may leave out optional cells after the
+    last required one, which read as empty, but may not add cells."""
     reader = csv.reader(fh)
     header = next(reader, None)
     if not header or not required.issubset(header):
         raise ValueError(f"{path} must have {usage}")
-    return header, ((line, dict(zip(header, row))) for line, row in _rows(path, reader, len(header)))
+    least = 1 + max(map(header.index, required))
+    return header, ((line, dict(itertools.zip_longest(header, row, fillvalue="")))
+                    for line, row in _rows(path, reader, least, len(header)))
 
 
 # -- observation recordings ---------------------------------------------------
@@ -310,7 +270,7 @@ def read_observation_table(path: str) -> tuple[list[str], np.ndarray, np.ndarray
         ids = header[1:]
         if not ids:
             raise ValueError(f"{path} has no sensor columns")
-        rows = _rows(path, reader, len(ids) + 1)
+        rows = _rows(path, reader, len(ids) + 1, len(ids) + 1)
         step = max(1, _BLOCK_CELLS // len(ids))
         times, strains = [], []
         while block := list(itertools.islice(rows, step)):

@@ -150,7 +150,6 @@ class TestCalibrateCommand:
         t0, eps0 = lines[1].split(",")
         assert parse_microstrain(eps0) == pytest.approx(1e-6, rel=1e-12)
 
-
     def test_ragged_row_exits_2_naming_file_and_line(self, tmp_path, capsys):
         src = tmp_path / "shifts.csv"
         src.write_text("t,rel_shift_s\n0.0,7.8e-7\n0.004\n")
@@ -313,6 +312,7 @@ class TestPredictCommand:
         lines = out.read_text().splitlines()
         assert lines[1] == "sensor,x,y,fiber,mean,lo95,hi95"
         assert len(lines) == 2 + 20
+
     def test_ragged_locations_row_exits_2_naming_file_and_line(self, tmp_path, capsys):
         obs = _synth(tmp_path)
         locations = tmp_path / "west.csv"
@@ -324,6 +324,37 @@ class TestPredictCommand:
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and f"{locations}:{n_lines} has 2 cells" in err[0]
+
+    def test_row_may_leave_out_its_optional_line_cell(self, tmp_path):
+        """A layout row may stop after its last required cell; the line it
+        leaves out is the sensor's default, as when the cell is empty."""
+        obs = _synth(tmp_path)
+        rows = Path(SENSORS_WEST).read_text().splitlines()
+        outs = []
+        for name, last in (("short", "WT99,10.0,7.3,top"), ("empty", "WT99,10.0,7.3,top,")):
+            locations = tmp_path / f"{name}.csv"
+            locations.write_text("\n".join(rows + [last]) + "\n")
+            outs.append(tmp_path / f"{name}_bands.csv")
+            rc = cli.main(["predict", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0",
+                           "--w-star", "0.9,4.0,0.5", "--time", "2.0",
+                           "--locations", str(locations), "--out", str(outs[-1])])
+            assert rc == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert outs[0].read_text().splitlines()[-1].startswith("WT99,")
+
+    def test_row_with_an_extra_cell_exits_2_naming_file_and_line(self, tmp_path, capsys):
+        """A cell beyond the header has no column, as when a decimal comma
+        splits a coordinate, so the row is refused rather than misread."""
+        obs = _synth(tmp_path)
+        locations = tmp_path / "west.csv"
+        locations.write_text(Path(SENSORS_WEST).read_text().rstrip("\n") + "\nWT99,10,0,7.3,top,west\n")
+        n_lines = len(locations.read_text().splitlines())
+        rc = cli.main(["predict", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0",
+                       "--w-star", "0.9,4.0,0.5", "--time", "2.0",
+                       "--locations", str(locations), "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"{locations}:{n_lines} has 6 cells, expected 4 to 5" in err[0]
 
     def test_zero_noise_exits_3_naming_sigma_e(self, tmp_path, capsys):
         obs = _synth(tmp_path)

@@ -229,6 +229,27 @@ def test_block_writer_across_the_default_block_size(tmp_path):
     assert [row[1] for row in _cells(path)] == [reference_format(float(v)) for v in values]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.text(max_size=6), _BLOCK_DOUBLES), min_size=1, max_size=40),
+       st.integers(1, 9))
+def test_write_table_quotes_text_as_the_csv_module(tmp_path_factory, rows, block_cells):
+    """Text cells of any content, among them commas, quotes and line ends,
+    are written byte for byte as a per-row csv.writer writes them."""
+    path = tmp_path_factory.mktemp("text") / "table.csv"
+    texts, values = [t for t, _ in rows], np.array([v for _, v in rows])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_BLOCK_CELLS", block_cells)
+        write_table(path, ["id, name", "strain"], [texts, values], comment="# c\n")
+    ref = tmp_path_factory.mktemp("text") / "ref.csv"
+    with open(ref, "w", encoding="utf-8", newline="") as fh:
+        fh.write("# c\n")
+        writer = csv.writer(fh)
+        writer.writerow(["id, name", "strain"])
+        for t, v in rows:
+            writer.writerow([t, format_microstrain(v)])
+    assert path.read_bytes() == ref.read_bytes()
+
+
 def test_write_table_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
         write_table(tmp_path / "x.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
