@@ -38,8 +38,6 @@ from .statfem import (
 )
 from .synth import DiscrepancySpec, generate_observations, generate_truth
 
-log = logging.getLogger(__name__)
-
 
 def fbg_mechanical_strain(
     rel_shift_s: float,

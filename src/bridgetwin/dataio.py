@@ -22,6 +22,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import re
 
 import numpy as np
@@ -237,6 +238,25 @@ def _records(path: str, fh, required: set[str], usage: str):
                     for line, row in _rows(path, reader, least, len(header)))
 
 
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def _finite_column(path: str, column: str, lines, cells: list[str]) -> np.ndarray:
+    """The cells of one column, read on ``lines`` of ``path``, as a float
+    array; a cell that is not a finite number raises ValueError naming its
+    path:line and the column."""
+    values = np.fromiter(map(_float_or_nan, cells), float, len(cells))
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{path}:{lines[i]}: column {column}: not a finite number: {cells[i].strip()!r}")
+    return values
+
+
 # -- observation recordings ---------------------------------------------------
 
 
@@ -274,11 +294,11 @@ def read_observation_table(path: str) -> tuple[list[str], np.ndarray, np.ndarray
         step = max(1, _BLOCK_CELLS // len(ids))
         times, strains = [], []
         while block := list(itertools.islice(rows, step)):
-            times.extend(float(row[0]) for _, row in block)
+            times.append(_finite_column(path, "t", [line for line, _ in block], [row[0] for _, row in block]))
             strains.append(_strain_block(path, ids, block))
     if not times:
         raise ValueError(f"{path} holds no data rows")
-    return ids, np.array(times), np.concatenate(strains).reshape(-1, len(ids)).T
+    return ids, np.concatenate(times), np.concatenate(strains).reshape(-1, len(ids)).T
 
 
 # -- sensor layouts -----------------------------------------------------------
@@ -288,18 +308,18 @@ def read_layout_entries(path: str) -> list[dict]:
     """Sensor descriptions from CSV, ready for SensorLayout.resolve."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         _, records = _records(path, fh, {"id", "x", "y", "fiber"}, "columns id,x,y,fiber[,line]")
-        entries = []
-        for line, row in records:
-            try:
-                entry = {"id": row["id"], "x": float(row["x"]), "y": float(row["y"]),
-                         "fiber": row["fiber"].strip()}
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line}: {exc}") from None
-            if row.get("line", "").strip():
-                entry["line"] = row["line"].strip()
-            entries.append(entry)
-    if not entries:
+        records = list(records)
+    if not records:
         raise ValueError(f"{path} lists no sensors")
+    lines, rows = zip(*records)
+    xs = _finite_column(path, "x", lines, [row["x"] for row in rows]).tolist()
+    ys = _finite_column(path, "y", lines, [row["y"] for row in rows]).tolist()
+    entries = []
+    for row, x, y in zip(rows, xs, ys):
+        entry = {"id": row["id"], "x": x, "y": y, "fiber": row["fiber"].strip()}
+        if row.get("line", "").strip():
+            entry["line"] = row["line"].strip()
+        entries.append(entry)
     return entries
 
 
@@ -350,18 +370,14 @@ def read_shift_table(path: str) -> tuple[list[str] | None, np.ndarray, np.ndarra
     strain grating shifts, temperature grating shifts or None)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header, records = _records(path, fh, {"rel_shift_s"}, "a rel_shift_s column")
-        shifts = [c for c in ("rel_shift_s", "rel_shift_t") if c in header]
-        times, values = [], []
-        for line, row in records:
-            try:
-                values.append([float(row[c]) for c in shifts])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line}: {exc}") from None
-            times.append(row.get("t"))
-    if not values:
+        records = list(records)
+    if not records:
         raise ValueError(f"{path} holds no data rows")
-    values = np.array(values).T
-    return (times if "t" in header else None), values[0], (values[1] if len(shifts) > 1 else None)
+    lines, rows = zip(*records)
+    shifts = {c: _finite_column(path, c, lines, [row[c] for row in rows])
+              for c in ("rel_shift_s", "rel_shift_t") if c in header}
+    times = [row["t"] for row in rows] if "t" in header else None
+    return times, shifts["rel_shift_s"], shifts.get("rel_shift_t")
 
 
 def write_strain_series(path: str, times: list[str] | None, strains: np.ndarray) -> None:

@@ -172,8 +172,6 @@ class ComponentSummary:
     name: str
     mean: float
     std: float
-    hist_counts: tuple[int, ...]
-    hist_edges: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -189,17 +187,11 @@ class ChainDiagnostics:
         return "\n".join(lines)
 
 
-def chain_diagnostics(chain: Chain, bins: int = 40) -> ChainDiagnostics:
-    """Per-component summary statistics and histograms of a chain."""
+def chain_diagnostics(chain: Chain) -> ChainDiagnostics:
+    """Per-component mean and standard deviation of a chain."""
     names = ("rho", "sigma_d", "ell_d")
     comps = []
     for k, name in enumerate(names):
         col = chain.samples[:, k]
-        counts, edges = np.histogram(col, bins=bins)
-        comps.append(
-            ComponentSummary(
-                name, float(col.mean()), float(col.std(ddof=1)) if len(col) > 1 else 0.0,
-                tuple(int(c) for c in counts), tuple(float(e) for e in edges),
-            )
-        )
+        comps.append(ComponentSummary(name, float(col.mean()), float(col.std(ddof=1)) if len(col) > 1 else 0.0))
     return ChainDiagnostics(tuple(comps), chain.acceptance_rate, len(chain))

@@ -15,11 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
 from .fem import (DofMap, element_columns, element_geometry, hermite_shape, sq_exp_correlation,
                   squared_distances)
-from .model import ConfigError, GrillageModel
+from .model import ConfigError, GrillageModel, read_document
 
 _TIME_EPS = 1e-9
 
@@ -219,61 +218,28 @@ def force_covariance(
 
 def load_scenario_config(path: str) -> tuple[TrainScenario, RandomLoadSpec | None]:
     """Read a YAML crossing scenario: train, recording cadence, random load."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            cfg = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("scenario configuration must be a mapping")
-    version = cfg.get("schema_version")
-    if version != 1:
-        raise ConfigError(f"unsupported schema_version {version!r}, expected 1")
-
-    train = cfg.get("train")
-    if not isinstance(train, dict):
-        raise ConfigError("scenario is missing the train section")
-    recording = cfg.get("recording")
-    if not isinstance(recording, dict):
-        raise ConfigError("scenario is missing the recording section")
-
-    if "speed" in train:
-        speed = float(train["speed"])
-    elif "speed_kmh" in train:
-        speed = float(train["speed_kmh"]) / 3.6
+    doc = read_document(path)
+    train, recording = doc.mapping("train"), doc.mapping("recording")
+    if "speed_kmh" in train and "speed" not in train:
+        speed = train.number("speed_kmh") / 3.6
     else:
-        raise ConfigError("train needs speed (m/s) or speed_kmh")
-
-    window = recording.get("time_window")
-    if not (isinstance(window, (list, tuple)) and len(window) == 2):
-        raise ConfigError("recording.time_window must be [start, end]")
-
-    try:
-        scenario = TrainScenario(
-            axle_offsets=tuple(train["axle_offsets"]),
-            axle_load=float(train["axle_load"]),
-            speed=speed,
-            track_line=str(train["track_line"]),
-            time_step=float(recording["time_step"]),
-            time_window=(float(window[0]), float(window[1])),
-            arrival_time=float(train.get("arrival_time", 0.0)),
-            length=None if train.get("length") is None else float(train["length"]),
-            lateral_offsets=tuple(train.get("lateral_offsets", (-0.7175, 0.7175))),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"scenario is missing required key {exc.args[0]!r}") from exc
-
-    random_load = None
-    if "random_load" in cfg:
-        rl = cfg["random_load"]
-        if not isinstance(rl, dict):
-            raise ConfigError("random_load must be a mapping")
-        try:
-            random_load = RandomLoadSpec(
-                sigma=float(rl["sigma"]),
-                length_scale=float(rl["length_scale"]),
-                tributary_width=None if rl.get("tributary_width") is None else float(rl["tributary_width"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"random_load is missing required key {exc.args[0]!r}") from exc
-    return scenario, random_load
+        speed = train.number("speed")
+    window = recording.numbers("time_window")
+    if len(window) != 2:
+        raise ConfigError(f"recording.time_window must be [start, end], got {list(window)}")
+    scenario = TrainScenario(
+        axle_offsets=train.numbers("axle_offsets"),
+        axle_load=train.number("axle_load"),
+        speed=speed,
+        track_line=str(train.get("track_line")),
+        time_step=recording.number("time_step"),
+        time_window=window,
+        arrival_time=train.number("arrival_time", 0.0),
+        length=train.number("length", None),
+        lateral_offsets=train.numbers("lateral_offsets", (-0.7175, 0.7175)),
+    )
+    deck = doc.mapping("random_load", None)
+    if deck is None:
+        return scenario, None
+    return scenario, RandomLoadSpec(deck.number("sigma"), deck.number("length_scale"),
+                                    deck.number("tributary_width", None))

@@ -8,11 +8,15 @@ degrees of freedom, vertical deflection ``w`` and the rotations ``rx``,
 
 This module owns materials, section constants, geometry and the ingestion
 of YAML/dict configuration documents into a validated :class:`GrillageModel`.
+Its document reader, :func:`read_document` and :class:`Fields`, also reads
+the crossing scenarios of :mod:`bridgetwin.loading`.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +32,122 @@ _GEOM_TOL = 1e-9
 
 class ConfigError(ValueError):
     """A configuration document cannot be turned into a usable model."""
+
+
+# -- configuration documents -------------------------------------------------
+
+_REQUIRED = object()
+
+
+def _number(value, where: str, kind: str = "a finite number") -> float:
+    """A finite float from an int, a float or a numeric string: YAML 1.1
+    reads exponent forms like 210.0e9 as strings. A boolean is no number."""
+    number = math.nan
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        with suppress(ValueError, OverflowError):
+            number = float(value)
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be {kind}, got {value!r}")
+    return number
+
+
+def _integer(value, where: str) -> int:
+    """An int from an int, or from an integral float or numeric string."""
+    number = _number(value, where, "an integer")
+    if not number.is_integer():
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _numbers(value, where: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where} must be a list of finite numbers, got {value!r}")
+    return tuple(_number(v, f"{where}[{k}]") for k, v in enumerate(value))
+
+
+def _mapping(value, where: str) -> Fields:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a mapping, got {value!r}")
+    return Fields(value, f"{where}.")
+
+
+def _entry(table: dict, name, where: str):
+    """The entry of ``table`` that ``name`` names."""
+    if not isinstance(name, Hashable) or name not in table:
+        raise ConfigError(f"{where} names {name!r}, which is not defined")
+    return table[name]
+
+
+class Fields:
+    """The keys of one mapping of a configuration document.
+
+    Each reader looks a key up and types its value in one call, and its
+    errors name the key by its dotted path from the document root,
+    ``section.key``, and quote the bad value. A key that is absent or null
+    takes the reader's default, and is an error when the reader has none.
+    Keys that no reader asks for are ignored.
+    """
+
+    def __init__(self, values: dict, prefix: str = "") -> None:
+        self.values = values
+        self.prefix = prefix
+
+    def __contains__(self, key) -> bool:
+        return self.values.get(key) is not None
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def _read(self, key, default, convert):
+        value = self.values.get(key)
+        if value is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"{self.prefix}{key} is missing")
+            if default is None:
+                return None
+            value = default
+        return convert(value, f"{self.prefix}{key}")
+
+    def get(self, key, default=_REQUIRED):
+        """The value as the document holds it."""
+        return self._read(key, default, lambda value, where: value)
+
+    def number(self, key, default=_REQUIRED) -> float:
+        return self._read(key, default, _number)
+
+    def integer(self, key, default=_REQUIRED) -> int:
+        return self._read(key, default, _integer)
+
+    def numbers(self, key, default=_REQUIRED) -> tuple[float, ...]:
+        return self._read(key, default, _numbers)
+
+    def mapping(self, key, default=_REQUIRED) -> Fields:
+        return self._read(key, default, _mapping)
+
+    def entry(self, key, table: dict, default=_REQUIRED):
+        """The entry of ``table`` that the value names."""
+        return self._read(key, default, lambda name, where: _entry(table, name, where))
+
+
+def document(doc, name: str) -> Fields:
+    """The root fields of a configuration document: a mapping whose
+    schema_version is SCHEMA_VERSION. ``name`` names it in errors."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name} must be a mapping")
+    version = doc.get("schema_version")
+    if version != SCHEMA_VERSION or isinstance(version, bool):
+        raise ConfigError(f"{name}: unsupported schema_version {version!r}, expected {SCHEMA_VERSION}")
+    return Fields(doc)
+
+
+def read_document(path: str) -> Fields:
+    """The root fields of the YAML configuration document at ``path``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    return document(doc, path)
 
 
 def equivalent_modulus(q: float, e_steel: float, e_concrete: float) -> float:
@@ -368,79 +488,43 @@ def validate_model(model: GrillageModel) -> ValidationReport:
 # -- configuration ingestion -------------------------------------------------
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigError(f"{where} is missing required key {key!r}")
-    return mapping[key]
-
-
-def _number(value, where: str) -> float:
-    # YAML 1.1 reads exponent forms like 210.0e9 as strings; accept them
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{where} must be a number, got {value!r}") from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
-
-
-def _build_materials(cfg: dict) -> dict[str, MaterialSpec]:
+def _build_materials(cfg: Fields) -> dict[str, MaterialSpec]:
     out: dict[str, MaterialSpec] = {}
-    for name, body in cfg.items():
-        if not isinstance(body, dict):
-            raise ConfigError(f"material {name!r} must be a mapping")
+    for name in cfg:
+        body = cfg.mapping(name)
         if "rule_of_mixtures" in body:
-            mix = body["rule_of_mixtures"]
-            e = equivalent_modulus(
-                _number(_require(mix, "fraction", f"material {name!r}"), "fraction"),
-                _number(_require(mix, "e_steel", f"material {name!r}"), "e_steel"),
-                _number(_require(mix, "e_matrix", f"material {name!r}"), "e_matrix"),
-            )
+            mix = body.mapping("rule_of_mixtures")
+            e = equivalent_modulus(mix.number("fraction"), mix.number("e_steel"), mix.number("e_matrix"))
         else:
-            e = _number(_require(body, "youngs_modulus", f"material {name!r}"), "youngs_modulus")
-        nu = _number(_require(body, "poisson_ratio", f"material {name!r}"), "poisson_ratio")
-        out[name] = MaterialSpec(e, nu)
+            e = body.number("youngs_modulus")
+        out[name] = MaterialSpec(e, body.number("poisson_ratio"))
     return out
 
 
-def _build_sections(cfg: dict, materials: dict[str, MaterialSpec]) -> dict[str, SectionSpec]:
+def _build_sections(cfg: Fields, materials: dict[str, MaterialSpec]) -> dict[str, SectionSpec]:
     out: dict[str, SectionSpec] = {}
-    for name, body in cfg.items():
-        if not isinstance(body, dict):
-            raise ConfigError(f"section {name!r} must be a mapping")
+    for name in cfg:
+        body = cfg.mapping(name)
         kind = body.get("type", "constants")
         if kind == "constants":
             out[name] = SectionSpec(
-                _number(_require(body, "bending_stiffness", f"section {name!r}"), "bending_stiffness"),
-                _number(_require(body, "torsion_stiffness", f"section {name!r}"), "torsion_stiffness"),
-                _number(_require(body, "fiber_distance", f"section {name!r}"), "fiber_distance"),
+                bending_stiffness=body.number("bending_stiffness"),
+                torsion_stiffness=body.number("torsion_stiffness"),
+                fiber_distance=body.number("fiber_distance"),
             )
         elif kind == "i_beam":
-            mat_name = _require(body, "material", f"section {name!r}")
-            if mat_name not in materials:
-                raise ConfigError(f"section {name!r} references undefined material {mat_name!r}")
-            deck_mat = None
-            if "deck_material" in body:
-                dm = body["deck_material"]
-                if dm not in materials:
-                    raise ConfigError(f"section {name!r} references undefined material {dm!r}")
-                deck_mat = materials[dm]
             out[name] = i_beam_section(
-                materials[mat_name],
-                web_depth=_number(_require(body, "web_depth", f"section {name!r}"), "web_depth"),
-                web_thickness=_number(_require(body, "web_thickness", f"section {name!r}"), "web_thickness"),
-                flange_width=_number(_require(body, "flange_width", f"section {name!r}"), "flange_width"),
-                flange_thickness=_number(
-                    _require(body, "flange_thickness", f"section {name!r}"), "flange_thickness"
-                ),
-                deck_width=_number(body.get("deck_width", 0.0), "deck_width"),
-                deck_thickness=_number(body.get("deck_thickness", 0.0), "deck_thickness"),
-                deck_material=deck_mat,
+                body.entry("material", materials),
+                web_depth=body.number("web_depth"),
+                web_thickness=body.number("web_thickness"),
+                flange_width=body.number("flange_width"),
+                flange_thickness=body.number("flange_thickness"),
+                deck_width=body.number("deck_width", 0.0),
+                deck_thickness=body.number("deck_thickness", 0.0),
+                deck_material=body.entry("deck_material", materials, None),
             )
         else:
-            raise ConfigError(f"section {name!r} has unknown type {kind!r}")
+            raise ConfigError(f"{body.prefix}type {kind!r} is unknown")
     return out
 
 
@@ -515,82 +599,63 @@ def cantilever_template(
     return GrillageModel(nodes, elements, supports, {line_name: list(range(n))}, deck_spacing=length / n_elements)
 
 
-def _build_template(cfg: dict, sections: dict[str, SectionSpec]) -> GrillageModel:
-    kind = _require(cfg, "type", "template")
-
-    def section_of(key: str) -> SectionSpec:
-        name = _require(cfg, key, "template")
-        if name not in sections:
-            raise ConfigError(f"template references undefined section {name!r}")
-        return sections[name]
-
+def _build_template(cfg: Fields, sections: dict[str, SectionSpec]) -> GrillageModel:
+    kind = cfg.get("type")
     if kind == "two_girder":
         return two_girder_template(
-            span=_number(_require(cfg, "span", "template"), "span"),
-            girder_spacing=_number(_require(cfg, "girder_spacing", "template"), "girder_spacing"),
-            n_crossbeams=int(_require(cfg, "n_crossbeams", "template")),
-            girder_section=section_of("girder_section"),
-            crossbeam_section=section_of("crossbeam_section"),
-            girder_subdivision=int(cfg.get("girder_subdivision", 1)),
+            span=cfg.number("span"),
+            girder_spacing=cfg.number("girder_spacing"),
+            n_crossbeams=cfg.integer("n_crossbeams"),
+            girder_section=cfg.entry("girder_section", sections),
+            crossbeam_section=cfg.entry("crossbeam_section", sections),
+            girder_subdivision=cfg.integer("girder_subdivision", 1),
         )
-    if kind == "simply_supported_beam":
-        return simply_supported_beam_template(
-            length=_number(_require(cfg, "length", "template"), "length"),
-            n_elements=int(_require(cfg, "n_elements", "template")),
-            section=section_of("section"),
-        )
-    if kind == "cantilever":
-        return cantilever_template(
-            length=_number(_require(cfg, "length", "template"), "length"),
-            n_elements=int(_require(cfg, "n_elements", "template")),
-            section=section_of("section"),
-        )
-    raise ConfigError(f"unknown template type {kind!r}")
+    beams = {"simply_supported_beam": simply_supported_beam_template, "cantilever": cantilever_template}
+    if kind in beams:
+        return beams[kind](length=cfg.number("length"), n_elements=cfg.integer("n_elements"),
+                           section=cfg.entry("section", sections))
+    raise ConfigError(f"{cfg.prefix}type {kind!r} is unknown")
 
 
-def _build_tables(cfg: dict, sections: dict[str, SectionSpec]) -> GrillageModel:
-    raw_nodes = _require(cfg, "nodes", "geometry")
+def _rows(cfg: Fields, key: str, width: int, form: str):
+    """(where, row) of each row of the list at ``key``: ``width`` cells shaped like ``form``."""
+    rows = cfg.get(key)
+    if not isinstance(rows, list):
+        raise ConfigError(f"{cfg.prefix}{key} must be a list of {form} rows, got {rows!r}")
+    for k, row in enumerate(rows):
+        where = f"{cfg.prefix}{key}[{k}]"
+        if not (isinstance(row, list) and len(row) == width):
+            raise ConfigError(f"{where} must be {form}, got {row!r}")
+        yield where, row
+
+
+def _build_tables(cfg: Fields, sections: dict[str, SectionSpec]) -> GrillageModel:
     ids: dict[int, int] = {}
     coords = []
-    for row in raw_nodes:
-        if not (isinstance(row, (list, tuple)) and len(row) == 3):
-            raise ConfigError(f"node rows must be [id, x, y], got {row!r}")
-        nid = int(row[0])
+    for where, (nid, x, y) in _rows(cfg, "nodes", 3, "[id, x, y]"):
+        nid = _integer(nid, where)
         if nid in ids:
-            raise ConfigError(f"duplicate node id {nid}")
+            raise ConfigError(f"{where} repeats node id {nid}")
         ids[nid] = len(coords)
-        coords.append((_number(row[1], "node x"), _number(row[2], "node y")))
+        coords.append((_number(x, where), _number(y, where)))
 
-    def node_index(nid, where: str) -> int:
-        try:
-            return ids[int(nid)]
-        except (KeyError, TypeError, ValueError):
-            raise ConfigError(f"{where} references undefined node {nid!r}") from None
+    def node(nid, where: str) -> int:
+        nid = _integer(nid, where)
+        if nid not in ids:
+            raise ConfigError(f"{where} references undefined node {nid}")
+        return ids[nid]
 
-    elements = []
-    for row in _require(cfg, "elements", "geometry"):
-        if not (isinstance(row, (list, tuple)) and len(row) == 3):
-            raise ConfigError(f"element rows must be [i, j, section], got {row!r}")
-        sec = row[2]
-        if sec not in sections:
-            raise ConfigError(f"element references undefined section {sec!r}")
-        elements.append(Element(node_index(row[0], "element"), node_index(row[1], "element"), sections[sec]))
-
+    elements = [Element(node(i, where), node(j, where), _entry(sections, sec, where))
+                for where, (i, j, sec) in _rows(cfg, "elements", 3, "[i, j, section]")]
     supports = []
-    for row in _require(cfg, "supports", "geometry"):
-        if not (isinstance(row, (list, tuple)) and len(row) == 2):
-            raise ConfigError(f"support rows must be [node, [dofs]], got {row!r}")
-        supports.append(Support(node_index(row[0], "support"), frozenset(str(d) for d in row[1])))
-
-    lines = {
-        str(name): [node_index(i, f"line {name!r}") for i in path]
-        for name, path in cfg.get("lines", {}).items()
-    }
-    spacing = cfg.get("deck_spacing")
-    return GrillageModel(
-        np.array(coords), elements, supports, lines,
-        deck_spacing=None if spacing is None else _number(spacing, "deck_spacing"),
-    )
+    for where, (nid, dofs) in _rows(cfg, "supports", 2, "[node, [dofs]]"):
+        if not isinstance(dofs, list):
+            raise ConfigError(f"{where} must be [node, [dofs]], got {[nid, dofs]!r}")
+        supports.append(Support(node(nid, where), frozenset(map(str, dofs))))
+    lines = cfg.mapping("lines", {})
+    paths = {str(name): [node(i, f"{lines.prefix}{name}") for i in lines.numbers(name)] for name in lines}
+    spacing = cfg.number("deck_spacing", None)
+    return GrillageModel(np.array(coords), elements, supports, paths, deck_spacing=spacing)
 
 
 def build_model(config: dict) -> GrillageModel:
@@ -599,20 +664,15 @@ def build_model(config: dict) -> GrillageModel:
     Deterministic: equal documents give equal models. Raises
     :class:`ConfigError` on schema, reference or validation failures.
     """
-    if not isinstance(config, dict):
-        raise ConfigError("model configuration must be a mapping")
-    version = _require(config, "schema_version", "model configuration")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}")
+    return _build_model(document(config, "model configuration"))
 
-    materials = _build_materials(config.get("materials", {}))
-    sections = _build_sections(config.get("sections", {}), materials)
-    geometry = _require(config, "geometry", "model configuration")
-    if not isinstance(geometry, dict):
-        raise ConfigError("geometry must be a mapping")
 
+def _build_model(root: Fields) -> GrillageModel:
+    materials = _build_materials(root.mapping("materials", {}))
+    sections = _build_sections(root.mapping("sections", {}), materials)
+    geometry = root.mapping("geometry")
     if "template" in geometry:
-        model = _build_template(geometry["template"], sections)
+        model = _build_template(geometry.mapping("template"), sections)
     else:
         model = _build_tables(geometry, sections)
 
@@ -624,9 +684,4 @@ def build_model(config: dict) -> GrillageModel:
 
 def load_model_config(path: str) -> GrillageModel:
     """Read a YAML model document from disk and build it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            config = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    return build_model(config)
+    return _build_model(read_document(path))

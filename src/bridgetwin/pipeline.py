@@ -10,7 +10,7 @@ context is frozen, so no configuration can change underneath its caches;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -32,6 +32,8 @@ from .model import ConfigError, GrillageModel, load_model_config
 from .statfem import ObservationSet, SensorLayout
 
 _MATCH_TOL = 1e-9
+# the head of a recording, in s, that the gauge noise is estimated from when not given
+_QUIET_HEAD = 0.5
 
 
 @dataclass(frozen=True)
@@ -108,10 +110,10 @@ class TwinContext:
         timestamps = np.asarray(timestamps, dtype=float)
         t0 = float(self.series.timestamps[0])
         dt = self.scenario.time_step
-        idx = np.round((timestamps - t0) / dt).astype(int)
-        n = len(self.series)
-        if np.any(idx < 0) or np.any(idx >= n):
+        steps = np.round((timestamps - t0) / dt)
+        if not np.all((steps >= 0) & (steps < len(self.series))):
             raise ConfigError("recording timestamps fall outside the scenario window")
+        idx = steps.astype(int)
         if np.max(np.abs(self.series.timestamps[idx] - timestamps)) > _MATCH_TOL:
             raise ConfigError("recording timestamps do not sit on the scenario cadence")
         return idx
@@ -122,18 +124,13 @@ class TwinContext:
         idx = self.match_instants(timestamps)
         return ObservationSet(strains, timestamps, sigma_e, self.series.gamma[idx], self.layout)
 
-    def observations_from_csv(
-        self,
-        path: str,
-        sigma_e: float | None = None,
-        quiet_window: tuple[float, float] | None = None,
-    ) -> ObservationSet:
+    def observations_from_csv(self, path: str, sigma_e: float | None = None) -> ObservationSet:
         """Ingest a recording CSV against this context.
 
         Column order must match the layout ids exactly; the per-instant
         load levels are reconstructed from the scenario. When ``sigma_e``
-        is not given it is estimated from ``quiet_window`` (default: the
-        first half second of the recording).
+        is not given it is estimated from the first half second of the
+        recording.
         """
         ids, timestamps, strains = dataio.read_observation_table(path)
         if ids != self.layout.ids:
@@ -144,7 +141,6 @@ class TwinContext:
         if sigma_e is None:
             from .synth import estimate_noise_std
 
-            if quiet_window is None:
-                quiet_window = (float(timestamps[0]), float(timestamps[0]) + 0.5)
-            obs.sigma_e = estimate_noise_std(obs, quiet_window)
+            t0 = float(timestamps[0])
+            obs = replace(obs, sigma_e=estimate_noise_std(obs, (t0, t0 + _QUIET_HEAD)))
         return obs

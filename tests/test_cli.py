@@ -47,6 +47,22 @@ class TestFbgCalibration:
             fbg_mechanical_strain(1e-6, k_eps=0.0)
 
 
+# (document, its text, what replaces it, the key the error must name)
+_BAD_DOCUMENTS = [
+    (BRIDGE_YAML, "schema_version: 1", "schema_version: 99", "schema_version"),
+    (TRAIN_YAML, "time_step: 0.004", "time_step: [0.004]", "recording.time_step"),
+    (TRAIN_YAML, "time_window: [0.0, 3.6]", "time_window: [0.0, .inf]", "recording.time_window[1]"),
+    (BRIDGE_YAML, "rule_of_mixtures:\n      fraction: 0.03\n      e_steel: 210.0e9\n      e_matrix: 35.0e9",
+     "rule_of_mixtures: 0.03", "materials.reinforced_concrete.rule_of_mixtures"),
+    (BRIDGE_YAML, "n_crossbeams: 21", "n_crossbeams: [21]", "geometry.template.n_crossbeams"),
+    (TRAIN_YAML, "sigma: 1000.0", "sigma: [1000.0]", "random_load.sigma"),
+    (TRAIN_YAML, "speed_kmh: 131.0", "speed: true", "train.speed"),
+    (TRAIN_YAML, "length_scale: 1.0", "length_scale: yes", "random_load.length_scale"),
+    (BRIDGE_YAML, "girder_subdivision: 2", "girder_subdivision: 2.5", "geometry.template.girder_subdivision"),
+    (TRAIN_YAML, "axle_load: 104000.0", "axle_load: fast", "train.axle_load"),
+]
+
+
 class TestModelCommand:
     def test_build_and_info(self, tmp_path, capsys):
         assert cli.main(["model", "build", "--config", BRIDGE_YAML,
@@ -68,13 +84,24 @@ class TestModelCommand:
         assert manifest["environment"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
                                            "cpu_count": os.cpu_count()}
 
-    def test_bad_config_exits_2(self, tmp_path, capsys):
-        bad = tmp_path / "bad.yaml"
-        bad.write_text("schema_version: 99\n")
-        assert cli.main(["model", "build", "--config", str(bad), "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.strip()
-        assert "\n" not in err.strip()
+    @pytest.mark.parametrize("document,text,bad,key", [
+        pytest.param(*case, id=case[-1]) for case in _BAD_DOCUMENTS])
+    def test_bad_config_exits_2(self, tmp_path, capsys, document, text, bad, key):
+        """A bad model document fails `model build` and a bad scenario
+        document fails `simulate`, each with one stderr line naming the key."""
+        source = Path(document).read_text()
+        assert source.count(text) == 1
+        path = tmp_path / Path(document).name
+        path.write_text(source.replace(text, bad))
+        if document == BRIDGE_YAML:
+            argv = ["model", "build", "--config", str(path), "--out", str(tmp_path)]
+        else:
+            argv = ["simulate", "--model", BRIDGE_YAML, "--scenario", str(path),
+                    "--sensors", SENSORS_EAST, "--out", str(tmp_path / "sim")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config: ")
+        assert f"{key} " in err[0]
 
     def test_missing_file_exits_4(self, tmp_path):
         assert cli.main(["model", "build", "--config", str(tmp_path / "nope.yaml"),
@@ -101,6 +128,16 @@ class TestSimulateCommand:
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and f"{sensors}:3" in err[0]
+
+    @pytest.mark.parametrize("column,cells", [("x", "nan,0.0"), ("y", "2.0,abc"), ("x", "inf,0.0")])
+    def test_bad_sensor_coordinate_exits_2_naming_line_and_column(self, tmp_path, capsys, column, cells):
+        sensors = tmp_path / "east.csv"
+        sensors.write_text(f"id,x,y,fiber,line\nT01,2.0,0.0,top,east\nB01,{cells},bottom,east\n")
+        rc = cli.main(["simulate", "--model", BRIDGE_YAML, "--scenario", TRAIN_YAML,
+                       "--sensors", str(sensors), "--out", str(tmp_path / "sim")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"{sensors}:3: column {column}: not a finite number" in err[0]
 
     def test_band_ordering(self, tmp_path):
         out = tmp_path / "sim"
@@ -157,6 +194,15 @@ class TestCalibrateCommand:
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and f"{src}:3" in err[0]
+
+    @pytest.mark.parametrize("column,row", [("rel_shift_s", "0.004,nan,0"), ("rel_shift_t", "0.004,1e-6,x")])
+    def test_bad_shift_cell_exits_2_naming_line_and_column(self, tmp_path, capsys, column, row):
+        src = tmp_path / "shifts.csv"
+        src.write_text(f"t,rel_shift_s,rel_shift_t\n0.0,7.8e-7,0\n{row}\n")
+        rc = cli.main(["calibrate", "--in", str(src), "--out", str(tmp_path / "strain.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"{src}:3: column {column}: not a finite number" in err[0]
 
     def test_output_matches_per_row_conversion(self, tmp_path):
         src = tmp_path / "shifts.csv"
@@ -292,6 +338,21 @@ class TestPosteriorCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert f"{obs}:501: sensor B03: not a finite decimal literal: '1.5x'" in err[0]
+
+    @pytest.mark.parametrize("cell", ["nan", "abc", "inf", ""])
+    def test_bad_time_cell_exits_2_naming_line_and_column(self, tmp_path, capsys, cell):
+        obs = _synth(tmp_path)
+        lines = obs.read_bytes().split(b"\r\n")
+        row = lines[500].split(b",")
+        row[0] = cell.encode()
+        lines[500] = b",".join(row)
+        obs.write_bytes(b"\r\n".join(lines))
+        rc = cli.main(["posterior", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0",
+                       "--w-star", "0.9,4.0,0.5", "--time", "1.2",
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: config: {obs}:501: column t: not a finite number: {cell!r}"]
 
     def test_malformed_w_star_exits_2(self, tmp_path):
         obs = _synth(tmp_path)

@@ -295,6 +295,19 @@ def test_rejected_literal_mid_table_names_its_cell(tmp_path, text):
     assert f"{path}:3: sensor b:" in str(err.value)
 
 
+@pytest.mark.parametrize("cell", ["nan", "-inf", "abc", "1e999"])
+def test_bad_time_cell_in_a_later_block_names_its_line(tmp_path, cell):
+    path = tmp_path / "rec.csv"
+    rows = [f"{k * 0.5},1.5,2" for k in range(7)]
+    rows[5] = f"{cell},1.5,2"
+    path.write_text("t,a,b\n" + "\n".join(rows) + "\n")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_BLOCK_CELLS", 4)  # two rows a block
+        with pytest.raises(ValueError) as err:
+            read_observation_table(path)
+    assert str(err.value) == f"{path}:7: column t: not a finite number: {cell!r}"
+
+
 def test_bad_cell_in_a_long_recording_names_line_and_sensor(tmp_path):
     obs = _obs(n_y=5, n_o=3 * dataio._BLOCK_CELLS // 5)
     path = tmp_path / "obs.csv"

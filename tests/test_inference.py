@@ -142,14 +142,11 @@ class TestHyperposterior:
 
 
 class TestDiagnostics:
-    def test_render_and_histograms(self):
+    def test_render(self):
         cfg = McmcConfig(iterations=2000, initial=(5.0, 5.0, 5.0),
                          step_sizes=(1.0, 1.0, 1.0), support=_WIDE, seed=6)
         chain = run_random_walk(_gaussian_target([5.0, 5.0, 5.0], [1.0, 1.0, 1.0]), cfg)
-        diag = chain_diagnostics(chain, bins=20)
+        diag = chain_diagnostics(chain)
         text = diag.render()
         assert "acceptance" in text
         assert diag.n_kept == chain.samples.shape[0]
-        for comp in diag.components:
-            assert sum(comp.hist_counts) == chain.samples.shape[0]
-            assert len(comp.hist_edges) == len(comp.hist_counts) + 1

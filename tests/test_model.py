@@ -10,6 +10,7 @@ from bridgetwin.model import (
     Support,
     build_model,
     cantilever_template,
+    document,
     equivalent_modulus,
     i_beam_section,
     load_model_config,
@@ -18,8 +19,9 @@ from bridgetwin.model import (
     validate_model,
 )
 
+from bridgetwin.loading import RandomLoadSpec, TrainScenario, load_scenario_config
 from bridgetwin.statfem import SensorLayout
-from conftest import BRIDGE_YAML
+from conftest import BRIDGE_YAML, TRAIN_YAML
 
 
 class TestEquivalentModulus:
@@ -274,3 +276,110 @@ class TestConfigLoading:
         cfg["sections"]["girder"]["material"] = "unobtainium"
         with pytest.raises(ConfigError):
             build_model(cfg)
+
+    def test_bundled_documents_build_the_documented_values(self):
+        """The model, train and random load that bridge.yaml and train.yaml
+        describe, built without the document reader, equal what the reader
+        builds from them, bit for bit."""
+        steel = MaterialSpec(210.0e9, 0.3)
+        concrete = MaterialSpec(equivalent_modulus(0.03, 210.0e9, 35.0e9), 0.2)
+        girder = i_beam_section(steel, 2.04, 0.025, 0.7, 0.12, 3.65, 0.25, concrete)
+        crossbeam = i_beam_section(steel, 0.4, 0.0165, 0.4, 0.027, 1.342, 0.25, concrete)
+        want = two_girder_template(26.84, 7.3, 21, girder, crossbeam, girder_subdivision=2)
+        model = load_model_config(BRIDGE_YAML)
+        assert model.nodes.tobytes() == want.nodes.tobytes()
+        assert (model.elements, model.supports) == (want.elements, want.supports)
+        assert (model.lines, model.deck_spacing) == (want.lines, want.deck_spacing)
+
+        scenario, random_load = load_scenario_config(TRAIN_YAML)
+        assert scenario == TrainScenario(
+            axle_offsets=(0.0, 2.7, 14.2, 16.9, 20.3675, 23.0675, 34.5675, 37.2675,
+                          40.735, 43.435, 54.935, 57.635, 61.1025, 63.8025, 75.3025, 78.0025),
+            axle_load=104000.0, speed=131.0 / 3.6, track_line="east", time_step=0.004,
+            time_window=(0.0, 3.6), arrival_time=0.55, length=81.47, lateral_offsets=(-0.7175, 0.7175),
+        )
+        assert random_load == RandomLoadSpec(1000.0, 1.0)
+
+
+_TABLES = {"nodes": [[10, 0.0, 0.0], [11, 1.0, 0.0], [12, 2.0, 0.0]],
+           "elements": [[10, 11, "beam"], [11, 12, "beam"]],
+           "supports": [[10, ["w", "rx", "ry"]]],
+           "lines": {"main": [10, 11, 12]},
+           "deck_spacing": 1.0}
+
+
+def _tables_config(**geometry):
+    beam = {"bending_stiffness": 2.0e6, "torsion_stiffness": 1.0e5, "fiber_distance": 0.2}
+    return {"schema_version": 1, "sections": {"beam": beam}, "geometry": {**_TABLES, **geometry}}
+
+
+class TestNodeTables:
+    def test_builds_like_the_template(self):
+        """Node ids may be integral floats or numeric strings, coordinates
+        numeric strings."""
+        model = build_model(_tables_config(nodes=[[10, 0.0, 0.0], [11, "1.0e0", 0], ["12", 2, 0.0]],
+                                           elements=[[10, 11, "beam"], [11.0, "12", "beam"]]))
+        want = cantilever_template(2.0, 2, SectionSpec(2.0e6, 1.0e5, 0.2))
+        np.testing.assert_array_equal(model.nodes, want.nodes)
+        assert (model.elements, model.supports) == (want.elements, want.supports)
+        assert (model.lines, model.deck_spacing) == (want.lines, want.deck_spacing)
+
+    @pytest.mark.parametrize("geometry,message", [
+        ({"nodes": [[10, 0.0, 0.0], [10, 1.0, 0.0]]}, "geometry.nodes[1] repeats node id 10"),
+        ({"nodes": [[10, 0.0, 0.0], [11, 1.0]]}, "geometry.nodes[1] must be [id, x, y], got [11, 1.0]"),
+        ({"nodes": [[10, 0.0, 0.0], [11, True, 0.0]]}, "geometry.nodes[1] must be a finite number, got True"),
+        ({"elements": [[10, 13, "beam"]]}, "geometry.elements[0] references undefined node 13"),
+        ({"elements": [[10, 11, "girder"]]}, "geometry.elements[0] names 'girder', which is not defined"),
+        ({"supports": [[10, "w"]]}, "geometry.supports[0] must be [node, [dofs]], got [10, 'w']"),
+        ({"supports": 10}, "geometry.supports must be a list of [node, [dofs]] rows, got 10"),
+        ({"lines": {"main": [10, 11.5]}}, "geometry.lines.main must be an integer, got 11.5"),
+        ({"deck_spacing": "wide"}, "geometry.deck_spacing must be a finite number, got 'wide'"),
+    ])
+    def test_errors_name_their_row(self, geometry, message):
+        with pytest.raises(ConfigError) as err:
+            build_model(_tables_config(**geometry))
+        assert str(err.value) == message
+
+
+class TestFieldReaders:
+    """A number is finite and not a boolean; an integer may be written as an
+    integral float or a numeric string; an absent or null key takes the
+    reader's default; every error names the key's dotted path and the bad
+    value."""
+
+    @staticmethod
+    def _fields(**values):
+        return document({"schema_version": 1, "s": values}, "doc").mapping("s")
+
+    def test_numbers_and_integers(self):
+        s = self._fields(a="210.0e9", b=3, c="21", d=4.0, e=[1, "2.5e0"], f=None)
+        assert s.number("a") == 210.0e9 and s.number("b") == 3.0
+        assert s.integer("c") == 21 and s.integer("d") == 4
+        assert s.numbers("e") == (1.0, 2.5)
+        assert s.number("f", 7.0) == 7.0 and s.number("g", None) is None
+        assert "f" not in s and "a" in s
+
+    @pytest.mark.parametrize("reader,value,message", [
+        ("number", True, "s.k must be a finite number, got True"),
+        ("number", "nan", "s.k must be a finite number, got 'nan'"),
+        ("number", 10**400, "s.k must be a finite number, got 1000"),
+        ("number", {"x": 1}, "s.k must be a finite number, got {'x': 1}"),
+        ("integer", 2.5, "s.k must be an integer, got 2.5"),
+        ("integer", False, "s.k must be an integer, got False"),
+        ("numbers", 3.0, "s.k must be a list of finite numbers, got 3.0"),
+        ("numbers", [1.0, "x"], "s.k[1] must be a finite number, got 'x'"),
+        ("mapping", [1.0], "s.k must be a mapping, got [1.0]"),
+        ("number", None, "s.k is missing"),
+    ])
+    def test_errors_name_the_key_and_value(self, reader, value, message):
+        with pytest.raises(ConfigError) as err:
+            getattr(self._fields(k=value), reader)("k")
+        assert str(err.value).startswith(message)
+
+    def test_document_must_be_a_mapping_of_this_schema(self):
+        with pytest.raises(ConfigError, match="doc must be a mapping"):
+            document([1], "doc")
+        with pytest.raises(ConfigError, match="doc: unsupported schema_version 2, expected 1"):
+            document({"schema_version": 2}, "doc")
+        with pytest.raises(ConfigError, match="doc: unsupported schema_version True, expected 1"):
+            document({"schema_version": True}, "doc")

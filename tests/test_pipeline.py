@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,13 @@ class TestMatchInstants:
     def test_off_grid_time_rejected(self, bundled_ctx):
         with pytest.raises(ConfigError):
             bundled_ctx.match_instants(np.array([1.0001]))
+
+    @pytest.mark.parametrize("t", [1e300, -1e300, np.nan])
+    def test_time_far_outside_the_window_is_rejected_without_a_cast_warning(self, bundled_ctx, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="outside the scenario window"):
+                bundled_ctx.match_instants(np.array([1.2, t]))
 
 
 class TestObservationsFromCsv:
