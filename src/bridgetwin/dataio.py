@@ -27,6 +27,7 @@ import re
 
 import numpy as np
 
+from .model import ConfigError, Fields
 from .statfem import Hyperparameters, ObservationSet
 
 MICROSTRAIN = 1e-6
@@ -430,16 +431,16 @@ def write_estimate(path: str, w: Hyperparameters, diagnostics=None) -> None:
 
 
 def read_estimate(path: str) -> Hyperparameters:
+    """The point estimate of :func:`write_estimate`. Its values are read by
+    the configuration documents' finite-number rule, and an error names the
+    file and the key."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    try:
-        return Hyperparameters(
-            float(doc["rho"]),
-            float(doc["sigma_d_microstrain"]) * MICROSTRAIN,
-            float(doc["ell_d"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path} is missing key {exc.args[0]!r}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} must hold a JSON object, got {doc!r}")
+    fields = Fields(doc, f"{path}: ")
+    return Hyperparameters(fields.number("rho"), fields.number("sigma_d_microstrain") * MICROSTRAIN,
+                           fields.number("ell_d"))
 
 
 def parse_hyperparameters(text: str) -> Hyperparameters:

@@ -19,7 +19,7 @@ through the inverse stiffness.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,26 +204,12 @@ def solve(stiffness: StiffnessMatrix, forces: np.ndarray) -> np.ndarray:
     return np.linalg.solve(stiffness.matrix, forces)
 
 
-@dataclass(frozen=True)
-class StrainRow:
-    """Provenance of one strain operator row."""
-
-    sensor_id: str
-    element: int
-    t: float
-    fiber: str
-
-
 @dataclass
 class StrainOperator:
-    """Linear map from free dofs to axial strains at gauge locations."""
+    """Linear map from free dofs to axial strains at gauge locations, one
+    row per gauge in layout order."""
 
     matrix: np.ndarray
-    rows: tuple[StrainRow, ...]
-
-    @property
-    def n_sensors(self) -> int:
-        return self.matrix.shape[0]
 
 
 def operator_matrix(strain_op) -> np.ndarray:
@@ -256,9 +242,8 @@ def build_strain_operator(model: GrillageModel, dof_map: DofMap, sensors) -> Str
                              element_geometry(model, elements)[0])
     local = np.zeros((len(sensors), 6))
     local[:, [0, 1, 3, 4]] = (-z * curv).T
-    meta = tuple(StrainRow(str(s.id), s.element, float(s.t), s.fiber) for s in sensors)
     rows = element_columns(model, dof_map, elements, local, np.arange(len(sensors)), len(sensors)).T
-    return StrainOperator(np.ascontiguousarray(rows), meta)
+    return StrainOperator(np.ascontiguousarray(rows))
 
 
 def chol_psd(cov: np.ndarray) -> tuple[np.ndarray, float]:
@@ -363,21 +348,17 @@ def propagate_prior(
     return propagate_prior_series(stiffness, mean_forces, force_cov).instant(0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PriorEnsemble:
     """Per-instant prior means sharing one displacement covariance.
 
     The load covariance of a passing train model is time invariant, so the
     solved covariance is computed once; only the means vary with time.
-    ``projected`` caches the strain-space projection, which the marginal
-    likelihood reads on every evaluation, by operator matrix identity; each
-    entry keeps its matrix alive, so no other matrix can take over its id.
     """
 
     means: np.ndarray  # (n_free, n_instants)
     cov: np.ndarray
     jitter: float = 0.0
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.means.shape[1]
@@ -386,12 +367,9 @@ class PriorEnsemble:
         return GaussianBelief(self.means[:, k], self.cov, jitter=self.jitter)
 
     def projected(self, strain_op) -> tuple[np.ndarray, np.ndarray]:
-        """(strain means (n_y, n_instants), strain covariance (n_y, n_y))."""
+        """(strain means P M (n_y, n_instants), strain covariance P C P^T (n_y, n_y))."""
         p = operator_matrix(strain_op)
-        entry = self._cache.get(id(p))
-        if entry is None:
-            entry = self._cache[id(p)] = (p, p @ self.means, _project_covariance(p, self.cov))
-        return entry[1], entry[2]
+        return p @ self.means, _project_covariance(p, self.cov)
 
 
 def propagate_prior_series(

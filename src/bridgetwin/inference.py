@@ -152,10 +152,13 @@ def sample_hyperposterior(
     """Sample p(w | Y) with a flat box prior on w.
 
     The evidence of the whole recording is the product over instants, so
-    the log target is the summed log marginal.
+    the log target is the summed log marginal. The prior is projected to
+    the gauges once, before the chain starts.
     """
+    strain_means, strain_cov = priors.projected(strain_op)
+
     def log_target(vec: np.ndarray) -> float:
-        return log_marginal(obs, Hyperparameters.from_array(vec), priors, strain_op)
+        return log_marginal(obs, Hyperparameters.from_array(vec), strain_means, strain_cov)
 
     return run_random_walk(log_target, config)
 

@@ -30,9 +30,7 @@ class TrainScenario:
     ``axle_offsets`` are distances of each axle behind the leading axle
     (first entry normally 0); ``axle_load`` is the full per-axle force in N
     (both wheels). ``length`` is the overall vehicle length used for the
-    crossing time; it defaults to the last axle offset. ``lateral_offsets``
-    records the wheel seat positions about the track line and is carried as
-    metadata only.
+    crossing time; it defaults to the last axle offset.
     """
 
     axle_offsets: tuple[float, ...]
@@ -43,7 +41,6 @@ class TrainScenario:
     time_window: tuple[float, float]
     arrival_time: float = 0.0
     length: float | None = None
-    lateral_offsets: tuple[float, ...] = (-0.7175, 0.7175)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axle_offsets", tuple(float(a) for a in self.axle_offsets))
@@ -55,9 +52,14 @@ class TrainScenario:
             raise ConfigError(f"axle load must be positive, got {self.axle_load}")
         if not (math.isfinite(self.speed) and self.speed > 0.0):
             raise ConfigError(f"speed must be positive, got {self.speed}")
+        t0, t1 = self.time_window
+        finite = {"time_step": self.time_step, "time_window[0]": t0, "time_window[1]": t1,
+                  "arrival_time": self.arrival_time, "length": self.length}
+        for name, value in finite.items():
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.time_step <= 0.0:
             raise ConfigError(f"time step must be positive, got {self.time_step}")
-        t0, t1 = self.time_window
         if not t1 > t0:
             raise ConfigError(f"time window must be increasing, got {self.time_window}")
         if self.length is not None and self.length < max(self.axle_offsets):
@@ -126,7 +128,6 @@ class LoadSeries:
     timestamps: np.ndarray
     forces: np.ndarray  # (n_free, n_instants)
     gamma: np.ndarray
-    scenario: TrainScenario | None = None
 
     def __len__(self) -> int:
         return self.timestamps.shape[0]
@@ -144,7 +145,7 @@ def load_series(model: GrillageModel, dof_map: DofMap, scenario: TrainScenario) 
     peak = norms.max()
     if peak == 0.0:
         raise ValueError("empty effective observation window: train never loads the span")
-    return LoadSeries(times, forces, norms / peak, scenario)
+    return LoadSeries(times, forces, norms / peak)
 
 
 def select_window(
@@ -236,7 +237,6 @@ def load_scenario_config(path: str) -> tuple[TrainScenario, RandomLoadSpec | Non
         time_window=window,
         arrival_time=train.number("arrival_time", 0.0),
         length=train.number("length", None),
-        lateral_offsets=train.numbers("lateral_offsets", (-0.7175, 0.7175)),
     )
     deck = doc.mapping("random_load", None)
     if deck is None:

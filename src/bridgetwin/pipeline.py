@@ -1,17 +1,19 @@
 """End-to-end wiring shared by the command line and the studies.
 
-A :class:`TwinContext` holds one bridge model, one crossing scenario and
-one gauge layout, with the assembled system, strain operator, load series
-and propagated priors cached behind it. Commands and tests build the
-context once and pull windows, priors and observation sets from it. The
-context is frozen, so no configuration can change underneath its caches;
-``dataclasses.replace`` gives a new context with fresh caches.
+A :class:`TwinContext` holds one bridge model, one crossing scenario, one
+random deck load and one list of gauge descriptions. Only these inputs are
+settable: the gauge layout, assembled system, strain operator and load
+series are built from them when the context is made, and the propagated
+priors on first use. Commands and tests build the context once and pull
+windows, priors and observation sets from it. The context is frozen, so no
+input can change underneath what it derived; ``dataclasses.replace`` with
+new inputs rebuilds the rest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -24,7 +26,6 @@ from .fem import (
     assemble,
     build_strain_operator,
     propagate_prior_series,
-    solve,
 )
 from .loading import (LoadSeries, RandomLoadSpec, TrainScenario, force_covariance, load_scenario_config,
                       load_series)
@@ -41,25 +42,22 @@ class TwinContext:
     model: GrillageModel
     scenario: TrainScenario
     random_load: RandomLoadSpec
-    layout: SensorLayout
-    dof_map: DofMap
-    stiffness: StiffnessMatrix
-    strain_op: StrainOperator
-    series: LoadSeries
+    sensor_entries: tuple[dict, ...]
+    layout: SensorLayout = field(init=False)
+    dof_map: DofMap = field(init=False)
+    stiffness: StiffnessMatrix = field(init=False)
+    strain_op: StrainOperator = field(init=False)
+    series: LoadSeries = field(init=False)
 
-    @classmethod
-    def build(
-        cls,
-        model: GrillageModel,
-        scenario: TrainScenario,
-        random_load: RandomLoadSpec,
-        sensor_entries,
-    ) -> "TwinContext":
-        stiffness, dof_map = assemble(model)
-        layout = SensorLayout.resolve(model, sensor_entries)
-        strain_op = build_strain_operator(model, dof_map, layout.sensors)
-        series = load_series(model, dof_map, scenario)
-        return cls(model, scenario, random_load, layout, dof_map, stiffness, strain_op, series)
+    def __post_init__(self) -> None:
+        derive = partial(object.__setattr__, self)
+        derive("sensor_entries", tuple(self.sensor_entries))
+        stiffness, dof_map = assemble(self.model)
+        derive("stiffness", stiffness)
+        derive("dof_map", dof_map)
+        derive("layout", SensorLayout.resolve(self.model, self.sensor_entries))
+        derive("strain_op", build_strain_operator(self.model, dof_map, self.layout.sensors))
+        derive("series", load_series(self.model, dof_map, self.scenario))
 
     @classmethod
     def from_files(cls, model_path: str, scenario_path: str, sensors_path: str) -> "TwinContext":
@@ -68,7 +66,7 @@ class TwinContext:
         if random_load is None:
             raise ConfigError(f"{scenario_path} declares no random_load section")
         entries = dataio.read_layout_entries(sensors_path)
-        return cls.build(model, scenario, random_load, entries)
+        return cls(model, scenario, random_load, entries)
 
     @cached_property
     def _force_cov(self) -> np.ndarray:
@@ -93,9 +91,7 @@ class TwinContext:
 
     def strain_means(self, indices=None) -> np.ndarray:
         """Deterministic model strains P u_k at the selected instants."""
-        priors = self.prior_series(indices)
-        means_s, _ = priors.projected(self.strain_op)
-        return means_s
+        return self.strain_op.matrix @ self.prior_series(indices).means
 
     def operator_for(self, layout: SensorLayout) -> StrainOperator:
         """Strain operator rows for an alternative gauge layout."""

@@ -20,12 +20,12 @@ I/O boundary only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .fem import (FactorizationError, GaussianBelief, PriorEnsemble, operator_matrix,
-                  sq_exp_correlation, squared_distances)
+from .fem import FactorizationError, GaussianBelief, operator_matrix, sq_exp_correlation, squared_distances
 from .loading import select_window
 from .model import ConfigError, GrillageModel
 
@@ -70,7 +70,7 @@ class Sensor:
     line: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SensorLayout:
     """An ordered set of gauges; row order fixes the data row order.
 
@@ -81,10 +81,9 @@ class SensorLayout:
     """
 
     sensors: tuple[Sensor, ...]
-    _d2: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.sensors = tuple(self.sensors)
+        object.__setattr__(self, "sensors", tuple(self.sensors))
         if not self.sensors:
             raise ConfigError("sensor layout is empty")
         ids = [s.id for s in self.sensors]
@@ -105,9 +104,12 @@ class SensorLayout:
     def points(self) -> np.ndarray:
         return np.array([[s.x, s.y] for s in self.sensors])
 
+    @cached_property
+    def _d2(self) -> np.ndarray:
+        return squared_distances(self.points)
+
     def squared_distances(self) -> np.ndarray:
-        if self._d2 is None:
-            self._d2 = squared_distances(self.points)
+        """Pairwise squared plan distances of the gauges, computed once per layout."""
         return self._d2
 
     def subset(self, ids) -> "SensorLayout":
@@ -341,11 +343,15 @@ def _whiten(b: np.ndarray, kernel: np.ndarray, sigma_e: float) -> tuple[float, n
     return logdet_b, np.maximum(lam, 0.0), inverse_factor.T @ q
 
 
-def log_marginal(obs: ObservationSet, w: Hyperparameters, priors: PriorEnsemble, strain_op) -> float:
+def log_marginal(
+    obs: ObservationSet, w: Hyperparameters, strain_means: np.ndarray, strain_cov: np.ndarray
+) -> float:
     """Log evidence of a whole recording under instant independence.
 
-    Each column y_k is scored under N(rho P u_k, S_k = a_k K + B), with K the
-    unit mismatch kernel, a_k = (gamma_k sigma_d)^2 and
+    ``strain_means`` (n_y, n_instants) and ``strain_cov`` (n_y, n_y) are the
+    strain-space prior P u_k and P C_u P^T, as ``PriorEnsemble.projected``
+    gives them. Each column y_k is scored under N(rho P u_k, S_k = a_k K + B),
+    with K the unit mismatch kernel, a_k = (gamma_k sigma_d)^2 and
     B = rho^2 P C_u P^T + sigma_e^2 I shared by all instants. With
     W^T B W = I and W^T K W = diag(lam) from :func:`_whiten`,
     W^T S_k W = diag(a_k lam + 1), so log det S_k = log det B +
@@ -359,15 +365,14 @@ def log_marginal(obs: ObservationSet, w: Hyperparameters, priors: PriorEnsemble,
     singular, as it is at sigma_e = 0. Sums with compensated summation so
     the result is independent of instant order.
     """
-    means_s, strain_cov = priors.projected(strain_op)
     n_y, n_o = obs.strains.shape
-    if means_s.shape[1] != n_o:
-        raise ValueError(f"{n_o} instants but {means_s.shape[1]} priors")
+    if strain_means.shape[1] != n_o:
+        raise ValueError(f"{n_o} instants but {strain_means.shape[1]} priors")
     b = (w.rho * w.rho) * strain_cov + (obs.sigma_e * obs.sigma_e) * np.eye(n_y)
     kernel = sq_exp_correlation(obs.layout.squared_distances(), w.ell_d)
     logdet_b, lam, whiten = _whiten(b, kernel, obs.sigma_e)
     # Z^T = R^T W with the residual R = Y - rho M
-    z_t = (obs.strains - w.rho * means_s).T @ whiten
+    z_t = (obs.strains - w.rho * strain_means).T @ whiten
     scale = (obs.gamma * w.sigma_d)[:, None] ** 2 * lam[None, :] + 1.0
     quad = np.sum(z_t * z_t / scale, axis=1)
     terms = -0.5 * (n_y * LOG_2PI + logdet_b + np.sum(np.log(scale), axis=1) + quad)

@@ -55,9 +55,9 @@ def study_ctx():
     the sampler, not to prior misfit.
     """
     scenario, _ = load_scenario_config(TRAIN_YAML)
-    return TwinContext.build(load_model_config(BRIDGE_YAML), scenario,
-                             RandomLoadSpec(sigma=150.0, length_scale=1.0),
-                             read_layout_entries(SENSORS_EAST))
+    return TwinContext(load_model_config(BRIDGE_YAML), scenario,
+                       RandomLoadSpec(sigma=150.0, length_scale=1.0),
+                       read_layout_entries(SENSORS_EAST))
 
 
 @pytest.fixture()

@@ -75,6 +75,7 @@ class TestModelCommand:
                          "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "nodes" in out and "span" in out
+        assert "validation: ok\n" in out
 
     def test_manifest_records_the_thread_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -360,6 +361,25 @@ class TestPosteriorCommand:
                        "--w-star", "0.9,4.0", "--time", "2.0",
                        "--out", str(tmp_path / "x.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("doc,message", [
+        ('{"rho": [0.9], "sigma_d_microstrain": 4.0, "ell_d": 0.5}', ": rho must be a finite number, got [0.9]"),
+        ('{"rho": true, "sigma_d_microstrain": 4.0, "ell_d": 0.5}', ": rho must be a finite number, got True"),
+        ('{"rho": 0.9, "sigma_d_microstrain": NaN, "ell_d": 0.5}',
+         ": sigma_d_microstrain must be a finite number, got nan"),
+        ('{"rho": 0.9, "sigma_d_microstrain": 4.0}', ": ell_d is missing"),
+        ("[0.9, 4.0, 0.5]", " must hold a JSON object, got [0.9, 4.0, 0.5]"),
+    ], ids=["list", "bool", "nan", "missing", "not-an-object"])
+    def test_bad_estimate_file_exits_2_naming_the_key(self, tmp_path, capsys, doc, message):
+        obs = _synth(tmp_path)
+        estimate = tmp_path / "estimate.json"
+        estimate.write_text(doc)
+        rc = cli.main(["posterior", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0",
+                       "--w-star", str(estimate), "--time", "2.0",
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: config: {estimate}{message}"]
 
 
 class TestPredictCommand:

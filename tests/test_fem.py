@@ -283,21 +283,17 @@ class TestPriorPropagation:
             np.testing.assert_allclose(ensemble.instant(k).mean, single.mean, rtol=1e-12)
             np.testing.assert_allclose(ensemble.instant(k).cov, single.cov, rtol=1e-12)
 
-    def test_projected_is_cached(self, ss_beam):
-        stiffness, dof_map = assemble(ss_beam)
-        spec = RandomLoadSpec(sigma=400.0, length_scale=1.0, tributary_width=1.0)
-        c_f = force_covariance(ss_beam, dof_map, spec)
-        forces = np.zeros((dof_map.n_free, 2))
-        forces[dof_map.index[2, 0], :] = -1000.0
-        ensemble = propagate_prior_series(stiffness, forces, c_f)
-
-        elem, t = ss_beam.locate_on_line("main", 1.7)
-        sensor = Sensor(id="S", x=1.7, y=0.0, fiber="top",
-                        element=elem, t=t, line="main")
-        op = build_strain_operator(ss_beam, dof_map, (sensor,))
-        _, cov_a = ensemble.projected(op)
-        _, cov_b = ensemble.projected(op)
-        assert cov_a is cov_b
+    def test_replace_projects_the_new_covariance(self, bundled_ctx):
+        """An ensemble holds its inputs only, so one made by ``replace``
+        projects its own covariance, and none can be set in place."""
+        ensemble = bundled_ctx.prior_series(np.array([100, 350]))
+        ensemble.projected(bundled_ctx.strain_op)
+        wider = dataclasses.replace(ensemble, cov=4.0 * ensemble.cov)
+        _, cov = wider.projected(bundled_ctx.strain_op)
+        _, fresh = PriorEnsemble(ensemble.means, 4.0 * ensemble.cov).projected(bundled_ctx.strain_op)
+        np.testing.assert_array_equal(cov, fresh)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ensemble.cov = wider.cov
 
     def test_projection_of_a_collected_operator_is_never_reused(self, bundled_ctx):
         """CPython hands a freed object's id to the next allocation, so a

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,18 @@ class TestTrainScenario:
     def test_rejects_nonpositive_speed(self):
         with pytest.raises(ConfigError):
             _scenario(speed=0.0)
+
+    @pytest.mark.parametrize("name,overrides", [
+        ("time_step", {"time_step": float("nan")}),
+        ("time_window[0]", {"time_window": (float("-inf"), 2.0)}),
+        ("time_window[1]", {"time_window": (0.0, float("inf"))}),
+        ("arrival_time", {"arrival_time": float("nan")}),
+        ("length", {"length": float("inf")}),
+    ])
+    def test_rejects_non_finite_cadence_and_kinematics(self, name, overrides):
+        """Refused when made, naming the field, not later in timestamps()."""
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be finite"):
+            _scenario(**overrides)
 
 
 class TestAxlePositions:
@@ -118,7 +132,7 @@ class TestLoadSeries:
     def test_forces_match_nodal_loads(self, bundled_ctx):
         """The whole-window placement equals placing each instant alone, to the bit."""
         series = bundled_ctx.series
-        f = np.column_stack([nodal_loads(bundled_ctx.model, bundled_ctx.dof_map, series.scenario, t)
+        f = np.column_stack([nodal_loads(bundled_ctx.model, bundled_ctx.dof_map, bundled_ctx.scenario, t)
                              for t in series.timestamps.tolist()])
         np.testing.assert_array_equal(series.forces, f)
 

@@ -296,7 +296,7 @@ class TestConfigLoading:
             axle_offsets=(0.0, 2.7, 14.2, 16.9, 20.3675, 23.0675, 34.5675, 37.2675,
                           40.735, 43.435, 54.935, 57.635, 61.1025, 63.8025, 75.3025, 78.0025),
             axle_load=104000.0, speed=131.0 / 3.6, track_line="east", time_step=0.004,
-            time_window=(0.0, 3.6), arrival_time=0.55, length=81.47, lateral_offsets=(-0.7175, 0.7175),
+            time_window=(0.0, 3.6), arrival_time=0.55, length=81.47,
         )
         assert random_load == RandomLoadSpec(1000.0, 1.0)
 

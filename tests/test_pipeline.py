@@ -4,9 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from bridgetwin.dataio import write_observations
+from bridgetwin.dataio import read_layout_entries, write_observations
 from bridgetwin.model import ConfigError
+from bridgetwin.pipeline import TwinContext
 from bridgetwin.synth import DiscrepancySpec, generate_observations, generate_truth
+
+from conftest import BRIDGE_YAML, SENSORS_WEST, TRAIN_YAML
 
 
 class TestBuild:
@@ -17,7 +20,10 @@ class TestBuild:
 
     def test_operator_rows_follow_layout(self, bundled_ctx):
         op = bundled_ctx.operator_for(bundled_ctx.layout)
-        assert [r.sensor_id for r in op.rows] == bundled_ctx.layout.ids
+        ids = bundled_ctx.layout.ids
+        for k in (0, 7, 39):
+            row = bundled_ctx.operator_for(bundled_ctx.layout.subset([ids[k]])).matrix
+            np.testing.assert_array_equal(op.matrix[[k]], row)
 
     def test_context_is_frozen(self, bundled_ctx):
         """No configuration can change underneath the cached priors."""
@@ -30,6 +36,49 @@ class TestBuild:
         softer = dataclasses.replace(bundled_ctx, random_load=study_ctx.random_load)
         np.testing.assert_array_equal(softer.force_cov(), study_ctx.force_cov())
         assert not np.array_equal(softer.force_cov(), bundled_ctx.force_cov())
+
+    def test_only_inputs_are_settable(self, bundled_ctx):
+        assert [f.name for f in dataclasses.fields(bundled_ctx) if f.init] == [
+            "model", "scenario", "random_load", "sensor_entries"]
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(bundled_ctx, series=bundled_ctx.series)
+
+    def test_replace_scenario_rebuilds_the_load_series(self, bundled_ctx):
+        """A slower train over a longer window: twice the instants, not the
+        source context's 901."""
+        scenario = dataclasses.replace(bundled_ctx.scenario, speed=bundled_ctx.scenario.speed / 2.0,
+                                       time_window=(0.0, 7.2))
+        slower = dataclasses.replace(bundled_ctx, scenario=scenario)
+        assert len(slower.series) == len(scenario.timestamps()) == 1801
+        _assert_same_pieces(slower, TwinContext(bundled_ctx.model, scenario, bundled_ctx.random_load,
+                                                bundled_ctx.sensor_entries))
+
+    def test_replace_sensor_entries_rebuilds_layout_and_operator(self, bundled_ctx):
+        west = read_layout_entries(SENSORS_WEST)
+        moved = dataclasses.replace(bundled_ctx, sensor_entries=west)
+        assert moved.layout.ids == [entry["id"] for entry in west]
+        _assert_same_pieces(moved, TwinContext.from_files(BRIDGE_YAML, TRAIN_YAML, SENSORS_WEST))
+
+    def test_replace_model_rebuilds_every_derived_piece(self, bundled_ctx):
+        model = bundled_ctx.model
+        stiffer = dataclasses.replace(model, elements=[dataclasses.replace(e, section=dataclasses.replace(
+            e.section, bending_stiffness=2.0 * e.section.bending_stiffness)) for e in model.elements])
+        rebuilt = dataclasses.replace(bundled_ctx, model=stiffer)
+        assert not np.array_equal(rebuilt.stiffness.matrix, bundled_ctx.stiffness.matrix)
+        _assert_same_pieces(rebuilt, TwinContext(stiffer, bundled_ctx.scenario, bundled_ctx.random_load,
+                                                 bundled_ctx.sensor_entries))
+
+
+def _assert_same_pieces(ctx, fresh):
+    """Every derived piece of ``ctx`` equals the one a fresh context built."""
+    assert ctx.layout == fresh.layout
+    assert ctx.dof_map.free == fresh.dof_map.free
+    np.testing.assert_array_equal(ctx.dof_map.index, fresh.dof_map.index)
+    np.testing.assert_array_equal(ctx.stiffness.matrix, fresh.stiffness.matrix)
+    np.testing.assert_array_equal(ctx.strain_op.matrix, fresh.strain_op.matrix)
+    for name in ("timestamps", "forces", "gamma"):
+        np.testing.assert_array_equal(getattr(ctx.series, name), getattr(fresh.series, name))
+    np.testing.assert_array_equal(ctx.strain_means(), fresh.strain_means())
 
 
 class TestPriorSeries:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -42,7 +43,8 @@ def _random_instance(rng, n_u=6, n_y=3):
 
 def _instant_evidence(obs, w, ensemble, op, k):
     """log_marginal of instant k alone, as a one-instant recording and prior."""
-    return log_marginal(obs.select([k]), w, PriorEnsemble(ensemble.means[:, [k]], ensemble.cov), op)
+    alone = PriorEnsemble(ensemble.means[:, [k]], ensemble.cov)
+    return log_marginal(obs.select([k]), w, *alone.projected(op))
 
 
 class TestHyperparameters:
@@ -138,6 +140,18 @@ class TestSensorLayout:
         d2 = layout.squared_distances()
         np.testing.assert_allclose(d2, [[0.0, 25.0], [25.0, 0.0]])
         assert layout.squared_distances() is d2
+
+    def test_replace_with_moved_sensors_recomputes_distances(self, bundled_ctx):
+        """The distances belong to the sensors they were computed from, so a
+        layout made by ``replace`` never carries its source's matrix."""
+        layout = bundled_ctx.layout
+        layout.squared_distances()
+        moved = tuple(dataclasses.replace(s, x=s.x + 10.0 * k) for k, s in enumerate(layout.sensors))
+        replaced = dataclasses.replace(layout, sensors=moved)
+        np.testing.assert_array_equal(replaced.squared_distances(), SensorLayout(moved).squared_distances())
+        assert not np.array_equal(replaced.squared_distances(), layout.squared_distances())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            layout.sensors = moved
 
 
 class TestObservationSet:
@@ -239,7 +253,7 @@ class TestLogMarginal:
             for i, (x, z) in enumerate(points)
         ))
         obs = ObservationSet(y[:, None], np.zeros(1), float(np.sqrt(c_e[0, 0])), np.ones(1), layout)
-        got = log_marginal(obs, w, PriorEnsemble(mean[:, None], c_u), p)
+        got = log_marginal(obs, w, *PriorEnsemble(mean[:, None], c_u).projected(p))
         s = w.rho**2 * p @ c_u @ p.T + c_d + c_e
         ref = oracles.gaussian_logpdf(y, w.rho * p @ mean, s)
         assert got == pytest.approx(ref, rel=1e-12)
@@ -268,7 +282,7 @@ class TestLogMarginal:
         rng = np.random.default_rng(11)
         obs, ensemble, op = self._series_problem(rng)
         w = Hyperparameters(1.1, 0.9, 1.4)
-        fast = log_marginal(obs, w, ensemble, op)
+        fast = log_marginal(obs, w, *ensemble.projected(op))
         slow = math.fsum(_instant_evidence(obs, w, ensemble, op, k)
                          for k in range(obs.n_instants))
         assert fast == pytest.approx(slow, rel=1e-12)
@@ -285,14 +299,14 @@ class TestLogMarginal:
             sigma_e=obs.sigma_e, gamma=obs.gamma[perm], layout=obs.layout,
         )
         shuffled_ensemble = PriorEnsemble(means=ensemble.means[:, perm], cov=ensemble.cov)
-        assert log_marginal(shuffled, w, shuffled_ensemble, op) == \
-            log_marginal(obs, w, ensemble, op)
+        assert log_marginal(shuffled, w, *shuffled_ensemble.projected(op)) == \
+            log_marginal(obs, w, *ensemble.projected(op))
 
     def test_matches_sum_of_instants(self):
         rng = np.random.default_rng(17)
         obs, ensemble, op = self._series_problem(rng)
         w = Hyperparameters(1.0, 1.0, 1.0)
-        total = log_marginal(obs, w, ensemble, op)
+        total = log_marginal(obs, w, *ensemble.projected(op))
         ref = sum(_instant_evidence(obs, w, ensemble, op, k)
                   for k in range(obs.n_instants))
         assert total == pytest.approx(ref, rel=1e-12)
@@ -308,7 +322,7 @@ class TestLogMarginal:
         b = w.rho**2 * op @ ensemble.cov @ op.T + obs.sigma_e**2 * np.eye(obs.n_sensors)
         refs = [oracles.gaussian_logpdf(obs.strains[:, k], w.rho * op @ ensemble.means[:, k], b)
                 for k in range(obs.n_instants)]
-        assert log_marginal(obs, w, ensemble, op) == pytest.approx(math.fsum(refs), rel=1e-12)
+        assert log_marginal(obs, w, *ensemble.projected(op)) == pytest.approx(math.fsum(refs), rel=1e-12)
         got = _instant_evidence(obs, w, ensemble, op, 0)
         assert got == pytest.approx(refs[0], rel=1e-12)
 
@@ -327,7 +341,7 @@ class TestLogMarginal:
         ensemble = PriorEnsemble(np.zeros((3, 2)), np.eye(3))
         w = Hyperparameters(1.0, 1.0, 1.0)
         with pytest.raises(FactorizationError, match="sigma_e"):
-            log_marginal(obs, w, ensemble, op)
+            log_marginal(obs, w, *ensemble.projected(op))
         with pytest.raises(FactorizationError, match="sigma_e"):
             _instant_evidence(obs, w, ensemble, op, 0)
 
@@ -370,7 +384,7 @@ def test_log_marginal_matches_textbook_density_per_instant(problem):
         c_d = mismatch_covariance(obs.layout, w, float(obs.gamma[k]))
         s = w.rho**2 * op @ ensemble.cov @ op.T + c_d + noise_covariance(obs.n_sensors, obs.sigma_e)
         terms.append(oracles.gaussian_logpdf(obs.strains[:, k], w.rho * op @ ensemble.means[:, k], s))
-    got = log_marginal(obs, w, ensemble, op)
+    got = log_marginal(obs, w, *ensemble.projected(op))
     assert abs(got - math.fsum(terms)) <= 1e-10 * math.fsum(abs(t) for t in terms)
 
 
