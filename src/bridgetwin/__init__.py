@@ -21,6 +21,7 @@ from .fem import (
 )
 from .inference import (
     Chain,
+    Estimate,
     McmcConfig,
     chain_diagnostics,
     point_estimate,

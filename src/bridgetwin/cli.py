@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dataio
-from .fem import FactorizationError, assemble
-from .inference import McmcConfig, chain_diagnostics, point_estimate, sample_hyperposterior
+from .fem import FactorizationError
+from .inference import McmcConfig, chain_diagnostics, sample_hyperposterior
 from .model import ConfigError, load_model_config
 from .pipeline import TwinContext
 from .statfem import (
@@ -119,10 +119,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _context(args) -> TwinContext:
-    return TwinContext.from_files(args.model, args.scenario, args.sensors)
-
-
 def _resolve_w_star(spec: str) -> Hyperparameters:
     if os.path.exists(spec):
         return dataio.read_estimate(spec)
@@ -131,7 +127,7 @@ def _resolve_w_star(spec: str) -> Hyperparameters:
 
 def _windowed(args) -> tuple[TwinContext, ObservationSet]:
     """The context and the recording cut to --window, --stride and --gamma-min."""
-    ctx = _context(args)
+    ctx = TwinContext.from_files(args.model, args.scenario, args.sensors)
     sigma_e = None if args.sigma_e is None else args.sigma_e * dataio.MICROSTRAIN
     t0, t1 = args.window if args.window else (None, None)
     obs = ctx.observations_from_csv(args.obs, sigma_e=sigma_e)
@@ -143,7 +139,7 @@ def _windowed(args) -> tuple[TwinContext, ObservationSet]:
 
 def _cmd_model(args) -> int:
     model = load_model_config(args.config)  # refuses any model that fails validation
-    stiffness, dof_map = assemble(model)
+    stiffness, dof_map = model.assembled
     print(f"model: {model.n_nodes} nodes, {len(model.elements)} elements, "
           f"{len(model.supports)} supported nodes, {dof_map.n_free} free dofs")
     print("validation: ok")
@@ -161,7 +157,7 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    ctx = _context(args)
+    ctx = TwinContext.from_files(args.model, args.scenario, args.sensors)
     out = _out_dir(args)
     priors = ctx.prior_series()
     means_s, strain_cov = priors.projected(ctx.strain_op)
@@ -180,7 +176,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    ctx = _context(args)
+    ctx = TwinContext.from_files(args.model, args.scenario, args.sensors)
     spec = DiscrepancySpec(
         rho=args.rho,
         sigma=args.sigma_d * dataio.MICROSTRAIN,
@@ -233,19 +229,19 @@ def _cmd_infer(args) -> int:
 
     config = _mcmc_config(args)
     chain = sample_hyperposterior(obs, priors, ctx.strain_op, config)
-    w_star = point_estimate(chain)
-    diag = chain_diagnostics(chain)
+    estimate = chain_diagnostics(chain)
+    w_star = estimate.w
 
     out = _out_dir(args)
     chain_path = out / "chain.csv"
     estimate_path = out / "estimate.json"
     dataio.write_chain(str(chain_path), chain)
-    dataio.write_estimate(str(estimate_path), w_star, diag)
+    dataio.write_estimate(str(estimate_path), estimate)
     print(f"kept {len(chain)} of {config.iterations} iterations on {obs.n_instants} instants, "
           f"acceptance {chain.acceptance_rate:.3f}")
     print(f"w*: rho {w_star.rho:.6g}, sigma_d {w_star.sigma_d / dataio.MICROSTRAIN:.6g} ue, "
           f"ell_d {w_star.ell_d:.6g} m")
-    print(diag.render())
+    print(estimate.render())
     lo, hi = config.acceptance_band
     if not lo <= chain.acceptance_rate <= hi:
         print(f"warning: acceptance rate {chain.acceptance_rate:.3f} is outside the band "

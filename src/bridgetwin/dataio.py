@@ -412,19 +412,18 @@ def write_chain(path: str, chain) -> None:
     ])
 
 
-def write_estimate(path: str, w: Hyperparameters, diagnostics=None) -> None:
-    """Point estimate JSON; sigma_d stored in microstrain."""
+def write_estimate(path: str, estimate) -> None:
+    """The :class:`~bridgetwin.inference.Estimate` of a chain as JSON;
+    sigma_d stored in microstrain."""
+    w = estimate.w
     doc = {
         "rho": w.rho,
         "sigma_d_microstrain": w.sigma_d / MICROSTRAIN,
         "ell_d": w.ell_d,
+        "acceptance_rate": estimate.acceptance_rate,
+        "n_kept": estimate.n_kept,
+        "components": {name: {"mean": mean, "std": std} for name, mean, std in estimate.components},
     }
-    if diagnostics is not None:
-        doc["acceptance_rate"] = diagnostics.acceptance_rate
-        doc["n_kept"] = diagnostics.n_kept
-        doc["components"] = {
-            c.name: {"mean": c.mean, "std": c.std} for c in diagnostics.components
-        }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DOF_NAMES, GrillageModel, SectionSpec
+from .model import DOF_NAMES, GrillageModel, SectionSpec, readonly
 
 log = logging.getLogger(__name__)
 
@@ -125,40 +125,38 @@ def element_columns(model: GrillageModel, dof_map: DofMap, elements, local, colu
 
 @dataclass(frozen=True)
 class DofMap:
-    """Numbering of free dofs; constrained entries hold -1.
-
-    ``index`` has shape (n_nodes, 3) in DOF_NAMES order; ``free`` lists the
-    (node, dof) pair of every free equation in numbering order.
-    """
+    """Numbering of free dofs: ``index`` (n_nodes, 3), in DOF_NAMES order,
+    numbers the free dofs 0, 1, ... in row-major order; constrained entries
+    hold -1."""
 
     index: np.ndarray
-    free: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "index", readonly(self.index, int))
 
     @property
     def n_free(self) -> int:
-        return len(self.free)
+        return int(np.count_nonzero(self.index >= 0))
 
 
 def build_dof_map(model: GrillageModel) -> DofMap:
-    fixed = np.zeros((model.n_nodes, 3), dtype=bool)
+    free = np.ones((model.n_nodes, 3), dtype=bool)
     for sup in model.supports:
         for name in sup.dofs:
-            fixed[sup.node, DOF_NAMES.index(name)] = True
+            free[sup.node, DOF_NAMES.index(name)] = False
     index = np.full((model.n_nodes, 3), -1, dtype=int)
-    free = []
-    for node in range(model.n_nodes):
-        for dof in range(3):
-            if not fixed[node, dof]:
-                index[node, dof] = len(free)
-                free.append((node, dof))
-    return DofMap(index, tuple(free))
+    index[free] = np.arange(np.count_nonzero(free))
+    return DofMap(index)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StiffnessMatrix:
     """The constrained SPD system on the free dofs."""
 
     matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "matrix", readonly(self.matrix))
 
 
 def assemble(model: GrillageModel) -> tuple[StiffnessMatrix, DofMap]:
@@ -178,7 +176,7 @@ def assemble(model: GrillageModel) -> tuple[StiffnessMatrix, DofMap]:
     np.add.at(k_full, (slots[:, :, None], slots[:, None, :]), np.swapaxes(t, 1, 2) @ local @ t)
     k_full = 0.5 * (k_full + k_full.T)
 
-    keep = [3 * node + dof for node, dof in dof_map.free]
+    keep = np.flatnonzero(dof_map.index >= 0)
     k_free = k_full[np.ix_(keep, keep)]
     try:
         np.linalg.cholesky(k_free)
@@ -204,12 +202,15 @@ def solve(stiffness: StiffnessMatrix, forces: np.ndarray) -> np.ndarray:
     return np.linalg.solve(stiffness.matrix, forces)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StrainOperator:
     """Linear map from free dofs to axial strains at gauge locations, one
     row per gauge in layout order."""
 
     matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "matrix", readonly(self.matrix))
 
 
 def operator_matrix(strain_op) -> np.ndarray:
@@ -232,9 +233,6 @@ def build_strain_operator(model: GrillageModel, dof_map: DofMap, sensors) -> Str
     sensors = list(sensors)
     if not sensors:
         raise ValueError("strain operator needs at least one sensor")
-    bad = [sensor for sensor in sensors if sensor.fiber not in ("top", "bottom")]
-    if bad:
-        raise ValueError(f"sensor {bad[0].id!r} has unknown fiber {bad[0].fiber!r}")
     elements = np.array([sensor.element for sensor in sensors], dtype=int)
     fiber = np.array([model.elements[sensor.element].section.fiber_distance for sensor in sensors])
     z = np.where([sensor.fiber == "top" for sensor in sensors], fiber, -fiber)
@@ -305,7 +303,7 @@ def _check_symmetric(cov: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be symmetric")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaussianBelief:
     """Multivariate normal over a vector of physical quantities.
 
@@ -318,16 +316,12 @@ class GaussianBelief:
     jitter: float = 0.0
 
     def __post_init__(self) -> None:
-        self.mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        self.cov = np.asarray(self.cov, dtype=float)
+        object.__setattr__(self, "mean", readonly(np.asarray(self.mean, dtype=float).reshape(-1)))
+        object.__setattr__(self, "cov", readonly(self.cov))
         n = self.mean.shape[0]
         if self.cov.shape != (n, n):
             raise ValueError(f"covariance shape {self.cov.shape} does not match mean length {n}")
         _check_symmetric(self.cov, "covariance")
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
 
     def std(self) -> np.ndarray:
         return np.sqrt(np.clip(np.diagonal(self.cov), 0.0, None))
@@ -360,8 +354,9 @@ class PriorEnsemble:
     cov: np.ndarray
     jitter: float = 0.0
 
-    def __len__(self) -> int:
-        return self.means.shape[1]
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "means", readonly(self.means))
+        object.__setattr__(self, "cov", readonly(self.cov))
 
     def instant(self, k: int) -> GaussianBelief:
         return GaussianBelief(self.means[:, k], self.cov, jitter=self.jitter)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import PriorEnsemble
+from .model import readonly
 from .statfem import Hyperparameters, ObservationSet, log_marginal
 
 DEFAULT_SUPPORT = ((1e-3, 1e2), (1e-9, 1e-3), (1e-2, 1e2))
@@ -68,7 +69,7 @@ class McmcConfig:
         return int(round(self.iterations * self.burn_in_fraction))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Chain:
     """Post-burn-in samples with bookkeeping.
 
@@ -84,6 +85,11 @@ class Chain:
     first_iteration: int
     step_history: tuple[tuple[int, tuple[float, float, float]], ...]
     config: McmcConfig
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "samples", readonly(self.samples))
+        object.__setattr__(self, "log_density", readonly(self.log_density))
+        object.__setattr__(self, "accepted", readonly(self.accepted, bool))
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -171,30 +177,27 @@ def point_estimate(chain: Chain) -> Hyperparameters:
 
 
 @dataclass(frozen=True)
-class ComponentSummary:
-    name: str
-    mean: float
-    std: float
+class Estimate:
+    """A chain's point estimate ``w`` with each component's (name, mean, std),
+    its acceptance rate and kept sample count: ``estimate.json`` and the
+    ``infer`` summary."""
 
-
-@dataclass(frozen=True)
-class ChainDiagnostics:
-    components: tuple[ComponentSummary, ...]
+    w: Hyperparameters
+    components: tuple[tuple[str, float, float], ...]
     acceptance_rate: float
     n_kept: int
 
     def render(self) -> str:
         lines = [f"kept samples: {self.n_kept}", f"acceptance rate: {self.acceptance_rate:.3f}"]
-        for c in self.components:
-            lines.append(f"{c.name}: mean {c.mean:.6g}, std {c.std:.6g}")
+        for name, mean, std in self.components:
+            lines.append(f"{name}: mean {mean:.6g}, std {std:.6g}")
         return "\n".join(lines)
 
 
-def chain_diagnostics(chain: Chain) -> ChainDiagnostics:
-    """Per-component mean and standard deviation of a chain."""
-    names = ("rho", "sigma_d", "ell_d")
-    comps = []
-    for k, name in enumerate(names):
-        col = chain.samples[:, k]
-        comps.append(ComponentSummary(name, float(col.mean()), float(col.std(ddof=1)) if len(col) > 1 else 0.0))
-    return ChainDiagnostics(tuple(comps), chain.acceptance_rate, len(chain))
+def chain_diagnostics(chain: Chain) -> Estimate:
+    """The estimate record of a chain: :func:`point_estimate` and the mean
+    and sample standard deviation of each component's column."""
+    n = len(chain)
+    components = tuple((name, float(col.mean()), float(col.std(ddof=1)) if n > 1 else 0.0)
+                       for name, col in zip(("rho", "sigma_d", "ell_d"), chain.samples.T))
+    return Estimate(point_estimate(chain), components, chain.acceptance_rate, n)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .fem import (DofMap, element_columns, element_geometry, hermite_shape, sq_exp_correlation,
                   squared_distances)
-from .model import ConfigError, GrillageModel, read_document
+from .model import ConfigError, GrillageModel, read_document, readonly
 
 _TIME_EPS = 1e-9
 
@@ -117,7 +117,7 @@ def nodal_loads(model: GrillageModel, dof_map: DofMap, scenario: TrainScenario, 
     return _train_forces(model, dof_map, scenario, [t])[:, 0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoadSeries:
     """Force vectors over the recording window with relative intensities.
 
@@ -128,6 +128,10 @@ class LoadSeries:
     timestamps: np.ndarray
     forces: np.ndarray  # (n_free, n_instants)
     gamma: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("timestamps", "forces", "gamma"):
+            object.__setattr__(self, name, readonly(getattr(self, name)))
 
     def __len__(self) -> int:
         return self.timestamps.shape[0]

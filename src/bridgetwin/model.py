@@ -15,9 +15,11 @@ the crossing scenarios of :mod:`bridgetwin.loading`.
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable
+from collections.abc import Hashable, Mapping
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 import yaml
@@ -32,6 +34,16 @@ _GEOM_TOL = 1e-9
 
 class ConfigError(ValueError):
     """A configuration document cannot be turned into a usable model."""
+
+
+def readonly(values, dtype=float) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype``, the form of every array a
+    package value holds: an array of ``dtype`` is viewed, never copied."""
+    array = np.asarray(values, dtype=dtype)
+    if array.flags.writeable:
+        array = array.view()
+        array.flags.writeable = False
+    return array
 
 
 # -- configuration documents -------------------------------------------------
@@ -286,19 +298,7 @@ class Support:
     dofs: frozenset[str]
 
 
-@dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        return "ok" if self.ok else "; ".join(self.violations)
-
-
-@dataclass
+@dataclass(frozen=True)
 class GrillageModel:
     """Plan-grid beam model.
 
@@ -307,19 +307,30 @@ class GrillageModel:
     load tracks and sensor stations are resolved against these lines.
     ``deck_spacing`` is the tributary width per unit length used when a
     distributed random load is lumped onto a line, defaulting to the
-    crossbeam spacing of the templates.
+    crossbeam spacing of the templates. Nodes, elements, supports and
+    lines are read-only; ``dataclasses.replace`` makes a changed model.
     """
 
     nodes: np.ndarray
-    elements: list[Element]
-    supports: list[Support]
-    lines: dict[str, list[int]] = field(default_factory=dict)
+    elements: tuple[Element, ...]
+    supports: tuple[Support, ...]
+    lines: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
     deck_spacing: float | None = None
 
     def __post_init__(self) -> None:
-        self.nodes = np.asarray(self.nodes, dtype=float)
+        object.__setattr__(self, "nodes", readonly(self.nodes))
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
             raise ConfigError(f"nodes must be an (n, 2) array, got shape {self.nodes.shape}")
+        object.__setattr__(self, "elements", tuple(self.elements))
+        object.__setattr__(self, "supports", tuple(self.supports))
+        object.__setattr__(self, "lines", MappingProxyType({name: tuple(path) for name, path in self.lines.items()}))
+
+    @cached_property
+    def assembled(self):
+        """(StiffnessMatrix, DofMap): the model's one :func:`bridgetwin.fem.assemble`."""
+        from . import fem
+
+        return fem.assemble(self)
 
     @property
     def n_nodes(self) -> int:
@@ -337,7 +348,7 @@ class GrillageModel:
         xs = self.nodes[:, 0]
         return float(xs.max() - xs.min())
 
-    def line_nodes(self, name: str) -> list[int]:
+    def line_nodes(self, name: str) -> tuple[int, ...]:
         try:
             return self.lines[name]
         except KeyError:
@@ -431,15 +442,14 @@ class GrillageModel:
         return candidates[k], t
 
 
-def validate_model(model: GrillageModel) -> ValidationReport:
+def validate_model(model: GrillageModel) -> tuple[str, ...]:
     """Check a model for non-physical data and unconstrained rigid modes.
 
-    Always returns a report; never raises. The rigid-body check attempts a
-    Cholesky factorization of the constrained stiffness matrix and is
-    skipped when earlier violations make assembly meaningless.
+    Returns the violations found; never raises. The rigid-body check is the
+    model's own assembly, whose trial Cholesky factorization fails on rigid
+    modes; it is skipped when earlier violations make assembly meaningless.
     """
-    report = ValidationReport()
-    v = report.violations
+    v = []
 
     if not np.all(np.isfinite(model.nodes)):
         v.append("node coordinates contain non-finite values")
@@ -476,13 +486,13 @@ def validate_model(model: GrillageModel) -> ValidationReport:
             v.append(f"line {name!r} references undefined node")
 
     if not v:
-        from . import fem
+        from .fem import FactorizationError
 
         try:
-            fem.assemble(model)
-        except fem.FactorizationError:
+            model.assembled
+        except FactorizationError:
             v.append("supports leave rigid body modes unconstrained")
-    return report
+    return tuple(v)
 
 
 # -- configuration ingestion -------------------------------------------------
@@ -590,13 +600,8 @@ def cantilever_template(
     length: float, n_elements: int, section: SectionSpec, line_name: str = "main"
 ) -> GrillageModel:
     """A beam along x fully fixed at node 0."""
-    if length <= 0.0 or n_elements < 1:
-        raise ConfigError("need positive length and at least one element")
-    n = n_elements + 1
-    nodes = np.column_stack([np.linspace(0.0, length, n), np.zeros(n)])
-    elements = [Element(k, k + 1, section) for k in range(n_elements)]
-    supports = [Support(0, frozenset(DOF_NAMES))]
-    return GrillageModel(nodes, elements, supports, {line_name: list(range(n))}, deck_spacing=length / n_elements)
+    beam = simply_supported_beam_template(length, n_elements, section, line_name)
+    return replace(beam, supports=[Support(0, frozenset(DOF_NAMES))])
 
 
 def _build_template(cfg: Fields, sections: dict[str, SectionSpec]) -> GrillageModel:
@@ -676,9 +681,9 @@ def _build_model(root: Fields) -> GrillageModel:
     else:
         model = _build_tables(geometry, sections)
 
-    report = validate_model(model)
-    if not report.ok:
-        raise ConfigError(str(report))
+    violations = validate_model(model)
+    if violations:
+        raise ConfigError("; ".join(violations))
     return model
 
 

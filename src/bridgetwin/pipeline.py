@@ -5,15 +5,16 @@ random deck load and one list of gauge descriptions. Only these inputs are
 settable: the gauge layout, assembled system, strain operator and load
 series are built from them when the context is made, and the propagated
 priors on first use. Commands and tests build the context once and pull
-windows, priors and observation sets from it. The context is frozen, so no
-input can change underneath what it derived; ``dataclasses.replace`` with
-new inputs rebuilds the rest.
+windows, priors and observation sets from it. The context and all it holds
+or hands out are read-only, so no input can change underneath what it
+derived; ``dataclasses.replace`` with new inputs rebuilds the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
+from types import MappingProxyType
 
 import numpy as np
 
@@ -23,13 +24,12 @@ from .fem import (
     PriorEnsemble,
     StiffnessMatrix,
     StrainOperator,
-    assemble,
     build_strain_operator,
     propagate_prior_series,
 )
 from .loading import (LoadSeries, RandomLoadSpec, TrainScenario, force_covariance, load_scenario_config,
                       load_series)
-from .model import ConfigError, GrillageModel, load_model_config
+from .model import ConfigError, GrillageModel, load_model_config, readonly
 from .statfem import ObservationSet, SensorLayout
 
 _MATCH_TOL = 1e-9
@@ -42,7 +42,7 @@ class TwinContext:
     model: GrillageModel
     scenario: TrainScenario
     random_load: RandomLoadSpec
-    sensor_entries: tuple[dict, ...]
+    sensor_entries: tuple[MappingProxyType, ...]
     layout: SensorLayout = field(init=False)
     dof_map: DofMap = field(init=False)
     stiffness: StiffnessMatrix = field(init=False)
@@ -51,8 +51,8 @@ class TwinContext:
 
     def __post_init__(self) -> None:
         derive = partial(object.__setattr__, self)
-        derive("sensor_entries", tuple(self.sensor_entries))
-        stiffness, dof_map = assemble(self.model)
+        derive("sensor_entries", tuple(MappingProxyType(dict(entry)) for entry in self.sensor_entries))
+        stiffness, dof_map = self.model.assembled
         derive("stiffness", stiffness)
         derive("dof_map", dof_map)
         derive("layout", SensorLayout.resolve(self.model, self.sensor_entries))
@@ -70,7 +70,7 @@ class TwinContext:
 
     @cached_property
     def _force_cov(self) -> np.ndarray:
-        return force_covariance(self.model, self.dof_map, self.random_load)
+        return readonly(force_covariance(self.model, self.dof_map, self.random_load))
 
     @cached_property
     def _prior(self) -> PriorEnsemble:
@@ -86,8 +86,7 @@ class TwinContext:
         that one covariance.
         """
         full = self._prior
-        means = full.means if indices is None else full.means[:, np.asarray(indices)]
-        return PriorEnsemble(means, full.cov, jitter=full.jitter)
+        return full if indices is None else replace(full, means=full.means[:, np.asarray(indices)])
 
     def strain_means(self, indices=None) -> np.ndarray:
         """Deterministic model strains P u_k at the selected instants."""

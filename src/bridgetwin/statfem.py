@@ -27,7 +27,7 @@ import numpy as np
 
 from .fem import FactorizationError, GaussianBelief, operator_matrix, sq_exp_correlation, squared_distances
 from .loading import select_window
-from .model import ConfigError, GrillageModel
+from .model import ConfigError, GrillageModel, readonly
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -69,6 +69,10 @@ class Sensor:
     t: float
     line: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.fiber not in ("top", "bottom"):
+            raise ConfigError(f"sensor {self.id!r} has unknown fiber {self.fiber!r}")
+
 
 @dataclass(frozen=True)
 class SensorLayout:
@@ -89,9 +93,6 @@ class SensorLayout:
         ids = [s.id for s in self.sensors]
         if len(set(ids)) != len(ids):
             raise ConfigError("sensor ids must be unique")
-        for s in self.sensors:
-            if s.fiber not in ("top", "bottom"):
-                raise ConfigError(f"sensor {s.id!r} has unknown fiber {s.fiber!r}")
 
     def __len__(self) -> int:
         return len(self.sensors)
@@ -106,7 +107,7 @@ class SensorLayout:
 
     @cached_property
     def _d2(self) -> np.ndarray:
-        return squared_distances(self.points)
+        return readonly(squared_distances(self.points))
 
     def squared_distances(self) -> np.ndarray:
         """Pairwise squared plan distances of the gauges, computed once per layout."""
@@ -135,11 +136,8 @@ class SensorLayout:
         for line in dict.fromkeys(lines):
             rows = [i for i, name in enumerate(lines) if name == line]
             elements[rows], ts[rows] = model.locate_point(xy[rows, 0], xy[rows, 1], tol, line=line)
-        return cls(tuple(
-            Sensor(str(entry["id"]), x, y, str(entry["fiber"]), int(k), float(t),
-                   None if entry.get("line") is None else str(entry["line"]))
-            for entry, (x, y), k, t in zip(entries, xy.tolist(), elements, ts)
-        ))
+        return cls(tuple(Sensor(str(entry["id"]), x, y, str(entry["fiber"]), int(k), float(t), line)
+                         for entry, (x, y), k, t, line in zip(entries, xy.tolist(), elements, ts, lines)))
 
 
 def _squared_distances(layout_or_points) -> np.ndarray:
@@ -180,7 +178,7 @@ def noise_covariance(n_sensors: int, sigma_e: float) -> np.ndarray:
     return sigma_e * sigma_e * np.eye(n_sensors)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObservationSet:
     """Gauge strain recordings over a set of instants.
 
@@ -196,9 +194,8 @@ class ObservationSet:
     layout: SensorLayout
 
     def __post_init__(self) -> None:
-        self.strains = np.asarray(self.strains, dtype=float)
-        self.timestamps = np.asarray(self.timestamps, dtype=float)
-        self.gamma = np.asarray(self.gamma, dtype=float)
+        for name in ("strains", "timestamps", "gamma"):
+            object.__setattr__(self, name, readonly(getattr(self, name)))
         if self.strains.ndim != 2:
             raise ValueError("strains must be (n_sensors, n_instants)")
         n_y, n_o = self.strains.shape
@@ -274,8 +271,8 @@ def displacement_posterior(
     n_y, n_u = p.shape
     if y.shape[0] != n_y:
         raise ValueError(f"data has {y.shape[0]} rows, operator has {n_y}")
-    if prior.dim != n_u:
-        raise ValueError(f"prior dimension {prior.dim} does not match operator columns {n_u}")
+    if prior.mean.shape[0] != n_u:
+        raise ValueError(f"prior dimension {prior.mean.shape[0]} does not match operator columns {n_u}")
 
     rho = w.rho
     gain = prior.cov @ p.T  # C_u P^T

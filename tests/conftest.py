@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from bridgetwin import fem
 from bridgetwin.dataio import read_layout_entries
 from bridgetwin.loading import RandomLoadSpec, load_scenario_config
 from bridgetwin.model import (
@@ -58,6 +59,26 @@ def study_ctx():
     return TwinContext(load_model_config(BRIDGE_YAML), scenario,
                        RandomLoadSpec(sigma=150.0, length_scale=1.0),
                        read_layout_entries(SENSORS_EAST))
+
+
+@pytest.fixture()
+def assemble_calls(monkeypatch):
+    """The models handed to ``fem.assemble`` while the test runs. Every
+    package module that holds the function gets a counting one, so a call
+    through a name imported from ``fem`` is counted too."""
+    calls = []
+    assemble = fem.assemble
+
+    def counted(model):
+        calls.append(model)
+        return assemble(model)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bridgetwin"):
+            for attr, value in list(vars(module).items()):
+                if value is assemble:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 @pytest.fixture()

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from bridgetwin import cli
 from bridgetwin.cli import fbg_mechanical_strain
@@ -76,6 +77,22 @@ class TestModelCommand:
         out = capsys.readouterr().out
         assert "nodes" in out and "span" in out
         assert "validation: ok\n" in out
+
+    @pytest.mark.parametrize("action", ["build", "info"])
+    def test_assembles_once(self, tmp_path, assemble_calls, action):
+        """Validation's rigid-body check and the stiffness range that
+        ``info`` prints read one assembly of the model."""
+        assert cli.main(["model", action, "--config", BRIDGE_YAML, "--out", str(tmp_path)]) == 0
+        assert len(assemble_calls) == 1
+
+    def test_floating_model_exits_2(self, tmp_path, capsys):
+        source = Path(BRIDGE_YAML).read_text()
+        path = tmp_path / "floating.yaml"
+        path.write_text(yaml.safe_dump({**yaml.safe_load(source), "geometry": {
+            "nodes": [[0, 0.0, 0.0], [1, 5.0, 0.0]], "elements": [[0, 1, "girder"]], "supports": []}}))
+        assert cli.main(["model", "build", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: config: supports leave rigid body modes unconstrained"]
 
     def test_manifest_records_the_thread_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")

@@ -27,6 +27,7 @@ from bridgetwin.dataio import (
     write_sensor_bands,
     write_table,
 )
+from bridgetwin.inference import Estimate
 from bridgetwin.statfem import Hyperparameters, ObservationSet, Sensor, SensorLayout
 
 
@@ -446,11 +447,16 @@ class TestObservationTable:
             read_observation_table(path)
 
 
+def _estimate(w):
+    """The estimate record of a chain whose point estimate is ``w``."""
+    return Estimate(w, components=(), acceptance_rate=0.0, n_kept=0)
+
+
 class TestEstimateFile:
     def test_round_trip(self, tmp_path):
         w = Hyperparameters(rho=0.37281946, sigma_d=4.0917e-6, ell_d=1.7320508)
         path = tmp_path / "est.json"
-        write_estimate(path, w)
+        write_estimate(path, _estimate(w))
         again = read_estimate(path)
         assert again.rho == w.rho
         assert again.ell_d == w.ell_d
@@ -460,7 +466,7 @@ class TestEstimateFile:
     def test_sigma_stored_in_microstrain(self, tmp_path):
         w = Hyperparameters(rho=1.0, sigma_d=4e-6, ell_d=1.0)
         path = tmp_path / "est.json"
-        write_estimate(path, w)
+        write_estimate(path, _estimate(w))
         import json
         raw = json.loads(path.read_text())
         assert raw["sigma_d_microstrain"] == pytest.approx(4.0)

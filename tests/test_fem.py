@@ -107,7 +107,7 @@ def _looped_stiffness(model):
         t = element_transform(c, s)
         k_full[np.ix_(slot, slot)] += t.T @ _reference_element_stiffness(e.section, length) @ t
     k_full = 0.5 * (k_full + k_full.T)
-    keep = [3 * node + dof for node, dof in dof_map.free]
+    keep = [3 * node + dof for node, dof in np.argwhere(dof_map.index >= 0)]
     return k_full[np.ix_(keep, keep)]
 
 

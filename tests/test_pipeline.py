@@ -9,7 +9,7 @@ from bridgetwin.model import ConfigError
 from bridgetwin.pipeline import TwinContext
 from bridgetwin.synth import DiscrepancySpec, generate_observations, generate_truth
 
-from conftest import BRIDGE_YAML, SENSORS_WEST, TRAIN_YAML
+from conftest import BRIDGE_YAML, SENSORS_EAST, SENSORS_WEST, TRAIN_YAML
 
 
 class TestBuild:
@@ -69,10 +69,64 @@ class TestBuild:
                                                  bundled_ctx.sensor_entries))
 
 
+@pytest.fixture(scope="module")
+def own_ctx():
+    """A context of this module's own, so that an edit which got through
+    could not reach the other modules' contexts."""
+    return TwinContext.from_files(BRIDGE_YAML, TRAIN_YAML, SENSORS_EAST)
+
+
+def _write_force_cov(ctx):
+    ctx.force_cov()[0, 0] = 0.0
+
+
+def _write_prior_means(ctx):
+    ctx.prior_series().means[:, 300] = 0.0
+
+
+def _write_squared_distances(ctx):
+    ctx.layout.squared_distances()[0, 1] = 0.0
+
+
+class TestNothingGoesStale:
+    """An in-place edit of what a context holds or hands out raises, so
+    nothing the context derived can go stale."""
+
+    def test_one_assembly_per_context(self, assemble_calls):
+        TwinContext.from_files(BRIDGE_YAML, TRAIN_YAML, SENSORS_EAST)
+        assert len(assemble_calls) == 1
+
+    def test_model_nodes_are_read_only(self, own_ctx):
+        with pytest.raises(ValueError, match="read-only"):
+            own_ctx.model.nodes[:, 0] *= 2.0
+        np.testing.assert_array_equal(own_ctx.stiffness.matrix,
+                                      TwinContext(own_ctx.model, own_ctx.scenario, own_ctx.random_load,
+                                                  own_ctx.sensor_entries).stiffness.matrix)
+
+    def test_sensor_entries_are_read_only(self, own_ctx):
+        with pytest.raises(TypeError):
+            own_ctx.sensor_entries[0]["x"] = 5.0
+        assert own_ctx.layout.sensors[0].x == own_ctx.sensor_entries[0]["x"]
+
+    def test_observation_noise_is_not_settable(self, own_ctx):
+        obs = own_ctx.observations_from_arrays(own_ctx.strain_means(), own_ctx.series.timestamps, 1e-6)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obs.sigma_e = float("nan")
+        assert obs.sigma_e == 1e-6
+
+    @pytest.mark.parametrize("write", [_write_force_cov, _write_prior_means, _write_squared_distances],
+                             ids=["force_cov", "prior_series", "squared_distances"])
+    def test_cached_results_are_read_only(self, own_ctx, write):
+        before = own_ctx.strain_means()
+        with pytest.raises(ValueError, match="read-only"):
+            write(own_ctx)
+        np.testing.assert_array_equal(own_ctx.strain_means(), before)
+
+
 def _assert_same_pieces(ctx, fresh):
     """Every derived piece of ``ctx`` equals the one a fresh context built."""
     assert ctx.layout == fresh.layout
-    assert ctx.dof_map.free == fresh.dof_map.free
+    assert ctx.dof_map.n_free == fresh.dof_map.n_free
     np.testing.assert_array_equal(ctx.dof_map.index, fresh.dof_map.index)
     np.testing.assert_array_equal(ctx.stiffness.matrix, fresh.stiffness.matrix)
     np.testing.assert_array_equal(ctx.strain_op.matrix, fresh.strain_op.matrix)

@@ -114,6 +114,15 @@ class TestSensorLayout:
         assert top.fiber == "top"
         assert top.x == pytest.approx(3.92)
 
+    def test_unknown_fiber_is_refused_by_the_sensor(self, bundled_ctx):
+        """One check covers a layout read from a file and sensors handed
+        straight to the strain operator."""
+        with pytest.raises(ConfigError, match="sensor 'a' has unknown fiber 'side'"):
+            Sensor("a", 0.0, 0.0, "side", 0, 0.0, "main")
+        entry = {"id": "a", "x": 3.92, "y": 0.0, "fiber": "side", "line": "east"}
+        with pytest.raises(ConfigError, match="unknown fiber"):
+            SensorLayout.resolve(bundled_ctx.model, [entry])
+
     def test_ids_must_be_unique(self):
         with pytest.raises(ConfigError):
             SensorLayout(sensors=(

@@ -1,9 +1,10 @@
 import ast
 import dataclasses
-import functools
 import importlib
+from collections.abc import Mapping
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "bridgetwin").glob("*.py"))
@@ -37,17 +38,52 @@ def test_dataclasses_hold_no_derived_state_that_replace_would_copy():
     into the new object, and only ``init=False`` fields are built afresh. A
     field named like a private cache would carry what was derived from the
     old inputs past a change of input, so it must be a ``cached_property``
-    instead. A ``cached_property`` is safe only on a
-    frozen dataclass, where no input can change underneath the value it
-    holds."""
+    instead."""
     classes = list(_package_dataclasses())
     assert {cls.__name__ for cls in classes} >= {"TwinContext", "SensorLayout", "PriorEnsemble"}
-    offenders = []
-    for cls in classes:
-        offenders += [f"{cls.__name__}.{f.name} is a field" for f in dataclasses.fields(cls)
-                      if f.name.startswith("_")]
-        if not cls.__dataclass_params__.frozen:
-            offenders += [f"{cls.__name__}.{name} caches on a mutable dataclass"
-                          for klass in cls.__mro__ for name, value in vars(klass).items()
-                          if isinstance(value, functools.cached_property)]
+    offenders = [f"{cls.__name__}.{f.name} is a field"
+                 for cls in classes for f in dataclasses.fields(cls) if f.name.startswith("_")]
     assert offenders == []
+
+
+def test_every_package_dataclass_is_frozen():
+    """Package values are values: no field can be assigned after
+    construction, so nothing a ``cached_property`` or a holder derived from
+    one can go stale. ``dataclasses.replace`` makes a changed value."""
+    classes = list(_package_dataclasses())
+    assert {cls.__name__ for cls in classes} >= {"GrillageModel", "ObservationSet", "GaussianBelief", "Chain",
+                                                 "LoadSeries", "StiffnessMatrix", "StrainOperator"}
+    assert [cls.__name__ for cls in classes if not cls.__dataclass_params__.frozen] == []
+
+
+def _arrays(value, path: str, seen: set):
+    """(path, array) of every ndarray reachable from ``value`` through the
+    attributes of dataclass instances, which include their cached values,
+    and through tuples and mappings; each object is visited once."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        yield path, value
+    elif dataclasses.is_dataclass(value):
+        for name, item in vars(value).items():
+            yield from _arrays(item, f"{path}.{name}", seen)
+    elif isinstance(value, (tuple, list)):
+        for k, item in enumerate(value):
+            yield from _arrays(item, f"{path}[{k}]", seen)
+    elif isinstance(value, Mapping):
+        for key, item in value.items():
+            yield from _arrays(item, f"{path}[{key!r}]", seen)
+
+
+def test_no_array_a_context_holds_is_writeable(bundled_ctx):
+    """Every array a context holds, cached results included, is read-only,
+    so none can be edited underneath what was derived from it."""
+    bundled_ctx.prior_series()
+    bundled_ctx.force_cov()
+    bundled_ctx.layout.squared_distances()
+    arrays = dict(_arrays(bundled_ctx, "ctx", set()))
+    assert arrays.keys() >= {"ctx.model.nodes", "ctx.model.assembled[0].matrix", "ctx.model.assembled[1].index",
+                             "ctx.layout._d2", "ctx.strain_op.matrix", "ctx.series.forces", "ctx._force_cov",
+                             "ctx._prior.means", "ctx._prior.cov"}
+    assert [path for path, array in arrays.items() if array.flags.writeable] == []
