@@ -35,6 +35,7 @@ from .statfem import (
     displacement_posterior,
     strain_predictive,
     true_strain_posterior,
+    window_indices,
 )
 from .synth import DiscrepancySpec, generate_observations, generate_truth
 
@@ -125,13 +126,21 @@ def _resolve_w_star(spec: str) -> Hyperparameters:
     return dataio.parse_hyperparameters(spec)
 
 
-def _windowed(args) -> tuple[TwinContext, ObservationSet]:
-    """The context and the recording cut to --window, --stride and --gamma-min."""
+def _windowed(args, time: float | None = None) -> tuple[TwinContext, ObservationSet]:
+    """The context and the recording cut to --window, --stride and
+    --gamma-min and, given a ``time``, to the one windowed instant nearest
+    it. Every row's cell count and time cell are checked, but only the kept
+    rows' strain cells are parsed, and those of the quiet head when
+    --sigma-e is omitted."""
     ctx = TwinContext.from_files(args.model, args.scenario, args.sensors)
     sigma_e = None if args.sigma_e is None else args.sigma_e * dataio.MICROSTRAIN
     t0, t1 = args.window if args.window else (None, None)
-    obs = ctx.observations_from_csv(args.obs, sigma_e=sigma_e)
-    return ctx, obs.window(t0, t1, stride=args.stride, gamma_min=args.gamma_min)
+
+    def rows(timestamps, gamma):
+        idx = window_indices(timestamps, gamma, t0, t1, args.stride, args.gamma_min)
+        return idx if time is None else idx[[int(np.argmin(np.abs(timestamps[idx] - time)))]]
+
+    return ctx, ctx.observations_from_csv(args.obs, sigma_e=sigma_e, rows=rows)
 
 
 # -- subcommand bodies --------------------------------------------------------
@@ -250,23 +259,21 @@ def _cmd_infer(args) -> int:
     return 0
 
 
-def _posterior_pieces(ctx: TwinContext, obs, w: Hyperparameters, time: float):
-    """Windowed instant nearest ``time``, its mismatch covariance and conditioned dofs."""
-    k = int(np.argmin(np.abs(obs.timestamps - time)))
-    t_k = float(obs.timestamps[k])
-    gamma_k = float(obs.gamma[k])
-    series_idx = ctx.match_instants(np.array([t_k]))
-    prior_k = ctx.prior_series(series_idx).instant(0)
+def _posterior_pieces(ctx: TwinContext, obs, w: Hyperparameters):
+    """The one instant of ``obs``, its mismatch covariance and conditioned dofs."""
+    t_k = float(obs.timestamps[0])
+    gamma_k = float(obs.gamma[0])
+    prior_k = ctx.prior_series(ctx.match_instants(obs.timestamps)).instant(0)
     c_d = mismatch_covariance(ctx.layout, w, gamma_k)
     c_e = noise_covariance(obs.n_sensors, obs.sigma_e)
-    post_u = displacement_posterior(obs.strains[:, k], w, prior_k, ctx.strain_op, c_d, c_e)
-    return k, t_k, gamma_k, prior_k, c_d, post_u
+    post_u = displacement_posterior(obs.strains[:, 0], w, prior_k, ctx.strain_op, c_d, c_e)
+    return t_k, gamma_k, prior_k, c_d, post_u
 
 
 def _cmd_posterior(args) -> int:
-    ctx, obs = _windowed(args)
+    ctx, obs = _windowed(args, args.time)
     w = _resolve_w_star(args.w_star)
-    k, t_k, gamma_k, prior_k, c_d, post_u = _posterior_pieces(ctx, obs, w, args.time)
+    t_k, gamma_k, prior_k, c_d, post_u = _posterior_pieces(ctx, obs, w)
 
     prior_strain = prior_k.project(ctx.strain_op)
     fe_strain = post_u.project(ctx.strain_op)
@@ -277,7 +284,7 @@ def _cmd_posterior(args) -> int:
     bands = {"prior": prior_strain, "fe": fe_strain, "z": z}
     dataio.write_sensor_bands(str(out), t_k, gamma_k, ctx.layout.sensors,
                               {name: (b.mean, b.std()) for name, b in bands.items()},
-                              observed=obs.strains[:, k])
+                              observed=obs.strains[:, 0])
     print(f"wrote {out}: instant t={t_k:.6g} s (gamma {gamma_k:.3f}), "
           f"{len(ctx.layout)} sensors, prior jitter {post_u.jitter:.3e}")
     _write_manifest(Path(str(out) + ".manifest.json"), "posterior", args, [out])
@@ -285,9 +292,9 @@ def _cmd_posterior(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    ctx, obs = _windowed(args)
+    ctx, obs = _windowed(args, args.time)
     w = _resolve_w_star(args.w_star)
-    k, t_k, gamma_k, _, _, post_u = _posterior_pieces(ctx, obs, w, args.time)
+    t_k, gamma_k, _, _, post_u = _posterior_pieces(ctx, obs, w)
 
     held_out = SensorLayout.resolve(ctx.model, dataio.read_layout_entries(args.locations))
     op = ctx.operator_for(held_out)

@@ -14,6 +14,9 @@ and read a block of rows at a time: a block's strain cells are rendered by
 one bulk ``%e`` conversion and array-level digit and exponent shuffling, and
 read by one grammar check and one float() pass. The per-cell functions
 ``format_microstrain`` and ``parse_microstrain`` are the one-cell blocks.
+A recording is read in two steps: ``read_recording`` checks every row's
+cell count and time cell, and its ``strains`` parses the strain cells of
+the rows a caller keeps, so a query pays for the rows it answers.
 """
 
 from __future__ import annotations
@@ -24,10 +27,11 @@ import itertools
 import json
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigError, Fields
+from .model import ConfigError, Fields, readonly
 from .statfem import Hyperparameters, ObservationSet
 
 MICROSTRAIN = 1e-6
@@ -139,12 +143,13 @@ _CELL = re.compile(r"\s*[+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?\s*,")
 _EXPONENT = re.compile("[eE]")
 
 
-def _parse_microstrain(cells: list[str]) -> np.ndarray | None:
-    """Internal strain values of microstrain literals, or None when a cell is
-    not a finite decimal literal. Each literal's decimal exponent is lowered
-    by 6 in text and float() rounds the result once, correctly."""
-    text = ",".join(cells) + ","
-    if text.count(",") != len(cells) or _CELL.sub("", text):
+def _parse_microstrain(text: str, n_cells: int) -> np.ndarray | None:
+    """Internal strain values of ``n_cells`` comma-separated microstrain
+    literals, or None when a cell is not a finite decimal literal. Each
+    literal's decimal exponent is lowered by 6 in text and float() rounds
+    the result once, correctly."""
+    text += ","
+    if text.count(",") != n_cells or _CELL.sub("", text):
         return None
     text = "".join(text.split())
     lowered = text.replace(",", "e-6,")[:-1].split(",")
@@ -155,7 +160,7 @@ def _parse_microstrain(cells: list[str]) -> np.ndarray | None:
         for i in np.searchsorted(ends, np.flatnonzero(b | 32 == ord("e"))).tolist():
             mantissa, exponent = _EXPONENT.split(lowered[i][:-3])
             lowered[i] = f"{mantissa}e{int(exponent) - 6}"
-    return np.fromiter(map(float, lowered), float, len(cells))
+    return np.fromiter(map(float, lowered), float, n_cells)
 
 
 def parse_microstrain(text: str) -> float:
@@ -165,7 +170,7 @@ def parse_microstrain(text: str) -> float:
     result once, correctly; anything but a finite decimal literal raises
     ValueError.
     """
-    values = _parse_microstrain([text])
+    values = _parse_microstrain(text, 1)
     if values is None:
         raise ValueError(f"not a finite decimal literal: {text.strip()!r}")
     return float(values[0])
@@ -267,20 +272,54 @@ def write_observations(path: str, obs: ObservationSet) -> None:
                 [_si_cells(obs.timestamps), *obs.strains])
 
 
-def _strain_block(path: str, ids: list[str], block: list) -> np.ndarray:
-    """The strain cells of a block of (line, row) recording rows, row by row."""
-    cells = [cell for _, row in block for cell in row[1:]]
-    values = _parse_microstrain(cells)
-    if values is None:
-        i = next(i for i, cell in enumerate(cells) if _parse_microstrain([cell]) is None)
-        line = block[i // len(ids)][0]
-        raise ValueError(f"{path}:{line}: sensor {ids[i % len(ids)]}: "
-                         f"not a finite decimal literal: {cells[i].strip()!r}")
-    return values
+@dataclass(frozen=True)
+class Recording:
+    """A recording CSV read up to its strain cells: the sensor ids, and the
+    line, timestamp and strain text of every row. Every row's cell count
+    and time cell are checked when it is read; :meth:`strains` parses the
+    strain cells of the rows asked for, and only those."""
+
+    path: str
+    ids: tuple[str, ...]
+    lines: tuple[int, ...]
+    timestamps: np.ndarray
+    # each row's strain cells joined by commas, or the cells themselves when one holds a comma
+    cells: tuple
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "timestamps", readonly(self.timestamps))
+
+    def strains(self, rows=None) -> np.ndarray:
+        """Strains (n_y, len(rows)) of the rows at the given indices, every
+        row by default, parsed a block of about _BLOCK_CELLS cells at a
+        time. A cell that is not a finite decimal literal raises ValueError
+        naming its path:line and sensor."""
+        rows = range(len(self.cells)) if rows is None else np.asarray(rows, dtype=int).tolist()
+        n_y = len(self.ids)
+        step = max(1, _BLOCK_CELLS // n_y)
+        blocks = [self._parse(rows[lo:lo + step]) for lo in range(0, len(rows), step)]
+        return (np.concatenate(blocks) if blocks else np.empty(0)).reshape(-1, n_y).T
+
+    def _cells(self, row: int):
+        cells = self.cells[row]
+        return cells.split(",") if isinstance(cells, str) else cells
+
+    def _parse(self, rows: list[int]) -> np.ndarray:
+        text = ",".join(c if isinstance(c, str) else ",".join(c) for c in map(self.cells.__getitem__, rows))
+        values = _parse_microstrain(text, len(rows) * len(self.ids))
+        if values is None:
+            i, sensor, cell = next((i, sensor, cell) for i in rows for sensor, cell in zip(self.ids, self._cells(i))
+                                   if _parse_microstrain(cell, 1) is None)
+            raise ValueError(f"{self.path}:{self.lines[i]}: sensor {sensor}: "
+                             f"not a finite decimal literal: {cell.strip()!r}")
+        return values
 
 
-def read_observation_table(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Read a recording CSV: (sensor ids, timestamps, strains (n_y, n_o))."""
+def read_recording(path: str) -> Recording:
+    """Read a recording CSV up to its strain cells. A row with the wrong
+    number of cells or a time cell that is not a finite number raises
+    ValueError naming its path:line, wherever it is; no strain cell is
+    parsed yet."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -291,15 +330,22 @@ def read_observation_table(path: str) -> tuple[list[str], np.ndarray, np.ndarray
         ids = header[1:]
         if not ids:
             raise ValueError(f"{path} has no sensor columns")
-        rows = _rows(path, reader, len(ids) + 1, len(ids) + 1)
-        step = max(1, _BLOCK_CELLS // len(ids))
-        times, strains = [], []
-        while block := list(itertools.islice(rows, step)):
-            times.append(_finite_column(path, "t", [line for line, _ in block], [row[0] for _, row in block]))
-            strains.append(_strain_block(path, ids, block))
-    if not times:
+        lines, times, cells = [], [], []
+        for line, row in _rows(path, reader, len(ids) + 1, len(ids) + 1):
+            text = ",".join(row[1:])
+            lines.append(line)
+            times.append(row[0])
+            cells.append(text if text.count(",") == len(ids) - 1 else tuple(row[1:]))
+    if not lines:
         raise ValueError(f"{path} holds no data rows")
-    return ids, np.concatenate(times), np.concatenate(strains).reshape(-1, len(ids)).T
+    return Recording(path, tuple(ids), tuple(lines), _finite_column(path, "t", lines, times), tuple(cells))
+
+
+def read_observation_table(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Read a recording CSV: (sensor ids, timestamps, strains (n_y, n_o)),
+    every row parsed; :func:`read_recording` with all of its rows."""
+    recording = read_recording(path)
+    return list(recording.ids), recording.timestamps, recording.strains()
 
 
 # -- sensor layouts -----------------------------------------------------------

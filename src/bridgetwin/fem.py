@@ -275,10 +275,13 @@ def chol_psd(cov: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def squared_distances(points) -> np.ndarray:
-    """Pairwise squared plan distances between the rows of an (n, 2) array."""
+    """Pairwise squared plan distances between the rows of an (n, 2) array,
+    dx^2 + dy^2 from the two coordinate columns, with no (n, n, 2)
+    temporary."""
     p = np.asarray(points, dtype=float)
-    diff = p[:, None, :] - p[None, :, :]
-    return np.sum(diff * diff, axis=-1)
+    dx = p[:, 0, None] - p[None, :, 0]
+    dy = p[:, 1, None] - p[None, :, 1]
+    return dx * dx + dy * dy
 
 
 def sq_exp_correlation(d2: np.ndarray, ell: float) -> np.ndarray:

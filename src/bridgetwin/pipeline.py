@@ -28,7 +28,7 @@ from .fem import (
     propagate_prior_series,
 )
 from .loading import (LoadSeries, RandomLoadSpec, TrainScenario, force_covariance, load_scenario_config,
-                      load_series)
+                      load_series, select_window)
 from .model import ConfigError, GrillageModel, load_model_config, readonly
 from .statfem import ObservationSet, SensorLayout
 
@@ -119,23 +119,33 @@ class TwinContext:
         idx = self.match_instants(timestamps)
         return ObservationSet(strains, timestamps, sigma_e, self.series.gamma[idx], self.layout)
 
-    def observations_from_csv(self, path: str, sigma_e: float | None = None) -> ObservationSet:
+    def observations_from_csv(self, path: str, sigma_e: float | None = None, rows=None) -> ObservationSet:
         """Ingest a recording CSV against this context.
 
         Column order must match the layout ids exactly; the per-instant
-        load levels are reconstructed from the scenario. When ``sigma_e``
-        is not given it is estimated from the first half second of the
-        recording.
+        load levels are reconstructed from the scenario. ``rows``, when
+        given, is called with the timestamps and load levels of every row
+        and returns the indices of the rows to keep; every row is kept by
+        default. Every row's cell count and time cell are checked and
+        every timestamp is matched to the scenario cadence first; then only
+        the kept rows' strain cells are parsed. When ``sigma_e`` is not
+        given it is estimated from the first half second of the whole
+        recording, whose rows are parsed as well.
         """
-        ids, timestamps, strains = dataio.read_observation_table(path)
+        recording = dataio.read_recording(path)
+        ids, timestamps = list(recording.ids), recording.timestamps
         if ids != self.layout.ids:
             raise ConfigError(
                 f"{path} columns {ids[:4]}... do not match the sensor layout {self.layout.ids[:4]}..."
             )
-        obs = self.observations_from_arrays(strains, timestamps, 0.0 if sigma_e is None else sigma_e)
-        if sigma_e is None:
-            from .synth import estimate_noise_std
+        gamma = self.series.gamma[self.match_instants(timestamps)]
+        kept = np.arange(timestamps.size) if rows is None else np.asarray(rows(timestamps, gamma))
+        if sigma_e is not None:
+            return self.observations_from_arrays(recording.strains(kept), timestamps[kept], sigma_e)
+        from .synth import estimate_noise_std
 
-            t0 = float(timestamps[0])
-            obs = replace(obs, sigma_e=estimate_noise_std(obs, (t0, t0 + _QUIET_HEAD)))
-        return obs
+        t0 = float(timestamps[0])
+        quiet = (t0, t0 + _QUIET_HEAD)
+        parsed = np.union1d(select_window(timestamps, *quiet), kept)
+        obs = self.observations_from_arrays(recording.strains(parsed), timestamps[parsed], 0.0)
+        return replace(obs.select(np.searchsorted(parsed, kept)), sigma_e=estimate_noise_std(obs, quiet))

@@ -233,12 +233,27 @@ class ObservationSet:
         gamma_min: float | None = DEFAULT_GAMMA_MIN,
     ) -> "ObservationSet":
         """Restrict to [t0, t1], thin by stride, drop quiescent instants."""
-        idx = select_window(self.timestamps, t0, t1, stride)
-        if gamma_min is not None:
-            idx = idx[self.gamma[idx] >= gamma_min]
-        if idx.size == 0:
-            raise ValueError("empty effective observation window")
-        return self.select(idx)
+        return self.select(window_indices(self.timestamps, self.gamma, t0, t1, stride, gamma_min))
+
+
+def window_indices(
+    timestamps: np.ndarray,
+    gamma: np.ndarray,
+    t0: float | None = None,
+    t1: float | None = None,
+    stride: int = 1,
+    gamma_min: float | None = DEFAULT_GAMMA_MIN,
+) -> np.ndarray:
+    """Indices of the instants inside [t0, t1], thinned by stride, whose
+    load level ``gamma`` is at least ``gamma_min``: the one window rule of
+    :meth:`ObservationSet.window` and of a recording's rows before they are
+    parsed. An empty window raises ValueError."""
+    idx = select_window(timestamps, t0, t1, stride)
+    if gamma_min is not None:
+        idx = idx[np.asarray(gamma)[idx] >= gamma_min]
+    if idx.size == 0:
+        raise ValueError("empty effective observation window")
+    return idx
 
 
 def displacement_posterior(

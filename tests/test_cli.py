@@ -175,6 +175,17 @@ def _synth(tmp_path, name="obs.csv", seed="3"):
     return out
 
 
+def _with_cell(path, out, line, column, cell):
+    """A copy of the recording at ``path`` with the cell at ``line`` (1 is
+    the header) and ``column`` (0 is t) replaced."""
+    lines = path.read_bytes().split(b"\r\n")
+    row = lines[line - 1].split(b",")
+    row[column] = cell
+    lines[line - 1] = b",".join(row)
+    out.write_bytes(b"\r\n".join(lines))
+    return out
+
+
 class TestSynthCommand:
     def test_recording_is_readable_and_full_length(self, tmp_path):
         path = _synth(tmp_path)
@@ -279,6 +290,21 @@ class TestInferCommand:
         if warns:
             assert f"{rate:.3f}" in warnings[0]
 
+    def test_malformed_strain_cell_in_a_skipped_row_changes_nothing(self, tmp_path):
+        """A windowed infer parses the strain cells of its kept rows only:
+        the row at 1.996 s falls between two of every fifth instant from
+        1.0 s, so a bad cell there leaves the chain as it is."""
+        clean = _synth(tmp_path)
+        bad = _with_cell(clean, tmp_path / "bad.csv", 501, 6, b"1.5x")
+        chains = []
+        for obs in (clean, bad):
+            out = tmp_path / obs.stem
+            rc = cli.main(["infer", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0",
+                           "--window", "1", "3", "--stride", "5", "--iters", "50", "--out", str(out)])
+            assert rc == 0
+            chains.append((out / "chain.csv").read_bytes())
+        assert chains[0] == chains[1]
+
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch):
         obs = _synth(tmp_path)
 
@@ -350,12 +376,59 @@ class TestPosteriorCommand:
         lines[500] = b",".join(row)
         obs.write_bytes(b"\r\n".join(lines))
         rc = cli.main(["posterior", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0",
-                       "--w-star", "0.9,4.0,0.5", "--time", "2.0",
+                       "--w-star", "0.9,4.0,0.5", "--time", "1.996",
                        "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert f"{obs}:501: sensor B03: not a finite decimal literal: '1.5x'" in err[0]
+
+    def test_malformed_strain_cell_in_a_row_it_does_not_answer_changes_nothing(self, tmp_path):
+        """A query parses the strain cells of its one instant only: a bad
+        cell at 1.996 s leaves the bands at 2.0 s byte for byte as they are
+        on the clean recording."""
+        clean = _synth(tmp_path)
+        bad = _with_cell(clean, tmp_path / "bad.csv", 501, 6, b"1.5x")
+        outs = []
+        for obs in (clean, bad):
+            outs.append(tmp_path / f"{obs.stem}_bands.csv")
+            rc = cli.main(["posterior", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0",
+                           "--w-star", "0.9,4.0,0.5", "--time", "2.0", "--out", str(outs[-1])])
+            assert rc == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_malformed_strain_cell_in_the_quiet_head_counts_only_when_sigma_e_is_estimated(self, tmp_path, capsys):
+        """Without --sigma-e the first half second is parsed to estimate the
+        noise, so a bad cell there is reported; with it, that row is never
+        parsed."""
+        obs = _with_cell(_synth(tmp_path), tmp_path / "bad.csv", 51, 3, b"abc")  # t = 0.196 s, sensor T02
+        query = ["posterior", *_CTX_ARGS, "--obs", str(obs), "--w-star", "0.9,4.0,0.5", "--time", "2.0"]
+        assert cli.main([*query, "--out", str(tmp_path / "estimated.csv")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: config: {obs}:51: sensor T02: not a finite decimal literal: 'abc'"]
+        assert cli.main([*query, "--sigma-e", "1.0", "--out", str(tmp_path / "given.csv")]) == 0
+
+    def test_short_row_outside_the_window_exits_2(self, tmp_path, capsys):
+        """Every row's cell count is checked, whether the query parses it or not."""
+        obs = _synth(tmp_path)
+        lines = obs.read_bytes().split(b"\r\n")
+        lines[100] = lines[100].rsplit(b",", 1)[0]  # t = 0.396 s, before the window
+        obs.write_bytes(b"\r\n".join(lines))
+        rc = cli.main(["posterior", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0", "--window", "1.0", "3.0",
+                       "--w-star", "0.9,4.0,0.5", "--time", "2.0", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: config: {obs}:101 has 40 cells, expected 41"]
+
+    def test_off_cadence_time_in_a_row_it_does_not_answer_exits_2(self, tmp_path, capsys):
+        """Every timestamp is matched to the scenario cadence, whether the
+        query parses its row or not."""
+        obs = _with_cell(_synth(tmp_path), tmp_path / "bad.csv", 101, 0, b"0.397")
+        rc = cli.main(["posterior", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0",
+                       "--w-star", "0.9,4.0,0.5", "--time", "2.0", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: config: recording timestamps do not sit on the scenario cadence"]
 
     @pytest.mark.parametrize("cell", ["nan", "abc", "inf", ""])
     def test_bad_time_cell_exits_2_naming_line_and_column(self, tmp_path, capsys, cell):

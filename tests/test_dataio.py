@@ -21,6 +21,7 @@ from bridgetwin.dataio import (
     parse_microstrain,
     read_estimate,
     read_observation_table,
+    read_recording,
     write_estimate,
     write_observations,
     write_prior_bands,
@@ -450,6 +451,51 @@ class TestObservationTable:
 def _estimate(w):
     """The estimate record of a chain whose point estimate is ``w``."""
     return Estimate(w, components=(), acceptance_rate=0.0, n_kept=0)
+
+
+class TestRecordingRows:
+    """A recording's rows are checked whole and its strain cells parsed
+    only for the rows asked for."""
+
+    @pytest.mark.parametrize("rows", [[], [0], [2, 5, 6], [0, 1, 2, 3, 4, 5, 6], None])
+    def test_selected_rows_read_the_bits_of_the_whole_table(self, tmp_path, rows):
+        obs = _obs(n_y=3, n_o=7)
+        path = tmp_path / "obs.csv"
+        write_observations(path, obs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "_BLOCK_CELLS", 6)  # two rows a block
+            strains = read_recording(path).strains(rows)
+        want = obs.strains if rows is None else obs.strains[:, rows]
+        assert strains.shape == want.shape
+        assert [_bits(v) for v in strains.ravel()] == [_bits(v) for v in want.ravel()]
+
+    def test_bad_cell_is_reported_only_in_a_parsed_row(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        path.write_text("t,a,b\n0,1.5,2\n0.5,4,x\n1,+7,8\n")
+        recording = read_recording(path)
+        np.testing.assert_array_equal(recording.timestamps, [0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(recording.strains([0, 2]), [[1.5e-6, 7e-6], [2e-6, 8e-6]])
+        with pytest.raises(ValueError) as err:
+            recording.strains([1, 2])
+        assert str(err.value) == f"{path}:3: sensor b: not a finite decimal literal: 'x'"
+
+    def test_cell_holding_a_comma_is_named_whole(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        path.write_text('t,a,b\n0,1.5,2\n0.5,"4,5",6\n')
+        recording = read_recording(path)
+        np.testing.assert_array_equal(recording.strains([0]), [[1.5e-6], [2e-6]])
+        with pytest.raises(ValueError) as err:
+            recording.strains()
+        assert str(err.value) == f"{path}:3: sensor a: not a finite decimal literal: '4,5'"
+
+    @pytest.mark.parametrize("last,message", [("1.0,7", "{path}:4 has 2 cells, expected 3"),
+                                              ("nan,7,8", "{path}:4: column t: not a finite number: 'nan'")])
+    def test_every_row_and_time_cell_is_checked_before_any_strain_cell(self, tmp_path, last, message):
+        path = tmp_path / "rec.csv"
+        path.write_text(f"t,a,b\n0,x,2\n0.5,4,5\n{last}\n")
+        with pytest.raises(ValueError) as err:
+            read_recording(path)
+        assert str(err.value) == message.format(path=path)
 
 
 class TestEstimateFile:

@@ -25,7 +25,9 @@ from bridgetwin.fem import (
     propagate_prior,
     propagate_prior_series,
     solve,
+    squared_distances,
 )
+from bridgetwin import loading
 from bridgetwin.loading import RandomLoadSpec, TrainScenario, force_covariance, nodal_loads
 from bridgetwin.model import GrillageModel, cantilever_template, load_model_config
 from bridgetwin.statfem import (
@@ -219,6 +221,40 @@ class TestStrainOperator:
         layout = self._layout(cantilever, xs=(0.3, 1.1))
         op = build_strain_operator(cantilever, dof_map, layout.sensors)
         np.testing.assert_array_equal(op.matrix[0::2], -op.matrix[1::2])
+
+
+def _broadcast_squared_distances(points):
+    """The (n, n, 2) broadcast sum squared distances were once computed by."""
+    p = np.asarray(points, dtype=float)
+    diff = p[:, None, :] - p[None, :, :]
+    return np.sum(diff * diff, axis=-1)
+
+
+class TestSquaredDistances:
+    """dx^2 + dy^2 is the length-2 sum a0 + a1 of the broadcast form, so the
+    two agree to the bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_points_match_the_broadcast_sum_bits(self, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.standard_normal((int(rng.integers(1, 80)), 2)) * 10.0 ** int(rng.integers(-4, 5))
+        got, want = squared_distances(points), _broadcast_squared_distances(points)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_bundled_quadrature_points_match_the_broadcast_sum_bits(self, bundled_ctx, monkeypatch):
+        seen = []
+
+        def recorded(points):
+            seen.append(np.array(points))
+            return squared_distances(points)
+
+        monkeypatch.setattr(loading, "squared_distances", recorded)
+        force_covariance(bundled_ctx.model, bundled_ctx.dof_map, bundled_ctx.random_load)
+        (points,) = seen
+        assert points.shape == (404, 2)
+        np.testing.assert_array_equal(squared_distances(points).view(np.uint64),
+                                      _broadcast_squared_distances(points).view(np.uint64))
 
 
 class TestCholPsd:

@@ -195,6 +195,37 @@ class TestObservationsFromCsv:
         # the first half second is train-free by construction
         assert loaded.sigma_e == pytest.approx(2e-6, rel=0.25)
 
+    def test_kept_rows_are_the_whole_recordings_selection(self, bundled_ctx, tmp_path):
+        """``rows`` sees every row's timestamp and load level; the set it
+        keeps is, bit for bit, that selection of the whole recording."""
+        path = tmp_path / "obs.csv"
+        self._write_synthetic(bundled_ctx, path)
+        full = bundled_ctx.observations_from_csv(path, sigma_e=1e-6)
+        seen = {}
+
+        def rows(timestamps, gamma):
+            seen.update(timestamps=timestamps, gamma=gamma)
+            return np.array([3, 40, 77])
+
+        kept = bundled_ctx.observations_from_csv(path, sigma_e=1e-6, rows=rows)
+        np.testing.assert_array_equal(seen["timestamps"], full.timestamps)
+        np.testing.assert_array_equal(seen["gamma"], full.gamma)
+        want = full.select([3, 40, 77])
+        for name in ("strains", "timestamps", "gamma"):
+            np.testing.assert_array_equal(getattr(kept, name), getattr(want, name))
+        assert kept.sigma_e == want.sigma_e
+
+    def test_estimated_sigma_reads_the_quiet_head_of_the_whole_recording(self, bundled_ctx, tmp_path):
+        """Keeping one late row still estimates the noise from the first
+        half second of the recording, to the bit."""
+        path = tmp_path / "obs.csv"
+        self._write_synthetic(bundled_ctx, path, sigma_e=2e-6)
+        full = bundled_ctx.observations_from_csv(path)
+        last = bundled_ctx.observations_from_csv(path, rows=lambda timestamps, gamma: [timestamps.size - 1])
+        assert last.sigma_e == full.sigma_e
+        np.testing.assert_array_equal(last.strains, full.strains[:, -1:])
+        np.testing.assert_array_equal(last.timestamps, full.timestamps[-1:])
+
     def test_column_mismatch_rejected(self, bundled_ctx, tmp_path):
         path = tmp_path / "obs.csv"
         self._write_synthetic(bundled_ctx, path)

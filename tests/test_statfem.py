@@ -23,6 +23,7 @@ from bridgetwin.statfem import (
     sq_exp_covariance,
     strain_predictive,
     true_strain_posterior,
+    window_indices,
 )
 
 
@@ -180,6 +181,12 @@ class TestObservationSet:
         np.testing.assert_allclose(cut.timestamps, [0.5, 0.75, 1.0])
         np.testing.assert_allclose(cut.gamma, [0.5, 0.75, 1.0])
         assert cut.strains.shape == (3, 3)
+
+    def test_window_is_the_one_window_rule(self):
+        obs = self._obs(n_o=9)
+        idx = window_indices(obs.timestamps, obs.gamma, 0.2, 1.0, stride=2, gamma_min=0.3)
+        np.testing.assert_array_equal(idx, [4, 6, 8])
+        np.testing.assert_array_equal(obs.window(0.2, 1.0, stride=2, gamma_min=0.3).timestamps, obs.timestamps[idx])
 
     def test_empty_window_raises(self):
         with pytest.raises(ValueError, match="empty effective observation window"):
