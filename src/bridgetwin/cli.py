@@ -233,10 +233,9 @@ def _mcmc_config(args) -> McmcConfig:
 
 
 def _cmd_infer(args) -> int:
+    config = _mcmc_config(args)  # refuses bad sampler settings before any work
     ctx, obs = _windowed(args)
     priors = ctx.prior_series(ctx.match_instants(obs.timestamps))
-
-    config = _mcmc_config(args)
     chain = sample_hyperposterior(obs, priors, ctx.strain_op, config)
     estimate = chain_diagnostics(chain)
     w_star = estimate.w

@@ -32,7 +32,8 @@ class McmcConfig:
     proposals landing outside are rejected without evaluating the target.
     ``acceptance_band`` is the desired acceptance window: burn-in blocks of
     ``adapt_interval`` iterations scale all steps by 1.1 above the band and
-    0.9 below it.
+    0.9 below it. The burn-in, ``burn_in_fraction`` of the iterations
+    rounded, must leave at least one kept sample.
     """
 
     iterations: int = 20000
@@ -49,6 +50,9 @@ class McmcConfig:
             raise ValueError("need at least two iterations")
         if not 0.0 <= self.burn_in_fraction < 1.0:
             raise ValueError(f"burn-in fraction must lie in [0, 1), got {self.burn_in_fraction}")
+        if self.n_burn >= self.iterations:
+            raise ValueError(f"burn-in fraction {self.burn_in_fraction} rounds to all {self.iterations} "
+                             f"iterations and keeps no sample")
         if len(self.support) != 3 or any(not lo < hi for lo, hi in self.support):
             raise ValueError("support must be three increasing (lo, hi) pairs")
         if any(lo <= 0.0 for lo, _ in self.support):

@@ -30,6 +30,8 @@ SCHEMA_VERSION = 1
 DOF_NAMES = ("w", "rx", "ry")
 
 _GEOM_TOL = 1e-9
+# how far, in m, a plan point may lie from a member axis and still be located on it
+_LOCATE_TOL = 1e-6
 
 
 class ConfigError(ValueError):
@@ -407,7 +409,7 @@ class GrillageModel:
             return int(elems[k]), float(t)
         return elems[k], t
 
-    def locate_point(self, x, y, tol: float = 1e-6, line: str | None = None):
+    def locate_point(self, x, y, line: str | None = None):
         """Find the element carrying plan point (x, y) and its local coordinate.
 
         With ``line`` only the elements chaining that line are candidates,
@@ -415,8 +417,8 @@ class GrillageModel:
         equally close elements the first in element (or path) order wins.
         ``x`` and ``y`` may be arrays: every point is tested against every
         candidate in one array pass and the result is a pair of arrays.
-        Raises :class:`ConfigError` for the first point farther than ``tol``
-        from every candidate member axis.
+        Raises :class:`ConfigError` for the first point farther than
+        ``_LOCATE_TOL`` from every candidate member axis.
         """
         candidates = np.arange(len(self.elements)) if line is None else np.array(self.line_elements(line))
         ends = self.nodes[self.element_nodes(candidates)]
@@ -430,11 +432,11 @@ class GrillageModel:
         t = np.clip(((p - a)[..., None, :] @ d[:, :, None])[..., 0, 0] / l2, 0.0, 1.0)
         off = p - (a + t[..., None] * d)
         gap = np.hypot(off[..., 0], off[..., 1])
-        missed = ~(gap.min(axis=-1, initial=np.inf) <= tol)
+        missed = ~(gap.min(axis=-1, initial=np.inf) <= _LOCATE_TOL)
         if np.any(missed):
             i = np.flatnonzero(missed)[0]
             where = "any member" if line is None else f"line {line!r}"
-            raise ConfigError(f"point ({xs.flat[i]}, {ys.flat[i]}) does not lie on {where} (tol {tol})")
+            raise ConfigError(f"point ({xs.flat[i]}, {ys.flat[i]}) does not lie on {where} (tol {_LOCATE_TOL})")
         k = np.argmin(gap, axis=-1)
         t = np.take_along_axis(t, k[..., None], axis=-1)[..., 0]
         if xs.ndim == 0:
@@ -545,13 +547,13 @@ def two_girder_template(
     girder_section: SectionSpec,
     crossbeam_section: SectionSpec,
     girder_subdivision: int = 1,
-    line_names: tuple[str, str] = ("east", "west"),
 ) -> GrillageModel:
     """Twin simply supported girders tied by evenly spaced crossbeams.
 
     Crossbeam stations subdivide each girder into ``n_crossbeams - 1`` bays;
     ``girder_subdivision`` splits every bay into that many equal elements.
-    The four corner nodes are vertically supported.
+    The four corner nodes are vertically supported. The girder at y = 0 is
+    line ``east``, the other ``west``.
     """
     if span <= 0.0 or girder_spacing <= 0.0:
         raise ConfigError("span and girder spacing must be positive")
@@ -577,14 +579,12 @@ def two_girder_template(
         elements.append(Element(i, m + i, crossbeam_section))
 
     supports = [Support(i, frozenset({"w"})) for i in (0, m - 1, m, 2 * m - 1)]
-    lines = {line_names[0]: list(range(m)), line_names[1]: list(range(m, 2 * m))}
+    lines = {"east": list(range(m)), "west": list(range(m, 2 * m))}
     return GrillageModel(nodes, elements, supports, lines, deck_spacing=span / (n_crossbeams - 1))
 
 
-def simply_supported_beam_template(
-    length: float, n_elements: int, section: SectionSpec, line_name: str = "main"
-) -> GrillageModel:
-    """A single pin-roller beam along x; twist is suppressed at every node."""
+def simply_supported_beam_template(length: float, n_elements: int, section: SectionSpec) -> GrillageModel:
+    """A single pin-roller beam along x, line ``main``; twist is suppressed at every node."""
     if length <= 0.0 or n_elements < 1:
         raise ConfigError("need positive length and at least one element")
     n = n_elements + 1
@@ -593,14 +593,12 @@ def simply_supported_beam_template(
     supports = [
         Support(k, frozenset({"w", "rx"} if k in (0, n - 1) else {"rx"})) for k in range(n)
     ]
-    return GrillageModel(nodes, elements, supports, {line_name: list(range(n))}, deck_spacing=length / n_elements)
+    return GrillageModel(nodes, elements, supports, {"main": list(range(n))}, deck_spacing=length / n_elements)
 
 
-def cantilever_template(
-    length: float, n_elements: int, section: SectionSpec, line_name: str = "main"
-) -> GrillageModel:
-    """A beam along x fully fixed at node 0."""
-    beam = simply_supported_beam_template(length, n_elements, section, line_name)
+def cantilever_template(length: float, n_elements: int, section: SectionSpec) -> GrillageModel:
+    """A beam along x, line ``main``, fully fixed at node 0."""
+    beam = simply_supported_beam_template(length, n_elements, section)
     return replace(beam, supports=[Support(0, frozenset(DOF_NAMES))])
 
 

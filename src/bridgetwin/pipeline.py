@@ -33,7 +33,7 @@ from .model import ConfigError, GrillageModel, load_model_config, readonly
 from .statfem import ObservationSet, SensorLayout
 
 _MATCH_TOL = 1e-9
-# the head of a recording, in s, that the gauge noise is estimated from when not given
+# the head of a recording, in s, whose unloaded rows the gauge noise is estimated from when not given
 _QUIET_HEAD = 0.5
 
 
@@ -69,15 +69,13 @@ class TwinContext:
         return cls(model, scenario, random_load, entries)
 
     @cached_property
-    def _force_cov(self) -> np.ndarray:
+    def force_cov(self) -> np.ndarray:
+        """Covariance of the random deck load on the free dofs, computed on first use."""
         return readonly(force_covariance(self.model, self.dof_map, self.random_load))
 
     @cached_property
     def _prior(self) -> PriorEnsemble:
-        return propagate_prior_series(self.stiffness, self.series.forces, self.force_cov())
-
-    def force_cov(self) -> np.ndarray:
-        return self._force_cov
+        return propagate_prior_series(self.stiffness, self.series.forces, self.force_cov)
 
     def prior_series(self, indices=None) -> PriorEnsemble:
         """Propagated dof priors at the selected instants (all by default).
@@ -129,8 +127,9 @@ class TwinContext:
         default. Every row's cell count and time cell are checked and
         every timestamp is matched to the scenario cadence first; then only
         the kept rows' strain cells are parsed. When ``sigma_e`` is not
-        given it is estimated from the first half second of the whole
-        recording, whose rows are parsed as well.
+        given it is estimated from the quiet head: the rows of the
+        recording's first half second whose load level is exactly 0, which
+        are parsed as well. Fewer than two such rows raise ConfigError.
         """
         recording = dataio.read_recording(path)
         ids, timestamps = list(recording.ids), recording.timestamps
@@ -140,12 +139,16 @@ class TwinContext:
             )
         gamma = self.series.gamma[self.match_instants(timestamps)]
         kept = np.arange(timestamps.size) if rows is None else np.asarray(rows(timestamps, gamma))
-        if sigma_e is not None:
-            return self.observations_from_arrays(recording.strains(kept), timestamps[kept], sigma_e)
-        from .synth import estimate_noise_std
+        if sigma_e is None:
+            from .synth import estimate_noise_std
 
-        t0 = float(timestamps[0])
-        quiet = (t0, t0 + _QUIET_HEAD)
-        parsed = np.union1d(select_window(timestamps, *quiet), kept)
-        obs = self.observations_from_arrays(recording.strains(parsed), timestamps[parsed], 0.0)
-        return replace(obs.select(np.searchsorted(parsed, kept)), sigma_e=estimate_noise_std(obs, quiet))
+            t0 = float(timestamps[0])
+            quiet = (t0, t0 + _QUIET_HEAD)
+            head = select_window(timestamps, *quiet)
+            head = head[gamma[head] == 0.0]
+            if head.size < 2:
+                raise ConfigError(f"{path} has {head.size} unloaded rows in its first {_QUIET_HEAD:g} s, "
+                                  f"too few to estimate the gauge noise from; give it with --sigma-e")
+            sigma_e = estimate_noise_std(ObservationSet(recording.strains(head), timestamps[head], 0.0,
+                                                        gamma[head], self.layout), quiet)
+        return ObservationSet(recording.strains(kept), timestamps[kept], sigma_e, gamma[kept], self.layout)

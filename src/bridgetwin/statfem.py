@@ -106,12 +106,9 @@ class SensorLayout:
         return np.array([[s.x, s.y] for s in self.sensors])
 
     @cached_property
-    def _d2(self) -> np.ndarray:
-        return readonly(squared_distances(self.points))
-
     def squared_distances(self) -> np.ndarray:
         """Pairwise squared plan distances of the gauges, computed once per layout."""
-        return self._d2
+        return readonly(squared_distances(self.points))
 
     def subset(self, ids) -> "SensorLayout":
         wanted = list(ids)
@@ -122,7 +119,7 @@ class SensorLayout:
         return SensorLayout(tuple(by_id[i] for i in wanted))
 
     @classmethod
-    def resolve(cls, model: GrillageModel, entries, tol: float = 1e-6) -> "SensorLayout":
+    def resolve(cls, model: GrillageModel, entries) -> "SensorLayout":
         """Bind gauge descriptions (id, x, y, fiber[, line]) to elements.
 
         When a line is named the search is restricted to its members, which
@@ -135,15 +132,9 @@ class SensorLayout:
         elements, ts = np.zeros(len(entries), dtype=int), np.zeros(len(entries))
         for line in dict.fromkeys(lines):
             rows = [i for i, name in enumerate(lines) if name == line]
-            elements[rows], ts[rows] = model.locate_point(xy[rows, 0], xy[rows, 1], tol, line=line)
+            elements[rows], ts[rows] = model.locate_point(xy[rows, 0], xy[rows, 1], line=line)
         return cls(tuple(Sensor(str(entry["id"]), x, y, str(entry["fiber"]), int(k), float(t), line)
                          for entry, (x, y), k, t, line in zip(entries, xy.tolist(), elements, ts, lines)))
-
-
-def _squared_distances(layout_or_points) -> np.ndarray:
-    if isinstance(layout_or_points, SensorLayout):
-        return layout_or_points.squared_distances()
-    return squared_distances(layout_or_points)
 
 
 def sq_exp_covariance(points, sigma: float, ell: float) -> np.ndarray:
@@ -151,24 +142,25 @@ def sq_exp_covariance(points, sigma: float, ell: float) -> np.ndarray:
 
     k(x, x') = sigma^2 exp(-|x - x'|^2 / (2 ell^2)); symmetric with exact
     sigma^2 diagonal, and zero distance gives full correlation. ``points``
-    is a layout (its cached distances are used) or an (n, 2) array.
+    is an (n, 2) array of plan positions.
     """
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"kernel amplitude must be positive, got {sigma}")
     if not (math.isfinite(ell) and ell > 0.0):
         raise ValueError(f"kernel length scale must be positive, got {ell}")
-    return sigma * sigma * sq_exp_correlation(_squared_distances(points), ell)
+    return sigma * sigma * sq_exp_correlation(squared_distances(points), ell)
 
 
-def mismatch_covariance(layout_or_points, w: Hyperparameters, gamma_k: float) -> np.ndarray:
-    """Mismatch covariance at one instant: amplitude gamma_k * sigma_d.
+def mismatch_covariance(layout: SensorLayout, w: Hyperparameters, gamma_k: float) -> np.ndarray:
+    """Mismatch covariance over the gauges of ``layout`` at one instant:
+    amplitude gamma_k * sigma_d, from the layout's cached distances.
 
     gamma_k = 0 (quiescent instant) gives the zero matrix.
     """
     if not 0.0 <= gamma_k <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma_k}")
     amp = gamma_k * w.sigma_d
-    return amp * amp * sq_exp_correlation(_squared_distances(layout_or_points), w.ell_d)
+    return amp * amp * sq_exp_correlation(layout.squared_distances, w.ell_d)
 
 
 def noise_covariance(n_sensors: int, sigma_e: float) -> np.ndarray:
@@ -381,7 +373,7 @@ def log_marginal(
     if strain_means.shape[1] != n_o:
         raise ValueError(f"{n_o} instants but {strain_means.shape[1]} priors")
     b = (w.rho * w.rho) * strain_cov + (obs.sigma_e * obs.sigma_e) * np.eye(n_y)
-    kernel = sq_exp_correlation(obs.layout.squared_distances(), w.ell_d)
+    kernel = sq_exp_correlation(obs.layout.squared_distances, w.ell_d)
     logdet_b, lam, whiten = _whiten(b, kernel, obs.sigma_e)
     # Z^T = R^T W with the residual R = Y - rho M
     z_t = (obs.strains - w.rho * strain_means).T @ whiten

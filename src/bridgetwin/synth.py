@@ -50,7 +50,7 @@ def draw_discrepancy(layout: SensorLayout, spec: DiscrepancySpec, gamma: np.ndar
     out = np.zeros((n_y, gamma.shape[0]))
     if spec.sigma == 0.0:
         return out
-    unit = sq_exp_correlation(layout.squared_distances(), spec.length_scale)
+    unit = sq_exp_correlation(layout.squared_distances, spec.length_scale)
     lower, _ = chol_psd(unit)
     for k, g in enumerate(gamma):
         if g == 0.0:

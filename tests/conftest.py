@@ -27,6 +27,13 @@ SENSORS_WEST = str(CONFIGS / "sensors_west.csv")
 _capture_manager = None
 
 
+def cropped_recording(path, out, t0: float):
+    """A copy of the recording at ``path`` without its rows before ``t0`` s."""
+    header, *rows = Path(path).read_bytes().split(b"\r\n")
+    Path(out).write_bytes(b"\r\n".join([header, *(row for row in rows if not row or float(row.split(b",")[0]) >= t0)]))
+    return out
+
+
 def pytest_configure(config):
     global _capture_manager
     _capture_manager = config.pluginmanager.getplugin("capturemanager")

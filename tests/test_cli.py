@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from bridgetwin.dataio import format_microstrain, parse_microstrain, read_observ
 from bridgetwin.fem import FactorizationError
 from bridgetwin.inference import McmcConfig
 
-from conftest import BRIDGE_YAML, SENSORS_EAST, SENSORS_WEST, TRAIN_YAML
+from conftest import BRIDGE_YAML, SENSORS_EAST, SENSORS_WEST, TRAIN_YAML, cropped_recording
 
 _CTX_ARGS = ["--model", BRIDGE_YAML, "--scenario", TRAIN_YAML, "--sensors", SENSORS_EAST]
 
@@ -305,6 +306,19 @@ class TestInferCommand:
             chains.append((out / "chain.csv").read_bytes())
         assert chains[0] == chains[1]
 
+    def test_burn_in_that_keeps_no_sample_exits_2_before_any_work(self, tmp_path, capsys):
+        """--burn-in 0.9999 rounds to all 3000 iterations: the sampler
+        settings are refused in one line before a chain is run."""
+        obs = _synth(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["infer", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0",
+                           "--iters", "3000", "--burn-in", "0.9999", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config: ")
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch):
         obs = _synth(tmp_path)
 
@@ -406,6 +420,16 @@ class TestPosteriorCommand:
         assert cli.main([*query, "--out", str(tmp_path / "estimated.csv")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: config: {obs}:51: sensor T02: not a finite decimal literal: 'abc'"]
+        assert cli.main([*query, "--sigma-e", "1.0", "--out", str(tmp_path / "given.csv")]) == 0
+
+    def test_recording_that_starts_loaded_exits_2_asking_for_sigma_e(self, tmp_path, capsys):
+        """Cropped to t >= 1.0 s, the recording's first half second holds no
+        unloaded row to estimate the gauge noise from."""
+        obs = cropped_recording(_synth(tmp_path), tmp_path / "cropped.csv", 1.0)
+        query = ["posterior", *_CTX_ARGS, "--obs", str(obs), "--w-star", "0.9,4.0,0.5", "--time", "2.0"]
+        assert cli.main([*query, "--out", str(tmp_path / "estimated.csv")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config: ") and "--sigma-e" in err[0]
         assert cli.main([*query, "--sigma-e", "1.0", "--out", str(tmp_path / "given.csv")]) == 0
 
     def test_short_row_outside_the_window_exits_2(self, tmp_path, capsys):

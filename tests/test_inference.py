@@ -39,6 +39,12 @@ class TestMcmcConfig:
         with pytest.raises(ValueError):
             McmcConfig(acceptance_band=(0.6, 0.4))
 
+    def test_rejects_a_burn_in_that_keeps_no_sample(self):
+        """0.9999 of 3000 iterations rounds to all 3000; one fewer keeps one."""
+        with pytest.raises(ValueError, match="keeps no sample"):
+            McmcConfig(iterations=3000, burn_in_fraction=0.9999)
+        assert McmcConfig(iterations=3000, burn_in_fraction=0.9998).n_burn == 2999
+
 
 class TestRandomWalk:
     def test_recovers_gaussian_target(self):

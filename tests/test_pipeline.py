@@ -9,7 +9,7 @@ from bridgetwin.model import ConfigError
 from bridgetwin.pipeline import TwinContext
 from bridgetwin.synth import DiscrepancySpec, generate_observations, generate_truth
 
-from conftest import BRIDGE_YAML, SENSORS_EAST, SENSORS_WEST, TRAIN_YAML
+from conftest import BRIDGE_YAML, SENSORS_EAST, SENSORS_WEST, TRAIN_YAML, cropped_recording
 
 
 class TestBuild:
@@ -34,8 +34,8 @@ class TestBuild:
 
     def test_replace_gives_fresh_caches(self, bundled_ctx, study_ctx):
         softer = dataclasses.replace(bundled_ctx, random_load=study_ctx.random_load)
-        np.testing.assert_array_equal(softer.force_cov(), study_ctx.force_cov())
-        assert not np.array_equal(softer.force_cov(), bundled_ctx.force_cov())
+        np.testing.assert_array_equal(softer.force_cov, study_ctx.force_cov)
+        assert not np.array_equal(softer.force_cov, bundled_ctx.force_cov)
 
     def test_only_inputs_are_settable(self, bundled_ctx):
         assert [f.name for f in dataclasses.fields(bundled_ctx) if f.init] == [
@@ -77,7 +77,7 @@ def own_ctx():
 
 
 def _write_force_cov(ctx):
-    ctx.force_cov()[0, 0] = 0.0
+    ctx.force_cov[0, 0] = 0.0
 
 
 def _write_prior_means(ctx):
@@ -85,7 +85,7 @@ def _write_prior_means(ctx):
 
 
 def _write_squared_distances(ctx):
-    ctx.layout.squared_distances()[0, 1] = 0.0
+    ctx.layout.squared_distances[0, 1] = 0.0
 
 
 class TestNothingGoesStale:
@@ -225,6 +225,19 @@ class TestObservationsFromCsv:
         assert last.sigma_e == full.sigma_e
         np.testing.assert_array_equal(last.strains, full.strains[:, -1:])
         np.testing.assert_array_equal(last.timestamps, full.timestamps[-1:])
+
+    def test_estimated_sigma_reads_only_the_unloaded_rows_of_the_head(self, bundled_ctx, tmp_path):
+        """Cropped to start at 0.3 s, the recording's first half second runs
+        past the train's arrival at 0.55 s; only the rows before it, where
+        the load level is 0, feed the noise estimate."""
+        self._write_synthetic(bundled_ctx, tmp_path / "obs.csv", sigma_e=2e-6)
+        path = cropped_recording(tmp_path / "obs.csv", tmp_path / "cropped.csv", 0.3)
+        given = bundled_ctx.observations_from_csv(path, sigma_e=1e-6)
+        quiet = given.timestamps < 0.55
+        head = given.timestamps <= given.timestamps[0] + 0.5
+        assert quiet.sum() >= 2 and np.all(given.gamma[quiet] == 0.0) and np.any(given.gamma[head] > 0.0)
+        want = np.sqrt(np.mean(np.var(given.strains[:, quiet], axis=1, ddof=1)))
+        assert bundled_ctx.observations_from_csv(path).sigma_e == pytest.approx(want, rel=1e-12)
 
     def test_column_mismatch_rejected(self, bundled_ctx, tmp_path):
         path = tmp_path / "obs.csv"

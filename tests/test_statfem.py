@@ -81,10 +81,10 @@ class TestSqExpCovariance:
         layout = SensorLayout(sensors=tuple(
             Sensor(f"s{i}", 0.7 * i, 0.3 * i * i, "top", 0, 0.0, "main") for i in range(5)
         ))
-        by_layout = sq_exp_covariance(layout, sigma=1.3, ell=0.9)
+        by_layout = mismatch_covariance(layout, Hyperparameters(1.0, 1.3, 0.9), 1.0)
         np.testing.assert_array_equal(by_layout, sq_exp_covariance(layout.points, 1.3, 0.9))
         np.testing.assert_array_equal(
-            by_layout, 1.3 * 1.3 * sq_exp_correlation(layout.squared_distances(), 0.9))
+            by_layout, 1.3 * 1.3 * sq_exp_correlation(layout.squared_distances, 0.9))
 
 
 class TestMismatchCovariance:
@@ -147,19 +147,19 @@ class TestSensorLayout:
             Sensor("a", 0.0, 0.0, "top", 0, 0.0, "main"),
             Sensor("b", 3.0, 4.0, "top", 1, 0.5, "main"),
         ))
-        d2 = layout.squared_distances()
+        d2 = layout.squared_distances
         np.testing.assert_allclose(d2, [[0.0, 25.0], [25.0, 0.0]])
-        assert layout.squared_distances() is d2
+        assert layout.squared_distances is d2
 
     def test_replace_with_moved_sensors_recomputes_distances(self, bundled_ctx):
         """The distances belong to the sensors they were computed from, so a
         layout made by ``replace`` never carries its source's matrix."""
         layout = bundled_ctx.layout
-        layout.squared_distances()
+        layout.squared_distances
         moved = tuple(dataclasses.replace(s, x=s.x + 10.0 * k) for k, s in enumerate(layout.sensors))
         replaced = dataclasses.replace(layout, sensors=moved)
-        np.testing.assert_array_equal(replaced.squared_distances(), SensorLayout(moved).squared_distances())
-        assert not np.array_equal(replaced.squared_distances(), layout.squared_distances())
+        np.testing.assert_array_equal(replaced.squared_distances, SensorLayout(moved).squared_distances)
+        assert not np.array_equal(replaced.squared_distances, layout.squared_distances)
         with pytest.raises(dataclasses.FrozenInstanceError):
             layout.sensors = moved
 

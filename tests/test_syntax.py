@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib
+import types
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -23,6 +24,17 @@ def test_package_parses_as_python_3_10(path):
 
 def test_every_module_is_checked():
     assert {p.name for p in _SOURCES} >= {"__init__.py", "cli.py", "dataio.py", "model.py"}
+
+
+def test_package_root_binds_only_its_version():
+    """Every name is imported from the module that defines it: besides
+    ``__version__`` the package root holds only its submodules."""
+    import bridgetwin
+    import bridgetwin.cli  # noqa: F401  (loads every module the commands use)
+
+    assert isinstance(bridgetwin.__version__, str)
+    assert [name for name, value in vars(bridgetwin).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)] == []
 
 
 def _package_dataclasses():
@@ -80,10 +92,10 @@ def test_no_array_a_context_holds_is_writeable(bundled_ctx):
     """Every array a context holds, cached results included, is read-only,
     so none can be edited underneath what was derived from it."""
     bundled_ctx.prior_series()
-    bundled_ctx.force_cov()
-    bundled_ctx.layout.squared_distances()
+    bundled_ctx.force_cov
+    bundled_ctx.layout.squared_distances
     arrays = dict(_arrays(bundled_ctx, "ctx", set()))
     assert arrays.keys() >= {"ctx.model.nodes", "ctx.model.assembled[0].matrix", "ctx.model.assembled[1].index",
-                             "ctx.layout._d2", "ctx.strain_op.matrix", "ctx.series.forces", "ctx._force_cov",
-                             "ctx._prior.means", "ctx._prior.cov"}
+                             "ctx.layout.squared_distances", "ctx.strain_op.matrix", "ctx.series.forces",
+                             "ctx.force_cov", "ctx._prior.means", "ctx._prior.cov"}
     assert [path for path, array in arrays.items() if array.flags.writeable] == []
