@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import platform
 import sys
@@ -27,6 +28,7 @@ from .inference import McmcConfig, chain_diagnostics, sample_hyperposterior
 from .model import ConfigError, load_model_config
 from .pipeline import TwinContext
 from .statfem import (
+    DEFAULT_GAMMA_MIN,
     Hyperparameters,
     ObservationSet,
     SensorLayout,
@@ -59,12 +61,14 @@ def fbg_mechanical_strain(
         strain = (rel_shift_s - k_t * rel_shift_t / k_tt) / k_eps
                  - alpha_sub * rel_shift_t / k_tt
     """
-    if k_eps == 0.0:
-        raise ValueError("strain sensitivity k_eps must be nonzero")
-    if k_tt == 0.0:
-        raise ValueError("temperature sensitivity k_tt must be nonzero")
-    temperature = rel_shift_t / k_tt
-    return (rel_shift_s - k_t * temperature) / k_eps - alpha_sub * temperature
+    for name, value in {"k_eps": k_eps, "k_t": k_t, "k_tt": k_tt, "alpha_sub": alpha_sub}.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value}")
+    if k_eps == 0.0 or k_tt == 0.0:
+        raise ValueError(f"sensitivities k_eps and k_tt must be nonzero, got {k_eps} and {k_tt}")
+    with np.errstate(over="ignore", invalid="ignore"):  # the table writer refuses a strain that overflowed
+        temperature = rel_shift_t / k_tt
+        return (rel_shift_s - k_t * temperature) / k_eps - alpha_sub * temperature
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -131,7 +135,9 @@ def _windowed(args, time: float | None = None) -> tuple[TwinContext, Observation
     --gamma-min and, given a ``time``, to the one windowed instant nearest
     it. Every row's cell count and time cell are checked, but only the kept
     rows' strain cells are parsed, and those of the quiet head when
-    --sigma-e is omitted."""
+    --sigma-e is omitted. A non-finite ``time`` is refused first."""
+    if time is not None and not math.isfinite(time):
+        raise ConfigError(f"--time must be a finite number of seconds, got {time}")
     ctx = TwinContext.from_files(args.model, args.scenario, args.sensors)
     sigma_e = None if args.sigma_e is None else args.sigma_e * dataio.MICROSTRAIN
     t0, t1 = args.window if args.window else (None, None)
@@ -225,34 +231,24 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _mcmc_config(args) -> McmcConfig:
-    kwargs = {"iterations": args.iters, "seed": args.seed}
-    if args.burn_in is not None:
-        kwargs["burn_in_fraction"] = args.burn_in
-    return McmcConfig(**kwargs)
-
-
 def _cmd_infer(args) -> int:
-    config = _mcmc_config(args)  # refuses bad sampler settings before any work
+    # the config refuses bad sampler settings before any work is done
+    burn_in = {} if args.burn_in is None else {"burn_in_fraction": args.burn_in}
+    config = McmcConfig(iterations=args.iters, seed=args.seed, **burn_in)
     ctx, obs = _windowed(args)
     priors = ctx.prior_series(ctx.match_instants(obs.timestamps))
     chain = sample_hyperposterior(obs, priors, ctx.strain_op, config)
     estimate = chain_diagnostics(chain)
-    w_star = estimate.w
 
     out = _out_dir(args)
-    chain_path = out / "chain.csv"
-    estimate_path = out / "estimate.json"
+    chain_path, estimate_path = out / "chain.csv", out / "estimate.json"
     dataio.write_chain(str(chain_path), chain)
     dataio.write_estimate(str(estimate_path), estimate)
-    print(f"kept {len(chain)} of {config.iterations} iterations on {obs.n_instants} instants, "
-          f"acceptance {chain.acceptance_rate:.3f}")
-    print(f"w*: rho {w_star.rho:.6g}, sigma_d {w_star.sigma_d / dataio.MICROSTRAIN:.6g} ue, "
-          f"ell_d {w_star.ell_d:.6g} m")
+    print(f"sampled {config.iterations} iterations on {obs.n_instants} instants")
     print(estimate.render())
     lo, hi = config.acceptance_band
-    if not lo <= chain.acceptance_rate <= hi:
-        print(f"warning: acceptance rate {chain.acceptance_rate:.3f} is outside the band "
+    if not lo <= estimate.acceptance_rate <= hi:
+        print(f"warning: acceptance rate {estimate.acceptance_rate:.3f} is outside the band "
               f"[{lo:g}, {hi:g}]; the chain may mix poorly", file=sys.stderr)
     _write_manifest(out / "manifest.json", "infer", args, [chain_path, estimate_path], seed=args.seed)
     return 0
@@ -325,7 +321,7 @@ def _add_obs_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window", type=float, nargs=2, metavar=("T0", "T1"), default=None,
                    help="restrict inference to [T0, T1] seconds")
     p.add_argument("--stride", type=int, default=1, help="keep every k-th instant")
-    p.add_argument("--gamma-min", type=float, default=0.05,
+    p.add_argument("--gamma-min", type=float, default=DEFAULT_GAMMA_MIN,
                    help="drop instants below this relative load level")
 
 

@@ -93,11 +93,8 @@ def _cell_templates(neg: np.ndarray, point: np.ndarray, n_sig: np.ndarray) -> tu
 
 
 def _render_microstrain(values) -> list[str]:
-    """``format_microstrain`` of every value of a float array at once."""
+    """``format_microstrain`` of every value of a finite float array at once."""
     x = np.asarray(values, dtype=float).ravel()
-    finite = np.isfinite(x)
-    if not finite.all():
-        raise ValueError(f"not a finite strain: {float(x[~finite][0])!r}")
     n = x.size
     e = np.frombuffer((_E_FORMAT * n % tuple(x.tolist())).encode("ascii"), np.uint8).reshape(n, 24)
     # the 17 digits with room for every shift on either side
@@ -129,8 +126,10 @@ def format_microstrain(strain: float) -> str:
     gain 6 on the decimal exponent; the value is written positionally when
     its decimal point falls within (-4, 21] places of the first digit and
     in e-notation otherwise, so 1.5e-06 becomes "1.5", 1.5e-10 "0.00015"
-    and 1e15 "1e21".
+    and 1e15 "1e21". A value that is not finite raises ValueError.
     """
+    if not math.isfinite(strain):
+        raise ValueError(f"not a finite strain: {float(strain)!r}")
     return _render_microstrain([float(strain)])[0]
 
 
@@ -198,10 +197,16 @@ def write_table(path: str, header: list[str], columns: list, comment: str = "") 
     ``comment`` written verbatim. A float array is a strain column written in
     microstrain; any other sequence holds the text of its cells. Rows are
     rendered and written a block at a time, with the csv module's quoting
-    and line ends."""
+    and line ends. A strain column holding a value that is not finite
+    raises ValueError naming the path and the column before the file is
+    opened."""
     n_rows = len(columns[0])
     if any(len(c) != n_rows for c in columns) or len(header) != len(columns):
         raise ValueError("table columns must match the header and have equal lengths")
+    for name, column in zip(header, columns):
+        if isinstance(column, np.ndarray) and not np.isfinite(column).all():
+            bad = float(column[~np.isfinite(column)][0])
+            raise ValueError(f"{path}: column {name}: not a finite strain: {bad!r}")
     columns = [c if isinstance(c, np.ndarray) else _csv_cells(c) for c in columns]
     strain_at = [i for i, c in enumerate(columns) if isinstance(c, np.ndarray)]
     step = max(1, _BLOCK_CELLS // len(columns))
@@ -440,16 +445,14 @@ def write_strain_series(path: str, times: list[str] | None, strains: np.ndarray)
 
 def write_load_series(path: str, series) -> None:
     """CSV of per-instant force norm and relative intensity."""
-    norms = np.linalg.norm(series.forces, axis=0)
     write_table(path, ["t", "f_norm", "gamma"],
-                [_si_cells(series.timestamps), _si_cells(norms), _si_cells(series.gamma)])
+                [_si_cells(series.timestamps), _si_cells(series.norms), _si_cells(series.gamma)])
 
 
 def write_chain(path: str, chain) -> None:
     """Kept samples, one row per iteration; sigma_d in microstrain."""
-    n = len(chain)
     write_table(path, ["iter", "rho", "sigma_d", "ell_d", "log_post", "accepted"], [
-        [str(chain.first_iteration + k) for k in range(n)],
+        [str(chain.first_iteration + k) for k in range(len(chain))],
         _si_cells(chain.samples[:, 0]),
         chain.samples[:, 1],
         _si_cells(chain.samples[:, 2]),

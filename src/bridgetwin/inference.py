@@ -13,37 +13,35 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
+from .dataio import MICROSTRAIN
 from .fem import PriorEnsemble
 from .model import readonly
 from .statfem import Hyperparameters, ObservationSet, log_marginal
 
-DEFAULT_SUPPORT = ((1e-3, 1e2), (1e-9, 1e-3), (1e-2, 1e2))
-DEFAULT_STEPS = (0.05, 2e-7, 0.05)
+# the sampler's start, steps and support box over (rho, sigma_d in strain, ell_d); a proposal outside
+# the box is rejected unevaluated, and burn-in blocks of ADAPT_INTERVAL iterations scale every step by
+# 1.1 above the acceptance band and by 0.9 below it
+INITIAL = (1.0, 1e-6, 1.0)
+STEPS = (0.05, 2e-7, 0.05)
+SUPPORT = ((1e-3, 1e2), (1e-9, 1e-3), (1e-2, 1e2))
+ACCEPTANCE_BAND = (0.2, 0.5)
+ADAPT_INTERVAL = 100
 
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Sampler settings.
-
-    ``support`` bounds (rho, sigma_d, ell_d) with sigma_d in strain;
-    proposals landing outside are rejected without evaluating the target.
-    ``acceptance_band`` is the desired acceptance window: burn-in blocks of
-    ``adapt_interval`` iterations scale all steps by 1.1 above the band and
-    0.9 below it. The burn-in, ``burn_in_fraction`` of the iterations
-    rounded, must leave at least one kept sample.
-    """
+    """What a run chooses: the iteration count, the share of it spent in
+    burn-in, ``burn_in_fraction`` of the iterations rounded, which must leave
+    at least one kept sample, and the seed."""
 
     iterations: int = 20000
     burn_in_fraction: float = 0.25
-    initial: tuple[float, float, float] = (1.0, 1e-6, 1.0)
-    step_sizes: tuple[float, float, float] = DEFAULT_STEPS
-    support: tuple[tuple[float, float], ...] = DEFAULT_SUPPORT
     seed: int = 0
-    acceptance_band: tuple[float, float] = (0.2, 0.5)
-    adapt_interval: int = 100
+    acceptance_band: ClassVar[tuple[float, float]] = ACCEPTANCE_BAND
 
     def __post_init__(self) -> None:
         if self.iterations < 2:
@@ -53,20 +51,6 @@ class McmcConfig:
         if self.n_burn >= self.iterations:
             raise ValueError(f"burn-in fraction {self.burn_in_fraction} rounds to all {self.iterations} "
                              f"iterations and keeps no sample")
-        if len(self.support) != 3 or any(not lo < hi for lo, hi in self.support):
-            raise ValueError("support must be three increasing (lo, hi) pairs")
-        if any(lo <= 0.0 for lo, _ in self.support):
-            raise ValueError("support bounds must be positive")
-        if len(self.step_sizes) != 3 or any(s <= 0.0 for s in self.step_sizes):
-            raise ValueError("step sizes must be three positive numbers")
-        lo, hi = self.acceptance_band
-        if not 0.0 < lo < hi < 1.0:
-            raise ValueError(f"acceptance band must be 0 < lo < hi < 1, got {self.acceptance_band}")
-        if self.adapt_interval < 1:
-            raise ValueError("adapt interval must be >= 1")
-        for v, (blo, bhi) in zip(self.initial, self.support):
-            if not blo <= v <= bhi:
-                raise ValueError(f"initial point {self.initial} leaves the support box")
 
     @property
     def n_burn(self) -> int:
@@ -77,16 +61,13 @@ class McmcConfig:
 class Chain:
     """Post-burn-in samples with bookkeeping.
 
-    ``samples`` rows are (rho, sigma_d, ell_d); ``first_iteration`` is the
-    absolute index of the first kept iteration. ``step_history`` records
+    ``samples`` rows are (rho, sigma_d, ell_d); ``step_history`` records
     (iteration, step vector) at every burn-in adaptation.
     """
 
     samples: np.ndarray
     log_density: np.ndarray
     accepted: np.ndarray
-    acceptance_rate: float
-    first_iteration: int
     step_history: tuple[tuple[int, tuple[float, float, float]], ...]
     config: McmcConfig
 
@@ -98,6 +79,16 @@ class Chain:
     def __len__(self) -> int:
         return self.samples.shape[0]
 
+    @property
+    def acceptance_rate(self) -> float:
+        """The share of kept iterations whose proposal was accepted."""
+        return float(np.mean(self.accepted))
+
+    @property
+    def first_iteration(self) -> int:
+        """The absolute index of the first kept iteration."""
+        return self.config.n_burn
+
 
 def run_random_walk(log_density, config: McmcConfig) -> Chain:
     """Sample an arbitrary 3-component log density over the support box.
@@ -106,20 +97,18 @@ def run_random_walk(log_density, config: McmcConfig) -> Chain:
     initial point must have finite density. Deterministic in config.seed.
     """
     rng = np.random.default_rng(config.seed)
-    lo = np.array([b[0] for b in config.support])
-    hi = np.array([b[1] for b in config.support])
-    steps = np.array(config.step_sizes, dtype=float)
+    lo, hi = np.array(SUPPORT).T
+    steps = np.array(STEPS)
 
-    current = np.array(config.initial, dtype=float)
+    current = np.array(INITIAL)
     current_lp = float(log_density(current))
     if not math.isfinite(current_lp):
-        raise ValueError(f"log density is not finite at the initial point {config.initial}")
+        raise ValueError(f"log density is not finite at the initial point {INITIAL}")
 
     n_burn = config.n_burn
-    kept = config.iterations - n_burn
-    samples = np.empty((kept, 3))
-    log_densities = np.empty(kept)
-    accepted_flags = np.zeros(kept, dtype=bool)
+    states = np.empty((config.iterations, 3))
+    log_densities = np.empty(config.iterations)
+    accepted = np.empty(config.iterations, dtype=bool)
     step_history = [(0, tuple(steps))]
     block_accepted = 0
 
@@ -136,24 +125,19 @@ def run_random_walk(log_density, config: McmcConfig) -> Chain:
         if accept:
             current = proposal
             current_lp = proposal_lp
+        states[it], log_densities[it], accepted[it] = current, current_lp, accept
         if it < n_burn:
             block_accepted += accept
-            if (it + 1) % config.adapt_interval == 0:
-                rate = block_accepted / config.adapt_interval
-                if rate > config.acceptance_band[1]:
+            if (it + 1) % ADAPT_INTERVAL == 0:
+                rate = block_accepted / ADAPT_INTERVAL
+                if rate > ACCEPTANCE_BAND[1]:
                     steps = steps * 1.1
-                elif rate < config.acceptance_band[0]:
+                elif rate < ACCEPTANCE_BAND[0]:
                     steps = steps * 0.9
                 step_history.append((it + 1, tuple(steps)))
                 block_accepted = 0
-        else:
-            k = it - n_burn
-            samples[k] = current
-            log_densities[k] = current_lp
-            accepted_flags[k] = accept
 
-    rate = float(np.mean(accepted_flags)) if kept else 0.0
-    return Chain(samples, log_densities, accepted_flags, rate, n_burn, tuple(step_history), config)
+    return Chain(states[n_burn:], log_densities[n_burn:], accepted[n_burn:], tuple(step_history), config)
 
 
 def sample_hyperposterior(
@@ -174,34 +158,38 @@ def sample_hyperposterior(
 
 
 def point_estimate(chain: Chain) -> Hyperparameters:
-    """Empirical posterior mean of the kept samples."""
-    if len(chain) == 0:
-        raise ValueError("chain has no kept samples")
+    """Empirical posterior mean of the kept samples, of which a chain holds
+    at least one: :class:`McmcConfig` refuses a burn-in that keeps none."""
     return Hyperparameters.from_array(chain.samples.mean(axis=0))
 
 
 @dataclass(frozen=True)
 class Estimate:
-    """A chain's point estimate ``w`` with each component's (name, mean, std),
-    its acceptance rate and kept sample count: ``estimate.json`` and the
-    ``infer`` summary."""
+    """A chain's posterior mean ``w`` from :func:`point_estimate`, the sample
+    standard deviation of each of its components, its acceptance rate and
+    kept sample count: ``estimate.json`` and the ``infer`` summary."""
 
     w: Hyperparameters
-    components: tuple[tuple[str, float, float], ...]
+    std: tuple[float, float, float]
     acceptance_rate: float
     n_kept: int
 
+    @property
+    def components(self) -> tuple[tuple[str, float, float], ...]:
+        """(name, mean, std) of rho, sigma_d (strain) and ell_d."""
+        return tuple(zip(("rho", "sigma_d", "ell_d"), (self.w.rho, self.w.sigma_d, self.w.ell_d), self.std))
+
     def render(self) -> str:
-        lines = [f"kept samples: {self.n_kept}", f"acceptance rate: {self.acceptance_rate:.3f}"]
-        for name, mean, std in self.components:
-            lines.append(f"{name}: mean {mean:.6g}, std {std:.6g}")
+        """Kept count, acceptance rate and each component's mean and std, sigma_d in microstrain."""
+        lines = [f"kept {self.n_kept} samples, acceptance rate {self.acceptance_rate:.3f}"]
+        for (name, mean, std), (scale, unit) in zip(self.components, ((1.0, ""), (MICROSTRAIN, " ue"), (1.0, " m"))):
+            lines.append(f"{name}: mean {mean / scale:.6g}{unit}, std {std / scale:.6g}{unit}")
         return "\n".join(lines)
 
 
 def chain_diagnostics(chain: Chain) -> Estimate:
-    """The estimate record of a chain: :func:`point_estimate` and the mean
-    and sample standard deviation of each component's column."""
+    """The estimate record of a chain: :func:`point_estimate` and the sample
+    standard deviation of each component's column."""
     n = len(chain)
-    components = tuple((name, float(col.mean()), float(col.std(ddof=1)) if n > 1 else 0.0)
-                       for name, col in zip(("rho", "sigma_d", "ell_d"), chain.samples.T))
-    return Estimate(point_estimate(chain), components, chain.acceptance_rate, n)
+    std = tuple(float(col.std(ddof=1)) if n > 1 else 0.0 for col in chain.samples.T)
+    return Estimate(point_estimate(chain), std, chain.acceptance_rate, n)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -119,22 +120,30 @@ def nodal_loads(model: GrillageModel, dof_map: DofMap, scenario: TrainScenario, 
 
 @dataclass(frozen=True)
 class LoadSeries:
-    """Force vectors over the recording window with relative intensities.
+    """Force vectors over the recording window.
 
-    ``gamma`` is the per-instant force norm scaled by the series maximum;
-    quiescent instants have gamma 0 and the loudest instant has gamma 1.
+    ``norms`` are the per-instant force norms and ``gamma`` the relative
+    intensities, the norms scaled by their maximum: quiescent instants have
+    gamma 0 and the loudest instant has gamma 1.
     """
 
     timestamps: np.ndarray
     forces: np.ndarray  # (n_free, n_instants)
-    gamma: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("timestamps", "forces", "gamma"):
+        for name in ("timestamps", "forces"):
             object.__setattr__(self, name, readonly(getattr(self, name)))
 
     def __len__(self) -> int:
         return self.timestamps.shape[0]
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        return readonly(np.linalg.norm(self.forces, axis=0))
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        return readonly(self.norms / self.norms.max())
 
 
 def load_series(model: GrillageModel, dof_map: DofMap, scenario: TrainScenario) -> LoadSeries:
@@ -144,12 +153,10 @@ def load_series(model: GrillageModel, dof_map: DofMap, scenario: TrainScenario) 
     the window, which would leave an empty effective observation window.
     """
     times = scenario.timestamps()
-    forces = _train_forces(model, dof_map, scenario, times)
-    norms = np.linalg.norm(forces, axis=0)
-    peak = norms.max()
-    if peak == 0.0:
+    series = LoadSeries(times, _train_forces(model, dof_map, scenario, times))
+    if series.norms.max() == 0.0:
         raise ValueError("empty effective observation window: train never loads the span")
-    return LoadSeries(times, forces, norms / peak)
+    return series
 
 
 def select_window(

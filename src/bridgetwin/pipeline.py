@@ -31,6 +31,7 @@ from .loading import (LoadSeries, RandomLoadSpec, TrainScenario, force_covarianc
                       load_series, select_window)
 from .model import ConfigError, GrillageModel, load_model_config, readonly
 from .statfem import ObservationSet, SensorLayout
+from .synth import estimate_noise_std
 
 _MATCH_TOL = 1e-9
 # the head of a recording, in s, whose unloaded rows the gauge noise is estimated from when not given
@@ -111,12 +112,6 @@ class TwinContext:
             raise ConfigError("recording timestamps do not sit on the scenario cadence")
         return idx
 
-    def observations_from_arrays(
-        self, strains: np.ndarray, timestamps: np.ndarray, sigma_e: float
-    ) -> ObservationSet:
-        idx = self.match_instants(timestamps)
-        return ObservationSet(strains, timestamps, sigma_e, self.series.gamma[idx], self.layout)
-
     def observations_from_csv(self, path: str, sigma_e: float | None = None, rows=None) -> ObservationSet:
         """Ingest a recording CSV against this context.
 
@@ -140,15 +135,11 @@ class TwinContext:
         gamma = self.series.gamma[self.match_instants(timestamps)]
         kept = np.arange(timestamps.size) if rows is None else np.asarray(rows(timestamps, gamma))
         if sigma_e is None:
-            from .synth import estimate_noise_std
-
             t0 = float(timestamps[0])
-            quiet = (t0, t0 + _QUIET_HEAD)
-            head = select_window(timestamps, *quiet)
+            head = select_window(timestamps, t0, t0 + _QUIET_HEAD)
             head = head[gamma[head] == 0.0]
             if head.size < 2:
                 raise ConfigError(f"{path} has {head.size} unloaded rows in its first {_QUIET_HEAD:g} s, "
                                   f"too few to estimate the gauge noise from; give it with --sigma-e")
-            sigma_e = estimate_noise_std(ObservationSet(recording.strains(head), timestamps[head], 0.0,
-                                                        gamma[head], self.layout), quiet)
+            sigma_e = estimate_noise_std(recording.strains(head))
         return ObservationSet(recording.strains(kept), timestamps[kept], sigma_e, gamma[kept], self.layout)

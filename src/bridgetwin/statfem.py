@@ -222,7 +222,7 @@ class ObservationSet:
         t0: float | None = None,
         t1: float | None = None,
         stride: int = 1,
-        gamma_min: float | None = DEFAULT_GAMMA_MIN,
+        gamma_min: float = DEFAULT_GAMMA_MIN,
     ) -> "ObservationSet":
         """Restrict to [t0, t1], thin by stride, drop quiescent instants."""
         return self.select(window_indices(self.timestamps, self.gamma, t0, t1, stride, gamma_min))
@@ -234,15 +234,14 @@ def window_indices(
     t0: float | None = None,
     t1: float | None = None,
     stride: int = 1,
-    gamma_min: float | None = DEFAULT_GAMMA_MIN,
+    gamma_min: float = DEFAULT_GAMMA_MIN,
 ) -> np.ndarray:
     """Indices of the instants inside [t0, t1], thinned by stride, whose
     load level ``gamma`` is at least ``gamma_min``: the one window rule of
     :meth:`ObservationSet.window` and of a recording's rows before they are
     parsed. An empty window raises ValueError."""
     idx = select_window(timestamps, t0, t1, stride)
-    if gamma_min is not None:
-        idx = idx[np.asarray(gamma)[idx] >= gamma_min]
+    idx = idx[np.asarray(gamma)[idx] >= gamma_min]
     if idx.size == 0:
         raise ValueError("empty effective observation window")
     return idx

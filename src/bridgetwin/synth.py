@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import chol_psd, sq_exp_correlation
-from .loading import select_window
 from .statfem import ObservationSet, SensorLayout
 
 
@@ -99,14 +98,11 @@ def generate_observations(
     return ObservationSet(noisy, timestamps, sigma_e, gamma, layout)
 
 
-def estimate_noise_std(obs: ObservationSet, quiet_window: tuple[float, float]) -> float:
-    """Gauge noise level from a quiescent stretch of the recording.
+def estimate_noise_std(strains: np.ndarray) -> float:
+    """Gauge noise level from the strains (n_sensors, n_instants) of a
+    quiescent stretch of the recording, at least two instants.
 
-    Takes the unbiased per-sensor variance over the window's instants and
-    returns the square root of their mean, pooling all sensors equally.
+    Takes the unbiased per-sensor variance over the instants and returns
+    the square root of their mean, pooling all sensors equally.
     """
-    idx = select_window(obs.timestamps, quiet_window[0], quiet_window[1])
-    if idx.size < 2:
-        raise ValueError(f"quiet window {quiet_window} holds fewer than two instants")
-    block = obs.strains[:, idx]
-    return float(np.sqrt(np.mean(np.var(block, axis=1, ddof=1))))
+    return float(np.sqrt(np.mean(np.var(strains, axis=1, ddof=1))))

@@ -246,6 +246,31 @@ class TestCalibrateCommand:
             assert t_cell == repr(t)
             assert strain == format_microstrain(fbg_mechanical_strain(s, u, k_t=0.1))
 
+    @pytest.mark.parametrize("flag,value,named", [("--k-tt", "inf", "k_tt"), ("--k-eps", "nan", "k_eps"),
+                                                  ("--k-t", "-inf", "k_t"), ("--alpha-sub", "nan", "alpha_sub")])
+    def test_non_finite_coefficient_exits_2_writing_nothing(self, tmp_path, capsys, flag, value, named):
+        """An infinite --k-tt would drop the temperature compensation and a
+        nan --k-eps make every strain nan; each is refused by name."""
+        src = tmp_path / "shifts.csv"
+        src.write_text("t,rel_shift_s,rel_shift_t\n0.0,7.8e-7,1e-6\n0.004,1.56e-6,2e-6\n")
+        out = tmp_path / "strain.csv"
+        assert cli.main(["calibrate", "--in", str(src), "--out", str(out), f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: config: {named} must be a finite number, got {float(value)}"]
+        assert not out.exists()
+
+    def test_strain_that_overflows_exits_2_writing_nothing(self, tmp_path, capsys):
+        """A subnormal --k-eps is finite but sends every strain to inf: the
+        writer refuses the column, naming it, before it opens the file, and
+        no numpy warning reaches stderr."""
+        src = tmp_path / "shifts.csv"
+        src.write_text("t,rel_shift_s\n0.0,7.8e-7\n0.004,1.56e-6\n")
+        out = tmp_path / "strain.csv"
+        assert cli.main(["calibrate", "--in", str(src), "--out", str(out), "--k-eps", "1e-320"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: config: {out}: column strain: not a finite strain: inf"]
+        assert not out.exists()
+
 
 class TestInferCommand:
     def test_end_to_end_and_determinism(self, tmp_path):
@@ -290,6 +315,30 @@ class TestInferCommand:
         assert len(warnings) == int(warns)
         if warns:
             assert f"{rate:.3f}" in warnings[0]
+
+    def test_estimate_holds_one_posterior_mean_and_the_summary_prints_it_once(self, tmp_path, capsys):
+        """Each component's mean in estimate.json is the top-level point
+        estimate's float (sigma_d in strain there), and the summary gives
+        every component once, sigma_d in microstrain."""
+        obs = _synth(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "fit"
+        rc = cli.main(["infer", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0", "--window", "1.0", "3.0",
+                       "--stride", "50", "--iters", "400", "--seed", "5", "--out", str(out)])
+        assert rc == 0
+        est = json.loads((out / "estimate.json").read_text())
+        means = {name: c["mean"] for name, c in est["components"].items()}
+        assert means["rho"] == est["rho"] and means["ell_d"] == est["ell_d"]
+        assert means["sigma_d"] / 1e-6 == est["sigma_d_microstrain"]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "sampled 400 iterations on 11 instants"
+        assert lines[1] == f"kept 300 samples, acceptance rate {est['acceptance_rate']:.3f}"
+        sigma = est["components"]["sigma_d"]
+        assert lines[2:] == [
+            f"rho: mean {est['rho']:.6g}, std {est['components']['rho']['std']:.6g}",
+            f"sigma_d: mean {est['sigma_d_microstrain']:.6g} ue, std {sigma['std'] / 1e-6:.6g} ue",
+            f"ell_d: mean {est['ell_d']:.6g} m, std {est['components']['ell_d']['std']:.6g} m",
+        ]
 
     def test_malformed_strain_cell_in_a_skipped_row_changes_nothing(self, tmp_path):
         """A windowed infer parses the strain cells of its kept rows only:
@@ -494,6 +543,20 @@ class TestPosteriorCommand:
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: config: {estimate}{message}"]
+
+
+@pytest.mark.parametrize("command,time", [("posterior", "nan"), ("predict", "inf"), ("posterior", "-inf")])
+def test_non_finite_time_exits_2_before_the_recording_is_read(tmp_path, capsys, command, time):
+    """A non-finite --time has no nearest instant; it is refused with one
+    line before the recording, here a missing file, is opened."""
+    out = tmp_path / "x.csv"
+    held_out = ["--locations", SENSORS_WEST] if command == "predict" else []
+    rc = cli.main([command, *_CTX_ARGS, "--obs", str(tmp_path / "missing.csv"), "--sigma-e", "1.0",
+                   "--w-star", "0.9,4.0,0.5", f"--time={time}", *held_out, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: config: --time must be a finite number of seconds, got {float(time)}"]
+    assert not out.exists()
 
 
 class TestPredictCommand:

@@ -257,6 +257,19 @@ def test_write_table_rejects_ragged_columns(tmp_path):
         write_table(tmp_path / "x.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
 
 
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_write_table_refuses_a_non_finite_strain_before_opening_the_file(tmp_path, x):
+    """No truncated table: a strain past the first block is found before a
+    byte is written, and the error names the path and the column."""
+    path = tmp_path / "x.csv"
+    strains = np.zeros(10_000)
+    strains[9_000] = x
+    with pytest.raises(ValueError) as err:
+        write_table(path, ["t", "strain"], [[str(k) for k in range(strains.size)], strains])
+    assert str(err.value) == f"{path}: column strain: not a finite strain: {x!r}"
+    assert not path.exists()
+
+
 @st.composite
 def _literal_tables(draw):
     """Rows of microstrain literals of every accepted shape, some padded
@@ -450,7 +463,7 @@ class TestObservationTable:
 
 def _estimate(w):
     """The estimate record of a chain whose point estimate is ``w``."""
-    return Estimate(w, components=(), acceptance_rate=0.0, n_kept=0)
+    return Estimate(w, std=(0.0, 0.0, 0.0), acceptance_rate=0.0, n_kept=0)
 
 
 class TestRecordingRows:

@@ -1,8 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bridgetwin.fem import PriorEnsemble
 from bridgetwin.inference import (
+    ACCEPTANCE_BAND,
+    ADAPT_INTERVAL,
+    INITIAL,
+    STEPS,
+    SUPPORT,
+    Chain,
     McmcConfig,
     chain_diagnostics,
     point_estimate,
@@ -22,8 +30,10 @@ def _gaussian_target(mu, sigma):
     return log_density
 
 
-# a positive box wide enough that the toy targets never clip
-_WIDE = ((1e-6, 1000.0), (1e-6, 1000.0), (1e-6, 1000.0))
+# a target near the fixed start, inside the fixed box, whose scales are a few
+# steps each: (rho, sigma_d in strain, ell_d)
+_MU = np.array([1.3, 1.6e-6, 1.0])
+_SIGMA = np.array([0.16, 2.4e-7, 0.1])
 
 
 class TestMcmcConfig:
@@ -31,13 +41,21 @@ class TestMcmcConfig:
         cfg = McmcConfig(iterations=1000, burn_in_fraction=0.25)
         assert cfg.n_burn == 250
 
-    def test_rejects_initial_outside_support(self):
-        with pytest.raises(ValueError):
-            McmcConfig(initial=(1e9, 1e-6, 1.0))
+    def test_only_what_a_run_chooses_is_a_field(self):
+        """The start, steps, box and band are constants; the band stays
+        readable on the config."""
+        assert [f.name for f in dataclasses.fields(McmcConfig)] == ["iterations", "burn_in_fraction", "seed"]
+        assert McmcConfig().acceptance_band == ACCEPTANCE_BAND
 
-    def test_rejects_bad_band(self):
-        with pytest.raises(ValueError):
-            McmcConfig(acceptance_band=(0.6, 0.4))
+    def test_module_constants_satisfy_the_sampler_invariants(self):
+        """A positive increasing box holding the start, positive steps, a band
+        inside (0, 1) and a positive adaptation interval."""
+        assert len(SUPPORT) == len(STEPS) == len(INITIAL) == 3
+        assert all(0.0 < lo < x < hi for (lo, hi), x in zip(SUPPORT, INITIAL))
+        assert all(s > 0.0 for s in STEPS)
+        lo, hi = ACCEPTANCE_BAND
+        assert 0.0 < lo < hi < 1.0
+        assert ADAPT_INTERVAL >= 1
 
     def test_rejects_a_burn_in_that_keeps_no_sample(self):
         """0.9999 of 3000 iterations rounds to all 3000; one fewer keeps one."""
@@ -48,56 +66,51 @@ class TestMcmcConfig:
 
 class TestRandomWalk:
     def test_recovers_gaussian_target(self):
-        """Long chain on a known 3-d Gaussian: kept-sample moments must match."""
-        mu = np.array([6.5, 8.0, 5.0])
-        sigma = np.array([0.8, 1.2, 0.5])
-        cfg = McmcConfig(iterations=60_000, burn_in_fraction=0.25, initial=(5.0, 7.0, 4.0),
-                         step_sizes=(0.8, 1.2, 0.5), support=_WIDE, seed=4)
-        chain = run_random_walk(_gaussian_target(mu, sigma), cfg)
+        """Long chain on a known 3-d Gaussian: kept-sample moments must match,
+        the means to within 1/15 of each component's std."""
+        cfg = McmcConfig(iterations=60_000, burn_in_fraction=0.25, seed=4)
+        chain = run_random_walk(_gaussian_target(_MU, _SIGMA), cfg)
         assert chain.samples.shape == (45_000, 3)
-        np.testing.assert_allclose(chain.samples.mean(axis=0), mu, atol=0.08)
-        np.testing.assert_allclose(chain.samples.std(axis=0), sigma, rtol=0.08)
+        np.testing.assert_allclose((chain.samples.mean(axis=0) - _MU) / _SIGMA, 0.0, atol=1 / 15)
+        np.testing.assert_allclose(chain.samples.std(axis=0), _SIGMA, rtol=0.08)
 
     def test_adaptation_lands_in_band(self):
-        cfg = McmcConfig(iterations=20_000, initial=(5.0, 5.0, 5.0),
-                         step_sizes=(5.0, 0.01, 1.0), support=_WIDE, seed=2)
-        chain = run_random_walk(_gaussian_target([5.0, 5.0, 5.0], [1.0, 1.0, 1.0]), cfg)
+        """Steps 20, 5 and 20 times smaller than the target's stds grow into the band."""
+        cfg = McmcConfig(iterations=20_000, seed=2)
+        chain = run_random_walk(_gaussian_target([5.0, 5e-6, 5.0], [1.0, 1e-6, 1.0]), cfg)
         lo, hi = cfg.acceptance_band
         assert lo <= chain.acceptance_rate <= hi
 
     def test_same_seed_reproduces_exactly(self):
-        cfg = McmcConfig(iterations=2000, initial=(5.0, 5.0, 5.0),
-                         step_sizes=(1.0, 1.0, 1.0), support=_WIDE, seed=12)
-        target = _gaussian_target([5.0, 6.0, 5.0], [1.0, 1.0, 1.0])
+        cfg = McmcConfig(iterations=2000, seed=12)
+        target = _gaussian_target(_MU, _SIGMA)
         a = run_random_walk(target, cfg)
         b = run_random_walk(target, cfg)
         np.testing.assert_array_equal(a.samples, b.samples)
         assert a.acceptance_rate == b.acceptance_rate
 
     def test_different_seed_differs(self):
-        target = _gaussian_target([5.0, 5.0, 5.0], [1.0, 1.0, 1.0])
-        kw = dict(iterations=500, initial=(5.0, 5.0, 5.0), step_sizes=(1.0, 1.0, 1.0),
-                  support=_WIDE)
-        a = run_random_walk(target, McmcConfig(seed=1, **kw))
-        b = run_random_walk(target, McmcConfig(seed=2, **kw))
+        target = _gaussian_target(_MU, _SIGMA)
+        a = run_random_walk(target, McmcConfig(iterations=500, seed=1))
+        b = run_random_walk(target, McmcConfig(iterations=500, seed=2))
         assert not np.array_equal(a.samples, b.samples)
 
     def test_support_box_is_never_left(self):
-        box = ((0.5, 1.5), (0.5, 1.5), (0.5, 1.5))
+        """A flat target: every proposal inside the box is accepted, so the
+        rejected ones are those that left it."""
+        lo, hi = np.array(SUPPORT).T
 
         def guarded(theta):
-            assert np.all(theta >= 0.5) and np.all(theta <= 1.5)
+            assert np.all(theta >= lo) and np.all(theta <= hi)
             return 0.0
 
-        cfg = McmcConfig(iterations=3000, initial=(1.0, 1.0, 1.0),
-                         step_sizes=(2.0, 2.0, 2.0), support=box, seed=3)
-        chain = run_random_walk(guarded, cfg)
-        assert np.all(chain.samples >= 0.5) and np.all(chain.samples <= 1.5)
+        chain = run_random_walk(guarded, McmcConfig(iterations=3000, seed=3))
+        assert chain.acceptance_rate < 1.0
+        assert np.all(chain.samples >= lo) and np.all(chain.samples <= hi)
 
     def test_adaptation_stops_after_burn_in(self):
-        cfg = McmcConfig(iterations=4000, burn_in_fraction=0.5, initial=(5.0, 5.0, 5.0),
-                         step_sizes=(20.0, 20.0, 20.0), support=_WIDE, seed=5)
-        chain = run_random_walk(_gaussian_target([5.0, 5.0, 5.0], [1.0, 1.0, 1.0]), cfg)
+        cfg = McmcConfig(iterations=4000, burn_in_fraction=0.5, seed=5)
+        chain = run_random_walk(_gaussian_target([5.0, 5e-6, 5.0], [1.0, 1e-6, 1.0]), cfg)
         assert chain.step_history
         assert max(it for it, _ in chain.step_history) <= cfg.n_burn
 
@@ -105,9 +118,20 @@ class TestRandomWalk:
         def bad(theta):
             return float("-inf")
 
-        cfg = McmcConfig(iterations=100, initial=(5.0, 5.0, 5.0), support=_WIDE)
         with pytest.raises(ValueError):
-            run_random_walk(bad, cfg)
+            run_random_walk(bad, McmcConfig(iterations=100))
+
+    def test_chain_derives_its_rate_and_first_iteration(self):
+        """Neither is a field, so ``dataclasses.replace`` cannot copy a stale one."""
+        chain = run_random_walk(_gaussian_target(_MU, _SIGMA), McmcConfig(iterations=400, seed=1))
+        names = {f.name for f in dataclasses.fields(Chain)}
+        assert names == {"samples", "log_density", "accepted", "step_history", "config"}
+        assert chain.first_iteration == chain.config.n_burn == 100
+        assert chain.acceptance_rate == np.mean(chain.accepted)
+        flipped = dataclasses.replace(chain, accepted=~chain.accepted,
+                                      config=McmcConfig(iterations=400, burn_in_fraction=0.5, seed=1))
+        assert flipped.acceptance_rate == pytest.approx(1.0 - chain.acceptance_rate)
+        assert flipped.first_iteration == 200
 
 
 def _toy_problem(rng, n_y=4, n_o=6):
@@ -149,10 +173,21 @@ class TestHyperposterior:
 
 class TestDiagnostics:
     def test_render(self):
-        cfg = McmcConfig(iterations=2000, initial=(5.0, 5.0, 5.0),
-                         step_sizes=(1.0, 1.0, 1.0), support=_WIDE, seed=6)
-        chain = run_random_walk(_gaussian_target([5.0, 5.0, 5.0], [1.0, 1.0, 1.0]), cfg)
+        cfg = McmcConfig(iterations=2000, seed=6)
+        chain = run_random_walk(_gaussian_target(_MU, _SIGMA), cfg)
         diag = chain_diagnostics(chain)
         text = diag.render()
         assert "acceptance" in text
         assert diag.n_kept == chain.samples.shape[0]
+
+    def test_each_mean_is_the_point_estimate(self):
+        """The posterior mean is computed once: each component's mean is the
+        point estimate's float, and the summary gives sigma_d in microstrain."""
+        chain = run_random_walk(_gaussian_target(_MU, _SIGMA), McmcConfig(iterations=2000, seed=6))
+        diag = chain_diagnostics(chain)
+        w = point_estimate(chain)
+        assert [mean for _, mean, _ in diag.components] == [w.rho, w.sigma_d, w.ell_d]
+        assert [f.name for f in dataclasses.fields(diag)] == ["w", "std", "acceptance_rate", "n_kept"]
+        lines = diag.render().splitlines()
+        assert lines[2] == f"sigma_d: mean {w.sigma_d / 1e-6:.6g} ue, std {diag.std[1] / 1e-6:.6g} ue"
+        assert len(lines) == 4

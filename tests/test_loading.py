@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import oracles
 from bridgetwin.fem import DOF_RX, DOF_RY, DOF_W, assemble, solve
 from bridgetwin.loading import (
+    LoadSeries,
     RandomLoadSpec,
     TrainScenario,
     axle_positions,
@@ -135,6 +137,18 @@ class TestLoadSeries:
         f = np.column_stack([nodal_loads(bundled_ctx.model, bundled_ctx.dof_map, bundled_ctx.scenario, t)
                              for t in series.timestamps.tolist()])
         np.testing.assert_array_equal(series.forces, f)
+
+    def test_only_the_forces_are_fields(self, bundled_ctx):
+        """Norms and gamma derive from the forces, so ``dataclasses.replace``
+        with new forces cannot carry the old ones along."""
+        series = bundled_ctx.series
+        assert [f.name for f in dataclasses.fields(LoadSeries)] == ["timestamps", "forces"]
+        np.testing.assert_array_equal(series.norms, np.linalg.norm(series.forces, axis=0))
+        np.testing.assert_array_equal(series.gamma, series.norms / series.norms.max())
+        before_peak = np.arange(len(series)) < np.argmax(series.gamma)
+        cut = dataclasses.replace(series, forces=series.forces * before_peak)
+        assert cut.norms.max() < series.norms.max() and cut.gamma.max() == 1.0
+        assert not np.array_equal(cut.gamma, series.gamma)
 
 
 class TestSelectWindow:

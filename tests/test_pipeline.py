@@ -7,6 +7,7 @@ import pytest
 from bridgetwin.dataio import read_layout_entries, write_observations
 from bridgetwin.model import ConfigError
 from bridgetwin.pipeline import TwinContext
+from bridgetwin.statfem import ObservationSet
 from bridgetwin.synth import DiscrepancySpec, generate_observations, generate_truth
 
 from conftest import BRIDGE_YAML, SENSORS_EAST, SENSORS_WEST, TRAIN_YAML, cropped_recording
@@ -109,7 +110,8 @@ class TestNothingGoesStale:
         assert own_ctx.layout.sensors[0].x == own_ctx.sensor_entries[0]["x"]
 
     def test_observation_noise_is_not_settable(self, own_ctx):
-        obs = own_ctx.observations_from_arrays(own_ctx.strain_means(), own_ctx.series.timestamps, 1e-6)
+        obs = ObservationSet(own_ctx.strain_means(), own_ctx.series.timestamps, 1e-6, own_ctx.series.gamma,
+                             own_ctx.layout)
         with pytest.raises(dataclasses.FrozenInstanceError):
             obs.sigma_e = float("nan")
         assert obs.sigma_e == 1e-6
@@ -238,6 +240,15 @@ class TestObservationsFromCsv:
         assert quiet.sum() >= 2 and np.all(given.gamma[quiet] == 0.0) and np.any(given.gamma[head] > 0.0)
         want = np.sqrt(np.mean(np.var(given.strains[:, quiet], axis=1, ddof=1)))
         assert bundled_ctx.observations_from_csv(path).sigma_e == pytest.approx(want, rel=1e-12)
+
+    def test_fewer_than_two_unloaded_head_rows_raise(self, bundled_ctx, tmp_path):
+        """Cropped to start at 1.0 s, the recording's first half second holds
+        no unloaded row, so the noise cannot be estimated; given, it is not needed."""
+        self._write_synthetic(bundled_ctx, tmp_path / "obs.csv")
+        path = cropped_recording(tmp_path / "obs.csv", tmp_path / "cropped.csv", 1.0)
+        with pytest.raises(ValueError, match="too few to estimate the gauge noise"):
+            bundled_ctx.observations_from_csv(path)
+        assert bundled_ctx.observations_from_csv(path, sigma_e=1e-6).sigma_e == 1e-6
 
     def test_column_mismatch_rejected(self, bundled_ctx, tmp_path):
         path = tmp_path / "obs.csv"

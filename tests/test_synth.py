@@ -98,23 +98,7 @@ class TestGenerateObservations:
 
 class TestEstimateNoiseStd:
     def test_recovers_known_sigma(self):
-        layout = _layout()
         rng = np.random.default_rng(11)
-        n_o = 5000
-        ts = np.arange(n_o) * 0.004
-        strains = 2.5e-6 * rng.standard_normal((5, n_o))
-        obs = generate_observations(np.zeros((5, n_o)), ts, np.zeros(n_o), layout,
-                                    sigma_e=0.0, seed=0)
-        obs = type(obs)(strains=strains, timestamps=ts, sigma_e=0.0,
-                        gamma=obs.gamma, layout=layout)
-        est = estimate_noise_std(obs, quiet_window=(0.0, ts[-1]))
-        assert est == pytest.approx(2.5e-6, rel=0.05)
-
-    def test_too_short_window_raises(self):
-        layout = _layout()
-        ts = np.arange(10) * 0.004
-        obs = generate_observations(np.zeros((5, 10)), ts, np.zeros(10), layout,
-                                    sigma_e=1e-6, seed=1)
-        with pytest.raises(ValueError):
-            estimate_noise_std(obs, quiet_window=(5.0, 6.0))
+        strains = 2.5e-6 * rng.standard_normal((5, 5000))
+        assert estimate_noise_std(strains) == pytest.approx(2.5e-6, rel=0.05)
 
