@@ -47,14 +47,26 @@ class TestMcmcConfig:
         assert [f.name for f in dataclasses.fields(McmcConfig)] == ["iterations", "burn_in_fraction", "seed"]
         assert McmcConfig().acceptance_band == ACCEPTANCE_BAND
 
-    def test_module_constants_satisfy_the_sampler_invariants(self):
-        """A positive increasing box holding the start, positive steps, a band
-        inside (0, 1) and a positive adaptation interval."""
-        assert len(SUPPORT) == len(STEPS) == len(INITIAL) == 3
+    def test_rejects_initial_outside_support(self):
+        """The start is a constant, not an argument: a config given one is
+        refused, and the fixed start lies inside the positive box."""
+        with pytest.raises(TypeError):
+            McmcConfig(initial=(1e9, 1e-6, 1.0))
         assert all(0.0 < lo < x < hi for (lo, hi), x in zip(SUPPORT, INITIAL))
-        assert all(s > 0.0 for s in STEPS)
+
+    def test_rejects_bad_band(self):
+        """The band is a constant, not an argument: a config given one is
+        refused, and the fixed band is ordered inside (0, 1)."""
+        with pytest.raises(TypeError):
+            McmcConfig(acceptance_band=(0.6, 0.4))
         lo, hi = ACCEPTANCE_BAND
         assert 0.0 < lo < hi < 1.0
+
+    def test_module_constants_satisfy_the_sampler_invariants(self):
+        """One start, step and box side per parameter, positive steps and a
+        positive adaptation interval."""
+        assert len(SUPPORT) == len(STEPS) == len(INITIAL) == 3
+        assert all(s > 0.0 for s in STEPS)
         assert ADAPT_INTERVAL >= 1
 
     def test_rejects_a_burn_in_that_keeps_no_sample(self):
