@@ -135,16 +135,31 @@ def _windowed(args, time: float | None = None) -> tuple[TwinContext, Observation
     --gamma-min and, given a ``time``, to the one windowed instant nearest
     it. Every row's cell count and time cell are checked, but only the kept
     rows' strain cells are parsed, and those of the quiet head when
-    --sigma-e is omitted. A non-finite ``time`` is refused first."""
+    --sigma-e is omitted. Bad numbers are refused before any file is read,
+    and a ``time`` over a step outside the windowed instants once it is."""
     if time is not None and not math.isfinite(time):
         raise ConfigError(f"--time must be a finite number of seconds, got {time}")
+    given = {"--window": args.window or [], "--gamma-min": [args.gamma_min],
+             "--sigma-e": [] if args.sigma_e is None else [args.sigma_e]}
+    for flag, values in given.items():
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"{flag} must be finite, got {' '.join(f'{v:g}' for v in values)}")
+    if args.sigma_e is not None and args.sigma_e < 0.0:
+        raise ConfigError(f"--sigma-e must be a nonnegative number of microstrain, got {args.sigma_e:g}")
+    if args.stride < 1:
+        raise ConfigError(f"--stride must be a positive integer, got {args.stride}")
     ctx = TwinContext.from_files(args.model, args.scenario, args.sensors)
     sigma_e = None if args.sigma_e is None else args.sigma_e * dataio.MICROSTRAIN
     t0, t1 = args.window if args.window else (None, None)
+    step = ctx.scenario.time_step
 
     def rows(timestamps, gamma):
         idx = window_indices(timestamps, gamma, t0, t1, args.stride, args.gamma_min)
-        return idx if time is None else idx[[int(np.argmin(np.abs(timestamps[idx] - time)))]]
+        kept = timestamps[idx]
+        if time is not None and not kept.min() - step <= time <= kept.max() + step:
+            raise ConfigError(f"--time {time:g} s lies more than one time step outside the window's "
+                              f"instants, {kept.min():.6g} to {kept.max():.6g} s")
+        return idx if time is None else idx[[int(np.argmin(np.abs(kept - time)))]]
 
     return ctx, ctx.observations_from_csv(args.obs, sigma_e=sigma_e, rows=rows)
 

@@ -418,8 +418,8 @@ def write_sensor_bands(path: str, t: float, gamma: float, sensors, bands: dict,
 
 def read_shift_table(path: str) -> tuple[list[str] | None, np.ndarray, np.ndarray | None]:
     """Relative wavelength shifts of an FBG CSV with a rel_shift_s column and
-    optional rel_shift_t and t columns: (t cells as written or None,
-    strain grating shifts, temperature grating shifts or None)."""
+    optional rel_shift_t and t columns, all finite numbers: (t cells as
+    written or None, strain grating shifts, temperature grating shifts or None)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header, records = _records(path, fh, {"rel_shift_s"}, "a rel_shift_s column")
         records = list(records)
@@ -427,7 +427,7 @@ def read_shift_table(path: str) -> tuple[list[str] | None, np.ndarray, np.ndarra
         raise ValueError(f"{path} holds no data rows")
     lines, rows = zip(*records)
     shifts = {c: _finite_column(path, c, lines, [row[c] for row in rows])
-              for c in ("rel_shift_s", "rel_shift_t") if c in header}
+              for c in ("rel_shift_s", "rel_shift_t", "t") if c in header}
     times = [row["t"] for row in rows] if "t" in header else None
     return times, shifts["rel_shift_s"], shifts.get("rel_shift_t")
 

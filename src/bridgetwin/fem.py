@@ -23,11 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DOF_NAMES, GrillageModel, SectionSpec, readonly
+from .model import DOF_NAMES, GrillageModel, readonly
 
 log = logging.getLogger(__name__)
-
-DOF_W, DOF_RX, DOF_RY = 0, 1, 2
 
 # relative jitter ladder: eps * mean(diag) added to the diagonal, escalating
 JITTER_LADDER = (1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
@@ -59,17 +57,10 @@ def hermite_curvature(t, length) -> np.ndarray:
     ])
 
 
-def element_stiffness(section: SectionSpec, length: float) -> np.ndarray:
-    """Local 6x6 stiffness on (w1, theta1, phi1, w2, theta2, phi2)."""
-    return _local_stiffness([section.bending_stiffness], [section.torsion_stiffness], [length])[0]
-
-
 def _local_stiffness(ei, gj, lengths) -> np.ndarray:
     """Local stiffnesses (n, 6, 6) of n elements from their bending and
     torsion stiffnesses and lengths, each of length n."""
     l = np.asarray(lengths, dtype=float)
-    if np.any(l <= 0.0):
-        raise ValueError(f"element length must be positive, got {l[l <= 0.0][0]}")
     # Python's pow: numpy's vectorised power may differ from it in the last bit
     cube = np.array([x**3 for x in l.tolist()])
     twelve, six, four, two = np.full_like(l, 12.0), 6.0 * l, 4.0 * l * l, 2.0 * l * l
@@ -104,6 +95,8 @@ def element_geometry(model: GrillageModel, elements) -> tuple[np.ndarray, np.nda
     ends = model.element_nodes(elements)
     d = model.nodes[ends[:, 1]] - model.nodes[ends[:, 0]]
     lengths = np.hypot(d[:, 0], d[:, 1])
+    if np.any(lengths <= 0.0):
+        raise ValueError(f"element length must be positive, got {lengths[lengths <= 0.0][0]}")
     slots = 3 * np.repeat(ends, 3, axis=1) + np.tile(np.arange(3), 2)
     return lengths, d / lengths[:, None], slots
 

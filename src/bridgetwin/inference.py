@@ -36,7 +36,7 @@ ADAPT_INTERVAL = 100
 class McmcConfig:
     """What a run chooses: the iteration count, the share of it spent in
     burn-in, ``burn_in_fraction`` of the iterations rounded, which must leave
-    at least one kept sample, and the seed."""
+    at least one kept sample, and the seed, a nonnegative integer."""
 
     iterations: int = 20000
     burn_in_fraction: float = 0.25
@@ -46,6 +46,8 @@ class McmcConfig:
     def __post_init__(self) -> None:
         if self.iterations < 2:
             raise ValueError("need at least two iterations")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if not 0.0 <= self.burn_in_fraction < 1.0:
             raise ValueError(f"burn-in fraction must lie in [0, 1), got {self.burn_in_fraction}")
         if self.n_burn >= self.iterations:

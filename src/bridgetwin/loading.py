@@ -22,6 +22,8 @@ from .fem import (DofMap, element_columns, element_geometry, hermite_shape, sq_e
 from .model import ConfigError, GrillageModel, read_document, readonly
 
 _TIME_EPS = 1e-9
+# Gauss-Legendre points per member in the deck-load integrals
+QUAD_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -88,12 +90,6 @@ def _axle_grid(scenario: TrainScenario, times, span: float) -> tuple[np.ndarray,
     return pos, (pos >= 0.0) & (pos <= span)
 
 
-def axle_positions(scenario: TrainScenario, t: float, span: float) -> np.ndarray:
-    """Arc positions of the axles on the span at time t; off-span axles drop."""
-    pos, on_span = _axle_grid(scenario, [t], span)
-    return pos[on_span]
-
-
 def _train_forces(model: GrillageModel, dof_map: DofMap, scenario: TrainScenario, times) -> np.ndarray:
     """Consistent free-dof forces of the train, one column per time.
 
@@ -111,11 +107,6 @@ def _train_forces(model: GrillageModel, dof_map: DofMap, scenario: TrainScenario
     local[:, [0, 1, 3, 4]] = (scenario.axle_load * shape).T
     columns = np.nonzero(on_span)[0]
     return element_columns(model, dof_map, elements, local, columns, len(pos))
-
-
-def nodal_loads(model: GrillageModel, dof_map: DofMap, scenario: TrainScenario, t: float) -> np.ndarray:
-    """Consistent free-dof force vector for the train at time t."""
-    return _train_forces(model, dof_map, scenario, [t])[:, 0]
 
 
 @dataclass(frozen=True)
@@ -194,27 +185,25 @@ class RandomLoadSpec:
             raise ConfigError(f"random load length scale must be positive, got {self.length_scale}")
 
 
-def force_covariance(
-    model: GrillageModel, dof_map: DofMap, spec: RandomLoadSpec, quad_order: int = 4
-) -> np.ndarray:
+def force_covariance(model: GrillageModel, dof_map: DofMap, spec: RandomLoadSpec) -> np.ndarray:
     """Free-dof covariance of the random deck load.
 
     Every member carries a tributary deck strip; the pressure field with
     kernel sigma^2 exp(-|x - x'|^2 / (2 l^2)) over plan distance is pushed
-    through Gauss-Legendre line integrals of the translational beam shapes
-    (deflection terms only, rotational loads are not excited). The result
-    is B K B^T and therefore positive semidefinite by construction; it is
-    supported on the deflection dofs alone.
+    through QUAD_ORDER-point Gauss-Legendre line integrals of the
+    translational beam shapes (deflection terms only, rotational loads are
+    not excited). The result is B K B^T and therefore positive semidefinite
+    by construction; it is supported on the deflection dofs alone.
     """
     width = spec.tributary_width if spec.tributary_width is not None else model.deck_spacing
     if width is None or width <= 0.0:
         raise ConfigError("random load needs a positive tributary width or model deck spacing")
-    xi, wq = np.polynomial.legendre.leggauss(quad_order)
+    xi, wq = np.polynomial.legendre.leggauss(QUAD_ORDER)
     xi = 0.5 * (xi + 1.0)
     wq = 0.5 * wq
 
     n_elements = len(model.elements)
-    elements = np.repeat(np.arange(n_elements), quad_order)
+    elements = np.repeat(np.arange(n_elements), QUAD_ORDER)
     lengths = element_geometry(model, elements)[0]
     shape = hermite_shape(np.tile(xi, n_elements), lengths)
     weight = np.tile(wq, n_elements) * lengths * width

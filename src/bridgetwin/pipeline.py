@@ -87,9 +87,9 @@ class TwinContext:
         full = self._prior
         return full if indices is None else replace(full, means=full.means[:, np.asarray(indices)])
 
-    def strain_means(self, indices=None) -> np.ndarray:
-        """Deterministic model strains P u_k at the selected instants."""
-        return self.strain_op.matrix @ self.prior_series(indices).means
+    def strain_means(self) -> np.ndarray:
+        """Deterministic model strains P u_k at every instant of the series."""
+        return self.strain_op.matrix @ self._prior.means
 
     def operator_for(self, layout: SensorLayout) -> StrainOperator:
         """Strain operator rows for an alternative gauge layout."""

@@ -52,7 +52,7 @@ def short_recording(tmp_path_factory, bundled_ctx):
     ctx = bundled_ctx
     idx = np.arange(0, len(ctx.series), 20)
     gamma = ctx.series.gamma[idx]
-    truth = generate_truth(ctx.strain_means(idx), gamma, ctx.layout, DiscrepancySpec(0.9, 4e-6, 0.5, seed=1))
+    truth = generate_truth(ctx.strain_means()[:, idx], gamma, ctx.layout, DiscrepancySpec(0.9, 4e-6, 0.5, seed=1))
     obs = generate_observations(truth, ctx.series.timestamps[idx], gamma, ctx.layout, 1e-6, seed=1)
     path = tmp_path_factory.mktemp("bench") / "rec.csv"
     write_observations(path, obs)

@@ -225,14 +225,26 @@ class TestCalibrateCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and f"{src}:3" in err[0]
 
-    @pytest.mark.parametrize("column,row", [("rel_shift_s", "0.004,nan,0"), ("rel_shift_t", "0.004,1e-6,x")])
+    @pytest.mark.parametrize("column,row", [("rel_shift_s", "0.004,nan,0"), ("rel_shift_t", "0.004,1e-6,x"),
+                                            ("t", "abc,1e-6,0"), ("t", ",1e-6,0")])
     def test_bad_shift_cell_exits_2_naming_line_and_column(self, tmp_path, capsys, column, row):
+        """The t cells are copied as written, so one that is not a finite
+        number is refused like a shift cell, before any file is written."""
         src = tmp_path / "shifts.csv"
         src.write_text(f"t,rel_shift_s,rel_shift_t\n0.0,7.8e-7,0\n{row}\n")
         rc = cli.main(["calibrate", "--in", str(src), "--out", str(tmp_path / "strain.csv")])
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and f"{src}:3: column {column}: not a finite number" in err[0]
+        assert list(tmp_path.iterdir()) == [src]
+
+    def test_time_cells_are_copied_as_written(self, tmp_path):
+        src = tmp_path / "shifts.csv"
+        cells = ["0.0040", "4E-3", "+1.25", "-0"]
+        src.write_text("t,rel_shift_s\n" + "".join(f"{cell},7.8e-7\n" for cell in cells))
+        out = tmp_path / "strain.csv"
+        assert cli.main(["calibrate", "--in", str(src), "--out", str(out)]) == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == cells
 
     def test_output_matches_per_row_conversion(self, tmp_path):
         src = tmp_path / "shifts.csv"
@@ -557,6 +569,59 @@ def test_non_finite_time_exits_2_before_the_recording_is_read(tmp_path, capsys, 
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: config: --time must be a finite number of seconds, got {float(time)}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,time", [("posterior", "1e9"), ("predict", "-50"), ("posterior", "3.429")])
+def test_time_outside_the_window_exits_2_naming_its_instants(tmp_path, capsys, command, time):
+    """A --time more than one 0.004 s step outside the windowed instants has
+    no instant near it: it is refused, naming the window's first and last
+    instants, and not answered with the edge instant."""
+    obs = _synth(tmp_path)
+    out = tmp_path / "x.csv"
+    held_out = ["--locations", SENSORS_WEST] if command == "predict" else []
+    rc = cli.main([command, *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0", "--w-star", "0.9,4.0,0.5",
+                   f"--time={time}", *held_out, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: config: --time {float(time):g} s lies more than one time step outside the "
+                   f"window's instants, 0.556 to 3.424 s"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("time,answered", [("3.427", "3.424"), ("0.553", "0.556"), ("2.0013", "2.0")])
+def test_time_within_a_step_of_the_window_answers_the_nearest_instant(tmp_path, time, answered):
+    obs = _synth(tmp_path)
+    out = tmp_path / "x.csv"
+    rc = cli.main(["posterior", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0", "--w-star", "0.9,4.0,0.5",
+                   "--time", time, "--out", str(out)])
+    assert rc == 0
+    instant = out.read_text().splitlines()[0].split()[2]
+    assert float(instant.removeprefix("t=")) == pytest.approx(float(answered), abs=1e-12)
+
+
+@pytest.mark.parametrize("command,flag,message", [
+    ("infer", ["--window", "nan", "3"], "--window must be finite, got nan 3"),
+    ("posterior", ["--window", "1", "inf"], "--window must be finite, got 1 inf"),
+    ("predict", ["--gamma-min", "nan"], "--gamma-min must be finite, got nan"),
+    ("infer", ["--sigma-e=-1"], "--sigma-e must be a nonnegative number of microstrain, got -1"),
+    ("posterior", ["--sigma-e", "nan"], "--sigma-e must be finite, got nan"),
+    ("predict", ["--stride", "0"], "--stride must be a positive integer, got 0"),
+    ("infer", ["--seed=-1"], "seed must be a nonnegative integer, got -1"),
+], ids=["window-nan", "window-inf", "gamma-min-nan", "sigma-e-negative", "sigma-e-nan", "stride-0", "seed-negative"])
+def test_bad_numeric_flag_exits_2_before_any_file_is_read(tmp_path, capsys, command, flag, message):
+    """Each bad number is refused in one line naming its flag and the value
+    as typed, in microstrain for --sigma-e; every input path here is
+    missing, so reading any file first would exit 4."""
+    missing = [str(tmp_path / name) for name in ("bridge.yaml", "train.yaml", "sensors.csv", "obs.csv")]
+    args = [command, "--model", missing[0], "--scenario", missing[1], "--sensors", missing[2],
+            "--obs", missing[3], *flag, "--out", str(tmp_path / "out")]
+    if command != "infer":
+        args += ["--w-star", "0.9,4.0,0.5", "--time", "2.0"]
+    if command == "predict":
+        args += ["--locations", missing[2]]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: config: {message}"]
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestPredictCommand:

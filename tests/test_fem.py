@@ -18,7 +18,6 @@ from bridgetwin.fem import (
     build_strain_operator,
     chol_psd,
     element_geometry,
-    element_stiffness,
     element_transform,
     hermite_curvature,
     hermite_shape,
@@ -28,7 +27,7 @@ from bridgetwin.fem import (
     squared_distances,
 )
 from bridgetwin import loading
-from bridgetwin.loading import RandomLoadSpec, TrainScenario, force_covariance, nodal_loads
+from bridgetwin.loading import RandomLoadSpec, TrainScenario, force_covariance, load_series
 from bridgetwin.model import GrillageModel, cantilever_template, load_model_config
 from bridgetwin.statfem import (
     Hyperparameters,
@@ -64,8 +63,11 @@ class TestShapeFunctions:
 
 
 class TestElementMatrices:
+    """On the reference element matrix, which :class:`TestStackedAssembly`
+    proves bit-identical to the package's through ``assemble``."""
+
     def test_stiffness_symmetry_and_rank(self, plain_section):
-        k = element_stiffness(plain_section, 1.3)
+        k = _reference_element_stiffness(plain_section, 1.3)
         np.testing.assert_array_equal(k, k.T)
         eig = np.linalg.eigvalsh(k)
         assert eig[0] > -1e-6 * eig[-1]
@@ -73,7 +75,7 @@ class TestElementMatrices:
 
     def test_rigid_modes_are_stress_free(self, plain_section):
         length = 1.3
-        k = element_stiffness(plain_section, length)
+        k = _reference_element_stiffness(plain_section, length)
         translation = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
         rotation = np.array([0.0, 1.0, 0.0, length, 1.0, 0.0])
         twist = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 1.0])
@@ -127,14 +129,12 @@ class TestStackedAssembly:
         model = dataclasses.replace(model, nodes=(model.nodes + jitter) @ rot.T)
         assert assemble(model)[0].matrix.tobytes() == _looped_stiffness(model).tobytes()
 
-    def test_single_element_stiffness_is_the_stacked_one(self, plain_section):
-        for length in (0.3, 1.3, 7.25):
-            np.testing.assert_array_equal(element_stiffness(plain_section, length),
-                                          _reference_element_stiffness(plain_section, length))
-
-    def test_non_positive_length_rejected(self, plain_section):
+    def test_non_positive_length_rejected(self, cantilever):
+        """Coincident nodes make an element of zero length, which assembly refuses."""
+        nodes = np.array(cantilever.nodes)
+        nodes[2] = nodes[1]
         with pytest.raises(ValueError, match="length must be positive"):
-            element_stiffness(plain_section, 0.0)
+            assemble(dataclasses.replace(cantilever, nodes=nodes))
 
 
 class TestAssemblyAndSolve:
@@ -158,11 +158,12 @@ class TestAssemblyAndSolve:
     def test_plan_rotation_invariance(self, plain_section):
         """A cantilever rotated in plan must deflect and strain identically: the
         clamped root is the one support set that looks the same from any
-        heading. The axle load goes through ``nodal_loads`` and the gauge is
-        read through ``build_strain_operator``, so the element-to-dof scatter
-        is exercised at a heading where both direction cosines are nonzero."""
+        heading. The axle load at t = 1.3 s is the first column of a
+        ``load_series`` whose window starts there, and the gauge is read
+        through ``build_strain_operator``, so the element-to-dof scatter is
+        exercised at a heading where both direction cosines are nonzero."""
         axle = TrainScenario(axle_offsets=(0.0,), axle_load=1000.0, speed=1.0, track_line="main",
-                             time_step=0.1, time_window=(0.0, 2.0))
+                             time_step=0.1, time_window=(1.3, 2.0))
         deflections, strains = [], []
         for angle in (0.0, 0.655):
             c, s = np.cos(angle), np.sin(angle)
@@ -174,7 +175,7 @@ class TestAssemblyAndSolve:
             f = np.zeros(dof_map.n_free)
             f[dof_map.index[2, 0]] = -1000.0
             deflections.append(solve(stiffness, f)[dof_map.index[2, 0]])
-            u = solve(stiffness, nodal_loads(model, dof_map, axle, 1.3))
+            u = solve(stiffness, load_series(model, dof_map, axle).forces[:, 0])
             deflections.append(u[dof_map.index[2, 0]])
             gauge = SensorLayout.resolve(model, [{"id": "G", "x": 0.7 * c, "y": 0.7 * s, "fiber": "top"}])
             strains.append((build_strain_operator(model, dof_map, gauge.sensors).matrix @ u)[0])

@@ -75,6 +75,12 @@ class TestMcmcConfig:
             McmcConfig(iterations=3000, burn_in_fraction=0.9999)
         assert McmcConfig(iterations=3000, burn_in_fraction=0.9998).n_burn == 2999
 
+    def test_rejects_a_negative_seed(self):
+        """numpy's generator takes no negative seed; the config names it first."""
+        with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer, got -1$"):
+            McmcConfig(seed=-1)
+        assert McmcConfig(seed=0).seed == 0
+
 
 class TestRandomWalk:
     def test_recovers_gaussian_target(self):

@@ -5,21 +5,21 @@ import numpy as np
 import pytest
 
 import oracles
-from bridgetwin.fem import DOF_RX, DOF_RY, DOF_W, assemble, solve
+from bridgetwin.fem import assemble, solve
 from bridgetwin.loading import (
     LoadSeries,
     RandomLoadSpec,
     TrainScenario,
-    axle_positions,
     force_covariance,
     load_scenario_config,
     load_series,
-    nodal_loads,
     select_window,
 )
-from bridgetwin.model import ConfigError
+from bridgetwin.model import DOF_NAMES, ConfigError, Support, simply_supported_beam_template
 
 from conftest import TRAIN_YAML
+
+W, RX, RY = (DOF_NAMES.index(name) for name in ("w", "rx", "ry"))
 
 
 def _scenario(**overrides):
@@ -27,6 +27,32 @@ def _scenario(**overrides):
                 track_line="main", time_step=0.01, time_window=(0.0, 2.0))
     base.update(overrides)
     return TrainScenario(**base)
+
+
+def _forces_at(model, t, **overrides):
+    """The train's free-dof forces at instant ``t``: the first column of the
+    load series of a window that starts at ``t`` and runs 6 s, long enough
+    for every scenario here to load the span at some instant."""
+    series = load_series(model, model.assembled[1], _scenario(time_window=(t, t + 6.0), **overrides))
+    assert series.timestamps[0] == t
+    return series.forces[:, 0]
+
+
+def _point_forces(model, nodes, load):
+    """Free-dof forces of ``load`` on the w dof of each listed node."""
+    dof_map = model.assembled[1]
+    f = np.zeros(dof_map.n_free)
+    for node in nodes:
+        f[dof_map.index[node, W]] += load
+    return f
+
+
+@pytest.fixture()
+def free_end_line(plain_section):
+    """An 8 m line of 1 m elements clamped at its far end, so that w is free
+    at node 0 and an axle at arc length 0 shows as a force there."""
+    beam = simply_supported_beam_template(8.0, 8, plain_section)
+    return dataclasses.replace(beam, supports=[Support(8, frozenset(DOF_NAMES))])
 
 
 class TestTrainScenario:
@@ -65,57 +91,56 @@ class TestTrainScenario:
 
 
 class TestAxlePositions:
-    def test_progressive_entry(self):
-        s = _scenario(arrival_time=0.0)
+    """Each axle on the span sits on a node of the 1 m line, so the forces
+    of an instant are a point force of ``axle_load`` at every axle's node."""
+
+    def test_progressive_entry(self, free_end_line):
         # head axle enters at t=0 and moves at 20 m/s
-        np.testing.assert_allclose(axle_positions(s, 0.1, span=8.0), [2.0])
+        np.testing.assert_allclose(_forces_at(free_end_line, 0.1, arrival_time=0.0),
+                                   _point_forces(free_end_line, [2], 50e3), atol=1e-9)
         # at t=0.25 the second axle (3 m back) has entered too
-        np.testing.assert_allclose(axle_positions(s, 0.25, span=8.0), [5.0, 2.0])
+        np.testing.assert_allclose(_forces_at(free_end_line, 0.25, arrival_time=0.0),
+                                   _point_forces(free_end_line, [5, 2], 50e3), atol=1e-9)
 
-    def test_exit_drops_axles(self):
-        s = _scenario(arrival_time=0.0)
-        # at t=0.5 the head axle sits at 10 m, beyond the 8 m span
-        np.testing.assert_allclose(axle_positions(s, 0.5, span=8.0), [7.0, 0.0])
+    def test_exit_drops_axles(self, free_end_line):
+        # at t=0.5 the head axle sits at 10 m, beyond the 8 m span, and the
+        # last one at 0 m, on the inclusive start of the line
+        np.testing.assert_allclose(_forces_at(free_end_line, 0.5, arrival_time=0.0),
+                                   _point_forces(free_end_line, [7, 0], 50e3), atol=1e-9)
 
-    def test_before_arrival_is_empty(self):
-        s = _scenario(arrival_time=1.0)
-        assert axle_positions(s, 0.5, span=8.0).size == 0
+    def test_before_arrival_is_empty(self, free_end_line):
+        assert not _forces_at(free_end_line, 0.5, arrival_time=1.0).any()
 
 
 class TestNodalLoads:
     def test_axle_on_node_is_a_point_force(self, ss_beam):
-        _, dof_map = assemble(ss_beam)
-        s = _scenario(axle_offsets=(0.0,), speed=1.0, axle_load=50e3)
+        dof_map = ss_beam.assembled[1]
         # after 2 s the single axle sits exactly on node 2 (x = 2 m);
         # w is measured positive in the direction the axles push
-        f = nodal_loads(ss_beam, dof_map, s, t=2.0)
+        f = _forces_at(ss_beam, 2.0, axle_offsets=(0.0,), speed=1.0, axle_load=50e3)
         expected = np.zeros(dof_map.n_free)
-        expected[dof_map.index[2, DOF_W]] = 50e3
+        expected[dof_map.index[2, W]] = 50e3
         np.testing.assert_allclose(f, expected, atol=1e-9)
 
     def test_mid_element_load_splits_consistently(self, ss_beam):
-        _, dof_map = assemble(ss_beam)
-        s = _scenario(axle_offsets=(0.0,), speed=1.0, axle_load=50e3)
-        f = nodal_loads(ss_beam, dof_map, s, t=1.5)
-        w_rows = [dof_map.index[n, DOF_W] for n in (1, 2) if dof_map.index[n, DOF_W] >= 0]
+        dof_map = ss_beam.assembled[1]
+        f = _forces_at(ss_beam, 1.5, axle_offsets=(0.0,), speed=1.0, axle_load=50e3)
+        w_rows = [dof_map.index[n, W] for n in (1, 2) if dof_map.index[n, W] >= 0]
         assert sum(f[i] for i in w_rows) == pytest.approx(50e3)
         # bending moments appear on the slope dofs
-        assert np.abs(f[dof_map.index[1, DOF_RY]]) > 0.0
+        assert np.abs(f[dof_map.index[1, RY]]) > 0.0
 
     def test_off_span_instant_is_zero(self, ss_beam):
-        _, dof_map = assemble(ss_beam)
-        s = _scenario(arrival_time=5.0)
-        np.testing.assert_array_equal(nodal_loads(ss_beam, dof_map, s, t=0.0),
-                                      np.zeros(dof_map.n_free))
+        np.testing.assert_array_equal(_forces_at(ss_beam, 0.0, arrival_time=5.0),
+                                      np.zeros(ss_beam.assembled[1].n_free))
 
     def test_consistent_load_reproduces_exact_deflection(self, ss_beam):
         """Hermite-consistent nodal forces keep the nodal solution exact even
         when the axle stops between nodes."""
         stiffness, dof_map = assemble(ss_beam)
-        s = _scenario(axle_offsets=(0.0,), speed=1.0, axle_load=50e3)
-        f = nodal_loads(ss_beam, dof_map, s, t=1.3)
+        f = _forces_at(ss_beam, 1.3, axle_offsets=(0.0,), speed=1.0, axle_load=50e3)
         u = solve(stiffness, f)
-        w1 = u[dof_map.index[1, DOF_W]]
+        w1 = u[dof_map.index[1, W]]
         exact = oracles.ss_deflection_at(load=50e3, a=1.3, x=1.0, length=4.0, ei=2.0e6)
         assert w1 == pytest.approx(exact, rel=1e-10)
 
@@ -131,12 +156,29 @@ class TestLoadSeries:
         with pytest.raises(ValueError, match="empty effective observation window"):
             load_series(ss_beam, assemble(ss_beam)[1], s)
 
-    def test_forces_match_nodal_loads(self, bundled_ctx):
-        """The whole-window placement equals placing each instant alone, to the bit."""
-        series = bundled_ctx.series
-        f = np.column_stack([nodal_loads(bundled_ctx.model, bundled_ctx.dof_map, bundled_ctx.scenario, t)
-                             for t in series.timestamps.tolist()])
-        np.testing.assert_array_equal(series.forces, f)
+    def test_sub_window_forces_are_the_full_series_columns(self, bundled_ctx):
+        """The whole-window placement equals placing each instant alone, to
+        the bit. A window of one instant starts at that instant's timestamp
+        exactly, and a window from the series' start to its peak repeats the
+        series' timestamps, so each compares bitwise. An unloaded instant
+        alone is an empty window, and its column of the series is zero."""
+        series, scenario = bundled_ctx.series, bundled_ctx.scenario
+        model, dof_map = bundled_ctx.model, bundled_ctx.dof_map
+        for k, t in enumerate(series.timestamps.tolist()):
+            alone = dataclasses.replace(scenario, time_window=(t, t + 0.25 * scenario.time_step))
+            if not series.forces[:, k].any():
+                with pytest.raises(ValueError, match="empty effective observation window"):
+                    load_series(model, dof_map, alone)
+                continue
+            one = load_series(model, dof_map, alone)
+            assert one.timestamps.tolist() == [t]
+            np.testing.assert_array_equal(one.forces[:, 0], series.forces[:, k])
+        peak = int(np.argmax(series.gamma))
+        head = dataclasses.replace(scenario, time_window=(float(series.timestamps[0]),
+                                                          float(series.timestamps[peak])))
+        sub = load_series(model, dof_map, head)
+        np.testing.assert_array_equal(sub.timestamps, series.timestamps[:peak + 1])
+        np.testing.assert_array_equal(sub.forces, series.forces[:, :peak + 1])
 
     def test_only_the_forces_are_fields(self, bundled_ctx):
         """Norms and gamma derive from the forces, so ``dataclasses.replace``
@@ -182,24 +224,19 @@ class TestForceCovariance:
         _, dof_map = assemble(ss_beam)
         cov = force_covariance(ss_beam, dof_map, RandomLoadSpec(500.0, 1.0, tributary_width=1.0))
         for node in range(ss_beam.n_nodes):
-            for dof in (DOF_RX, DOF_RY):
+            for dof in (RX, RY):
                 i = dof_map.index[node, dof]
                 if i >= 0:
                     np.testing.assert_array_equal(cov[i], 0.0)
 
     def test_matches_brute_force_quadrature(self, ss_beam):
+        """The fixed Gauss-Legendre order is converged: the covariance agrees
+        with a dense brute-force quadrature for two kernels."""
         _, dof_map = assemble(ss_beam)
-        sigma, ell, width = 700.0, 0.8, 1.3
-        cov = force_covariance(ss_beam, dof_map, RandomLoadSpec(sigma, ell, tributary_width=width))
-        ref = oracles.brute_force_load_cov(ss_beam, dof_map, sigma, ell, width)
-        assert np.abs(cov - ref).max() <= 1e-4 * np.abs(ref).max()
-
-    def test_quadrature_order_is_converged(self, ss_beam):
-        _, dof_map = assemble(ss_beam)
-        spec = RandomLoadSpec(500.0, 1.0, tributary_width=1.0)
-        c4 = force_covariance(ss_beam, dof_map, spec, quad_order=4)
-        c8 = force_covariance(ss_beam, dof_map, spec, quad_order=8)
-        assert np.abs(c4 - c8).max() <= 1e-4 * np.abs(c8).max()
+        for sigma, ell, width in ((700.0, 0.8, 1.3), (500.0, 1.0, 1.0)):
+            cov = force_covariance(ss_beam, dof_map, RandomLoadSpec(sigma, ell, tributary_width=width))
+            ref = oracles.brute_force_load_cov(ss_beam, dof_map, sigma, ell, width)
+            assert np.abs(cov - ref).max() <= 1e-4 * np.abs(ref).max()
 
     def test_needs_a_tributary_width(self, ss_beam):
         model = ss_beam

@@ -99,3 +99,54 @@ def test_no_array_a_context_holds_is_writeable(bundled_ctx):
                              "ctx.layout.squared_distances", "ctx.strain_op.matrix", "ctx.series.forces",
                              "ctx.force_cov", "ctx._prior.means", "ctx._prior.cov"}
     assert [path for path, array in arrays.items() if array.flags.writeable] == []
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+# the public names of the package with no reader below, each with why it stays
+_KEPT_UNREAD = {
+    "format_microstrain": "the codec's one-cell contract, the inverse of parse_microstrain",
+    "build_model": "the in-memory entry to the model document reader",
+}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _public_names(tree: ast.Module):
+    """The public functions, classes and constants a module defines at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if not name.startswith("_"))
+
+
+def _references(tree: ast.Module):
+    """Every name a module reads, imports or takes as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+
+
+def test_every_public_name_has_a_reader():
+    """A public name of the package is read by the package itself, by the
+    acceptance gate and its oracles, or by the benchmark. A name that only
+    the unit tests call is a second implementation kept for them; its
+    tests belong on the function the package runs. The names kept without
+    a reader say why."""
+    readers = [*_SOURCES, _ROOT / "tests" / "test_acceptance.py", _ROOT / "tests" / "oracles.py",
+               *sorted((_ROOT / "perfbench").glob("*.py"))]
+    read = {name for path in readers for name in _references(_tree(path))}
+    defined = {name: path.stem for path in _SOURCES for name in _public_names(_tree(path))}
+    assert _KEPT_UNREAD.keys() <= defined.keys() - read
+    assert sorted(f"{module}.{name}" for name, module in defined.items()
+                  if name not in read and name not in _KEPT_UNREAD) == []
