@@ -26,7 +26,7 @@ from bridgetwin.fem import (
     solve,
     squared_distances,
 )
-from bridgetwin import loading
+from bridgetwin import fem, loading
 from bridgetwin.loading import RandomLoadSpec, TrainScenario, force_covariance, load_series
 from bridgetwin.model import GrillageModel, cantilever_template, load_model_config
 from bridgetwin.statfem import (
@@ -128,6 +128,15 @@ class TestStackedAssembly:
         jitter = 0.05 * np.random.default_rng(seed).standard_normal(model.nodes.shape)
         model = dataclasses.replace(model, nodes=(model.nodes + jitter) @ rot.T)
         assert assemble(model)[0].matrix.tobytes() == _looped_stiffness(model).tobytes()
+
+    def test_single_element_stiffness_is_the_stacked_one(self, plain_section):
+        """Each slice of one stacked local-stiffness call over several lengths
+        is the reference element matrix of that length, bit for bit."""
+        lengths = (0.3, 1.3, 7.25)
+        stacked = fem._local_stiffness([plain_section.bending_stiffness] * len(lengths),
+                                       [plain_section.torsion_stiffness] * len(lengths), lengths)
+        for k, length in zip(stacked, lengths):
+            np.testing.assert_array_equal(k, _reference_element_stiffness(plain_section, length))
 
     def test_non_positive_length_rejected(self, cantilever):
         """Coincident nodes make an element of zero length, which assembly refuses."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from bridgetwin import loading
 from bridgetwin.fem import assemble, solve
 from bridgetwin.loading import (
     LoadSeries,
@@ -237,6 +238,17 @@ class TestForceCovariance:
             cov = force_covariance(ss_beam, dof_map, RandomLoadSpec(sigma, ell, tributary_width=width))
             ref = oracles.brute_force_load_cov(ss_beam, dof_map, sigma, ell, width)
             assert np.abs(cov - ref).max() <= 1e-4 * np.abs(ref).max()
+
+    def test_quadrature_order_is_converged(self, ss_beam, monkeypatch):
+        """Doubling the fixed Gauss-Legendre order moves the covariance by
+        less than 1e-4 of its largest entry."""
+        _, dof_map = assemble(ss_beam)
+        spec = RandomLoadSpec(500.0, 1.0, tributary_width=1.0)
+        c4 = force_covariance(ss_beam, dof_map, spec)
+        monkeypatch.setattr(loading, "QUAD_ORDER", 2 * loading.QUAD_ORDER)
+        c8 = force_covariance(ss_beam, dof_map, spec)
+        assert c8.shape == c4.shape and not np.array_equal(c4, c8)
+        assert np.abs(c4 - c8).max() <= 1e-4 * np.abs(c8).max()
 
     def test_needs_a_tributary_width(self, ss_beam):
         model = ss_beam
