@@ -5,18 +5,18 @@ prior simulation, synthetic recordings, gauge calibration, hyperparameter
 inference, posterior extraction and held-out prediction. Every successful
 run writes a JSON manifest naming its inputs, seeds, versions, BLAS thread
 settings and output files; failures exit 2 (configuration), 3 (numerics)
-or 4 (file system) with a single-line error on stderr. Set TWIN_LOG=debug for diagnostics.
+or 4 (file system) with a single-line error on stderr, at parse time for a bad numeric flag.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import platform
 import sys
+from contextlib import suppress
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -76,11 +76,21 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _setup_logging() -> None:
-    level_name = os.environ.get("TWIN_LOG")
-    if level_name:
-        level = getattr(logging, level_name.upper(), logging.INFO)
-        logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+def _rule(kind: str, holds, convert=float):
+    """An argparse type: ``convert`` of the text, refused as typed unless it converts and ``holds``."""
+    def parse(text: str):
+        with suppress(ValueError):
+            if holds(value := convert(text)):
+                return value
+        raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}")
+    return parse
+
+
+_FINITE = _rule("a finite number", math.isfinite)
+_NONNEGATIVE = _rule("a finite number >= 0", lambda v: 0.0 <= v < math.inf)
+_POSITIVE = _rule("a finite number > 0", lambda v: 0.0 < v < math.inf)
+_COUNT = _rule("an integer >= 1", lambda v: v >= 1, int)
+_SEED = _rule("an integer >= 0", lambda v: v >= 0, int)
 
 
 def _fail(category: str, exc: BaseException) -> None:
@@ -127,7 +137,10 @@ def _out_dir(args) -> Path:
 def _resolve_w_star(spec: str) -> Hyperparameters:
     if os.path.exists(spec):
         return dataio.read_estimate(spec)
-    return dataio.parse_hyperparameters(spec)
+    try:
+        return dataio.parse_hyperparameters(spec)
+    except ValueError as exc:
+        raise ConfigError(f"--w-star {spec}: {exc}") from None
 
 
 def _windowed(args, time: float | None = None) -> tuple[TwinContext, ObservationSet]:
@@ -135,22 +148,13 @@ def _windowed(args, time: float | None = None) -> tuple[TwinContext, Observation
     --gamma-min and, given a ``time``, to the one windowed instant nearest
     it. Every row's cell count and time cell are checked, but only the kept
     rows' strain cells are parsed, and those of the quiet head when
-    --sigma-e is omitted. Bad numbers are refused before any file is read,
-    and a ``time`` over a step outside the windowed instants once it is."""
-    if time is not None and not math.isfinite(time):
-        raise ConfigError(f"--time must be a finite number of seconds, got {time}")
-    given = {"--window": args.window or [], "--gamma-min": [args.gamma_min],
-             "--sigma-e": [] if args.sigma_e is None else [args.sigma_e]}
-    for flag, values in given.items():
-        if not all(map(math.isfinite, values)):
-            raise ConfigError(f"{flag} must be finite, got {' '.join(f'{v:g}' for v in values)}")
-    if args.sigma_e is not None and args.sigma_e < 0.0:
-        raise ConfigError(f"--sigma-e must be a nonnegative number of microstrain, got {args.sigma_e:g}")
-    if args.stride < 1:
-        raise ConfigError(f"--stride must be a positive integer, got {args.stride}")
+    --sigma-e is omitted. A decreasing window is refused before any file is
+    read, and a ``time`` over a step outside the windowed instants after."""
+    t0, t1 = args.window if args.window else (None, None)
+    if args.window and t0 > t1:
+        raise ConfigError(f"--window must not decrease, got {t0:g} {t1:g}")
     ctx = TwinContext.from_files(args.model, args.scenario, args.sensors)
     sigma_e = None if args.sigma_e is None else args.sigma_e * dataio.MICROSTRAIN
-    t0, t1 = args.window if args.window else (None, None)
     step = ctx.scenario.time_step
 
     def rows(timestamps, gamma):
@@ -200,7 +204,7 @@ def _cmd_simulate(args) -> int:
     dataio.write_load_series(str(loads_path), ctx.series)
     print(f"wrote {strain_path} and {loads_path}: {len(ctx.series)} instants, "
           f"{len(ctx.layout)} sensors, crossing time "
-          f"{ctx.scenario.crossing_time(ctx.model.span()):.3f} s")
+          f"{ctx.scenario.crossing_time(ctx.model.span()):.3f} s, prior jitter {priors.jitter:.3e}")
     _write_manifest(out / "manifest.json", "simulate", args, [strain_path, loads_path])
     return 0
 
@@ -259,7 +263,7 @@ def _cmd_infer(args) -> int:
     chain_path, estimate_path = out / "chain.csv", out / "estimate.json"
     dataio.write_chain(str(chain_path), chain)
     dataio.write_estimate(str(estimate_path), estimate)
-    print(f"sampled {config.iterations} iterations on {obs.n_instants} instants")
+    print(f"sampled {config.iterations} iterations on {obs.n_instants} instants, prior jitter {priors.jitter:.3e}")
     print(estimate.render())
     lo, hi = config.acceptance_band
     if not lo <= estimate.acceptance_rate <= hi:
@@ -281,8 +285,8 @@ def _posterior_pieces(ctx: TwinContext, obs, w: Hyperparameters):
 
 
 def _cmd_posterior(args) -> int:
-    ctx, obs = _windowed(args, args.time)
     w = _resolve_w_star(args.w_star)
+    ctx, obs = _windowed(args, args.time)
     t_k, gamma_k, prior_k, c_d, post_u = _posterior_pieces(ctx, obs, w)
 
     prior_strain = prior_k.project(ctx.strain_op)
@@ -302,8 +306,8 @@ def _cmd_posterior(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    ctx, obs = _windowed(args, args.time)
     w = _resolve_w_star(args.w_star)
+    ctx, obs = _windowed(args, args.time)
     t_k, gamma_k, _, _, post_u = _posterior_pieces(ctx, obs, w)
 
     held_out = SensorLayout.resolve(ctx.model, dataio.read_layout_entries(args.locations))
@@ -331,12 +335,12 @@ def _add_context_args(p: argparse.ArgumentParser) -> None:
 
 def _add_obs_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--obs", required=True, help="recording CSV (microstrain)")
-    p.add_argument("--sigma-e", type=float, default=None,
+    p.add_argument("--sigma-e", type=_NONNEGATIVE, default=None,
                    help="gauge noise in microstrain (default: estimated from the quiet start)")
-    p.add_argument("--window", type=float, nargs=2, metavar=("T0", "T1"), default=None,
+    p.add_argument("--window", type=_FINITE, nargs=2, metavar=("T0", "T1"), default=None,
                    help="restrict inference to [T0, T1] seconds")
-    p.add_argument("--stride", type=int, default=1, help="keep every k-th instant")
-    p.add_argument("--gamma-min", type=float, default=DEFAULT_GAMMA_MIN,
+    p.add_argument("--stride", type=_COUNT, default=1, help="keep every k-th instant")
+    p.add_argument("--gamma-min", type=_FINITE, default=DEFAULT_GAMMA_MIN,
                    help="drop instants below this relative load level")
 
 
@@ -357,29 +361,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic noisy recording")
     _add_context_args(p)
-    p.add_argument("--rho", type=float, required=True, help="true scaling factor")
-    p.add_argument("--sigma-d", type=float, required=True, help="true mismatch amplitude (microstrain)")
-    p.add_argument("--ell-d", type=float, required=True, help="true mismatch length (m)")
-    p.add_argument("--sigma-e", type=float, required=True, help="gauge noise (microstrain)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rho", type=_POSITIVE, required=True, help="true scaling factor")
+    p.add_argument("--sigma-d", type=_NONNEGATIVE, required=True, help="true mismatch amplitude (microstrain)")
+    p.add_argument("--ell-d", type=_POSITIVE, required=True, help="true mismatch length (m)")
+    p.add_argument("--sigma-e", type=_NONNEGATIVE, required=True, help="gauge noise (microstrain)")
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True, help="recording CSV to write")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("calibrate", help="FBG wavelength shifts to mechanical strain")
     p.add_argument("--in", dest="input", required=True, help="CSV with rel_shift_s[,rel_shift_t][,t]")
     p.add_argument("--out", required=True, help="strain CSV to write (microstrain)")
-    p.add_argument("--k-eps", type=float, default=0.78, help="strain sensitivity")
-    p.add_argument("--k-t", type=float, default=0.0, help="cross sensitivity of the strain grating")
-    p.add_argument("--k-tt", type=float, default=1.0, help="temperature grating sensitivity")
-    p.add_argument("--alpha-sub", type=float, default=12e-6, help="substrate expansion per K")
+    p.add_argument("--k-eps", type=_FINITE, default=0.78, help="strain sensitivity")
+    p.add_argument("--k-t", type=_FINITE, default=0.0, help="cross sensitivity of the strain grating")
+    p.add_argument("--k-tt", type=_FINITE, default=1.0, help="temperature grating sensitivity")
+    p.add_argument("--alpha-sub", type=_FINITE, default=12e-6, help="substrate expansion per K")
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("infer", help="sample the mismatch hyperposterior from a recording")
     _add_context_args(p)
     _add_obs_args(p)
-    p.add_argument("--iters", type=int, default=20000, help="MCMC iterations")
-    p.add_argument("--burn-in", type=float, default=None, help="burn-in fraction (default 0.25)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--iters", type=_COUNT, default=20000, help="MCMC iterations")
+    p.add_argument("--burn-in", type=_FINITE, default=None, help="burn-in fraction (default 0.25)")
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_infer)
 
@@ -388,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_args(p)
     p.add_argument("--w-star", required=True,
                    help="estimate.json path or inline rho,sigma_d,ell_d (sigma_d in microstrain)")
-    p.add_argument("--time", type=float, required=True, help="instant of interest (s)")
+    p.add_argument("--time", type=_FINITE, required=True, help="instant of interest (s)")
     p.add_argument("--out", required=True, help="band CSV to write")
     p.set_defaults(func=_cmd_posterior)
 
@@ -397,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_args(p)
     p.add_argument("--w-star", required=True,
                    help="estimate.json path or inline rho,sigma_d,ell_d (sigma_d in microstrain)")
-    p.add_argument("--time", type=float, required=True, help="instant of interest (s)")
+    p.add_argument("--time", type=_FINITE, required=True, help="instant of interest (s)")
     p.add_argument("--locations", required=True, help="held-out sensor layout CSV")
     p.add_argument("--out", required=True, help="band CSV to write")
     p.set_defaults(func=_cmd_predict)
@@ -406,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -13,19 +13,16 @@ so a member along x has theta = -ry, phi = rx. Besides the deterministic
 solve, this module carries the strain extraction operator, the jitter
 policy for nearly singular covariances, the squared exponential kernel,
 Gaussian beliefs over the free dofs, and the push of a load covariance
-through the inverse stiffness.
+through the inverse stiffness. The jitter added is returned, never logged.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import DOF_NAMES, GrillageModel, readonly
-
-log = logging.getLogger(__name__)
 
 # relative jitter ladder: eps * mean(diag) added to the diagonal, escalating
 JITTER_LADDER = (1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
@@ -260,7 +257,6 @@ def chol_psd(cov: np.ndarray) -> tuple[np.ndarray, float]:
             factor = np.linalg.cholesky(cov + jitter * eye)
         except np.linalg.LinAlgError:
             continue
-        log.debug("covariance factored with jitter %.3e", jitter)
         return factor, jitter
     raise FactorizationError(
         f"covariance cannot be factored even with jitter up to {JITTER_LADDER[-1]:.0e} * mean diagonal"

@@ -40,11 +40,11 @@ class ConfigError(ValueError):
 
 def readonly(values, dtype=float) -> np.ndarray:
     """``values`` as a read-only array of ``dtype``, the form of every array a
-    package value holds: an array of ``dtype`` is viewed, never copied."""
-    array = np.asarray(values, dtype=dtype)
-    if array.flags.writeable:
-        array = array.view()
-        array.flags.writeable = False
+    package value holds: an array of ``dtype`` is frozen in place, with its ``.base`` chain, never copied."""
+    array = owner = np.asarray(values, dtype=dtype)
+    while isinstance(owner, np.ndarray):
+        owner.flags.writeable = False
+        owner = owner.base
     return array
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -131,13 +132,18 @@ class TestModelCommand:
 
 
 class TestSimulateCommand:
-    def test_writes_bands_loads_manifest(self, tmp_path):
+    def test_writes_bands_loads_manifest(self, tmp_path, capsys, bundled_ctx):
+        """The first stdout line ends with the jitter the load covariance
+        needed before it factored."""
         out = tmp_path / "sim"
         assert cli.main(["simulate", *_CTX_ARGS, "--out", str(out)]) == 0
         header = (out / "prior_strains.csv").read_text().splitlines()[0]
         assert header == "t,sensor,mean,lo95,hi95"
         assert (out / "loads.csv").exists()
         assert (out / "manifest.json").exists()
+        jitter = bundled_ctx.prior_series().jitter
+        assert jitter > 0.0
+        assert capsys.readouterr().out.splitlines()[0].endswith(f" s, prior jitter {jitter:.3e}")
 
     def test_ragged_sensor_row_exits_2_naming_file_and_line(self, tmp_path, capsys):
         sensors = tmp_path / "east.csv"
@@ -262,14 +268,17 @@ class TestCalibrateCommand:
                                                   ("--k-t", "-inf", "k_t"), ("--alpha-sub", "nan", "alpha_sub")])
     def test_non_finite_coefficient_exits_2_writing_nothing(self, tmp_path, capsys, flag, value, named):
         """An infinite --k-tt would drop the temperature compensation and a
-        nan --k-eps make every strain nan; each is refused by name."""
+        nan --k-eps make every strain nan; each is refused by name, the flag
+        at parse time and the argument by the function for Python callers."""
         src = tmp_path / "shifts.csv"
         src.write_text("t,rel_shift_s,rel_shift_t\n0.0,7.8e-7,1e-6\n0.004,1.56e-6,2e-6\n")
         out = tmp_path / "strain.csv"
         assert cli.main(["calibrate", "--in", str(src), "--out", str(out), f"{flag}={value}"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: config: {named} must be a finite number, got {float(value)}"]
+        assert err == [f"error: config: argument {flag}: must be a finite number, got {value!r}"]
         assert not out.exists()
+        with pytest.raises(ValueError, match=f"^{named} must be a finite number, got {float(value)}$"):
+            fbg_mechanical_strain(7.8e-7, 1e-6, **{named: float(value)})
 
     def test_strain_that_overflows_exits_2_writing_nothing(self, tmp_path, capsys):
         """A subnormal --k-eps is finite but sends every strain to inf: the
@@ -328,7 +337,7 @@ class TestInferCommand:
         if warns:
             assert f"{rate:.3f}" in warnings[0]
 
-    def test_estimate_holds_one_posterior_mean_and_the_summary_prints_it_once(self, tmp_path, capsys):
+    def test_estimate_holds_one_posterior_mean_and_the_summary_prints_it_once(self, tmp_path, capsys, bundled_ctx):
         """Each component's mean in estimate.json is the top-level point
         estimate's float (sigma_d in strain there), and the summary gives
         every component once, sigma_d in microstrain."""
@@ -343,7 +352,7 @@ class TestInferCommand:
         assert means["rho"] == est["rho"] and means["ell_d"] == est["ell_d"]
         assert means["sigma_d"] / 1e-6 == est["sigma_d_microstrain"]
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "sampled 400 iterations on 11 instants"
+        assert lines[0] == f"sampled 400 iterations on 11 instants, prior jitter {bundled_ctx.prior_series().jitter:.3e}"
         assert lines[1] == f"kept 300 samples, acceptance rate {est['acceptance_rate']:.3f}"
         sigma = est["components"]["sigma_d"]
         assert lines[2:] == [
@@ -559,15 +568,15 @@ class TestPosteriorCommand:
 
 @pytest.mark.parametrize("command,time", [("posterior", "nan"), ("predict", "inf"), ("posterior", "-inf")])
 def test_non_finite_time_exits_2_before_the_recording_is_read(tmp_path, capsys, command, time):
-    """A non-finite --time has no nearest instant; it is refused with one
-    line before the recording, here a missing file, is opened."""
+    """A non-finite --time has no nearest instant; it is refused at parse
+    time with one line before the recording, here a missing file, is opened."""
     out = tmp_path / "x.csv"
     held_out = ["--locations", SENSORS_WEST] if command == "predict" else []
     rc = cli.main([command, *_CTX_ARGS, "--obs", str(tmp_path / "missing.csv"), "--sigma-e", "1.0",
                    "--w-star", "0.9,4.0,0.5", f"--time={time}", *held_out, "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == [f"error: config: --time must be a finite number of seconds, got {float(time)}"]
+    assert err == [f"error: config: argument --time: must be a finite number, got {time!r}"]
     assert not out.exists()
 
 
@@ -599,29 +608,104 @@ def test_time_within_a_step_of_the_window_answers_the_nearest_instant(tmp_path, 
     assert float(instant.removeprefix("t=")) == pytest.approx(float(answered), abs=1e-12)
 
 
+_FINITE, _NONNEGATIVE, _POSITIVE = "a finite number", "a finite number >= 0", "a finite number > 0"
+_COUNT, _SEED = "an integer >= 1", "an integer >= 0"
+# (command, bad flag, the rule it breaks, the value as typed): every numeric flag of every command
+_BAD_NUMBERS = {
+    "window-nan": ("infer", ["--window", "nan", "3"], _FINITE, "nan"),
+    "window-inf": ("posterior", ["--window", "1", "inf"], _FINITE, "inf"),
+    "gamma-min-nan": ("predict", ["--gamma-min", "nan"], _FINITE, "nan"),
+    "sigma-e-negative": ("infer", ["--sigma-e=-1"], _NONNEGATIVE, "-1"),
+    "sigma-e-nan": ("posterior", ["--sigma-e", "nan"], _NONNEGATIVE, "nan"),
+    "stride-0": ("predict", ["--stride", "0"], _COUNT, "0"),
+    "seed-negative": ("infer", ["--seed=-1"], _SEED, "-1"),
+    "synth-rho-nan": ("synth", ["--rho", "nan"], _POSITIVE, "nan"),
+    "synth-rho-0": ("synth", ["--rho", "0"], _POSITIVE, "0"),
+    "synth-sigma-d-negative": ("synth", ["--sigma-d=-4"], _NONNEGATIVE, "-4"),
+    "synth-ell-d-inf": ("synth", ["--ell-d", "inf"], _POSITIVE, "inf"),
+    "synth-sigma-e-negative": ("synth", ["--sigma-e=-1"], _NONNEGATIVE, "-1"),
+    "synth-seed-negative": ("synth", ["--seed=-1"], _SEED, "-1"),
+    "calibrate-k-eps-nan": ("calibrate", ["--k-eps", "nan"], _FINITE, "nan"),
+    "calibrate-k-t-inf": ("calibrate", ["--k-t", "inf"], _FINITE, "inf"),
+    "calibrate-k-tt-text": ("calibrate", ["--k-tt", "one"], _FINITE, "one"),
+    "calibrate-alpha-sub-inf": ("calibrate", ["--alpha-sub=-inf"], _FINITE, "-inf"),
+    "infer-sigma-e-text": ("infer", ["--sigma-e", "1ue"], _NONNEGATIVE, "1ue"),
+    "infer-window-inf": ("infer", ["--window", "1", "inf"], _FINITE, "inf"),
+    "infer-stride-0": ("infer", ["--stride", "0"], _COUNT, "0"),
+    "infer-gamma-min-inf": ("infer", ["--gamma-min", "inf"], _FINITE, "inf"),
+    "infer-iters-0": ("infer", ["--iters", "0"], _COUNT, "0"),
+    "infer-iters-fraction": ("infer", ["--iters", "1.5"], _COUNT, "1.5"),
+    "infer-burn-in-nan": ("infer", ["--burn-in", "nan"], _FINITE, "nan"),
+    "posterior-stride-text": ("posterior", ["--stride", "two"], _COUNT, "two"),
+    "posterior-gamma-min-inf": ("posterior", ["--gamma-min", "inf"], _FINITE, "inf"),
+    "posterior-time-nan": ("posterior", ["--time", "nan"], _FINITE, "nan"),
+    "predict-sigma-e-negative": ("predict", ["--sigma-e=-0.5"], _NONNEGATIVE, "-0.5"),
+    "predict-window-nan": ("predict", ["--window", "nan", "3"], _FINITE, "nan"),
+    "predict-time-inf": ("predict", ["--time", "inf"], _FINITE, "inf"),
+}
+# what the commands check before reading files that argparse cannot: a pair, and the inline w*
+_BAD_PAIRS = {
+    "infer-window-decreasing": ("infer", ["--window", "3", "1"], "--window must not decrease, got 3 1"),
+    "posterior-window-decreasing": ("posterior", ["--window", "3", "1"], "--window must not decrease, got 3 1"),
+    "predict-window-decreasing": ("predict", ["--window", "3.5", "0"], "--window must not decrease, got 3.5 0"),
+    "posterior-w-star-nan": ("posterior", ["--w-star", "nan,4,0.5"],
+                             "--w-star nan,4,0.5: rho must be positive and finite, got nan"),
+    "predict-w-star-short": ("predict", ["--w-star", "0.9,4"], "--w-star 0.9,4: expected rho,sigma_d,ell_d, got '0.9,4'"),
+}
+
+
+def _argv_with_missing_files(tmp_path, command):
+    """A complete, valid argument list for ``command`` whose every input path is missing."""
+    missing = {name: str(tmp_path / name) for name in ("bridge.yaml", "train.yaml", "sensors.csv", "obs.csv")}
+    context = ["--model", missing["bridge.yaml"], "--scenario", missing["train.yaml"],
+               "--sensors", missing["sensors.csv"]]
+    query = [*context, "--obs", missing["obs.csv"], "--w-star", "0.9,4.0,0.5", "--time", "2.0"]
+    return [command, *{
+        "synth": [*context, "--rho", "0.9", "--sigma-d", "4.0", "--ell-d", "0.5", "--sigma-e", "1.0"],
+        "calibrate": ["--in", missing["obs.csv"]],
+        "infer": [*context, "--obs", missing["obs.csv"]],
+        "posterior": query,
+        "predict": [*query, "--locations", missing["sensors.csv"]],
+    }[command], "--out", str(tmp_path / "out")]
+
+
 @pytest.mark.parametrize("command,flag,message", [
-    ("infer", ["--window", "nan", "3"], "--window must be finite, got nan 3"),
-    ("posterior", ["--window", "1", "inf"], "--window must be finite, got 1 inf"),
-    ("predict", ["--gamma-min", "nan"], "--gamma-min must be finite, got nan"),
-    ("infer", ["--sigma-e=-1"], "--sigma-e must be a nonnegative number of microstrain, got -1"),
-    ("posterior", ["--sigma-e", "nan"], "--sigma-e must be finite, got nan"),
-    ("predict", ["--stride", "0"], "--stride must be a positive integer, got 0"),
-    ("infer", ["--seed=-1"], "seed must be a nonnegative integer, got -1"),
-], ids=["window-nan", "window-inf", "gamma-min-nan", "sigma-e-negative", "sigma-e-nan", "stride-0", "seed-negative"])
+    *(pytest.param(command, flag, f"argument {flag[0].partition('=')[0]}: must be {rule}, got {typed!r}", id=name)
+      for name, (command, flag, rule, typed) in _BAD_NUMBERS.items()),
+    *(pytest.param(*case, id=name) for name, case in _BAD_PAIRS.items()),
+])
 def test_bad_numeric_flag_exits_2_before_any_file_is_read(tmp_path, capsys, command, flag, message):
     """Each bad number is refused in one line naming its flag and the value
     as typed, in microstrain for --sigma-e; every input path here is
-    missing, so reading any file first would exit 4."""
-    missing = [str(tmp_path / name) for name in ("bridge.yaml", "train.yaml", "sensors.csv", "obs.csv")]
-    args = [command, "--model", missing[0], "--scenario", missing[1], "--sensors", missing[2],
-            "--obs", missing[3], *flag, "--out", str(tmp_path / "out")]
-    if command != "infer":
-        args += ["--w-star", "0.9,4.0,0.5", "--time", "2.0"]
-    if command == "predict":
-        args += ["--locations", missing[2]]
-    assert cli.main(args) == 2
+    missing, so reading any file first would exit 4. A later occurrence of
+    a flag is the one argparse keeps, so the bad value follows a valid one."""
+    assert cli.main([*_argv_with_missing_files(tmp_path, command), *flag]) == 2
     assert capsys.readouterr().err.strip().splitlines() == [f"error: config: {message}"]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_every_numeric_option_has_a_rule():
+    """No option converts with a bare float or int, which would let a
+    non-finite, negative or zero value through to be found, if at all,
+    after the files are read; and the cases above try every numeric option
+    of every command."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    bare = [f"{name} {action.option_strings[0]}" for name, command in commands.items()
+            for action in command._actions if action.type in (float, int)]
+    assert bare == []
+    numeric = {(name, action.option_strings[0]) for name, command in commands.items()
+               for action in command._actions if action.type is not None}
+    assert numeric == {(command, flag[0].partition("=")[0]) for command, flag, _, _ in _BAD_NUMBERS.values()}
+
+
+def test_equal_window_bounds_keep_one_instant(tmp_path):
+    """--window 2 2 is a window of one instant, not a decreasing one."""
+    obs = _synth(tmp_path)
+    out = tmp_path / "x.csv"
+    assert cli.main(["posterior", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0", "--w-star", "0.9,4.0,0.5",
+                     "--window", "2", "2", "--time", "2", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0].split()[2] == "t=2"
 
 
 class TestPredictCommand:
@@ -690,11 +774,12 @@ class TestPredictCommand:
 
 def test_cli_import_loads_no_scipy():
     """scipy costs a fifth of a second per command and a second OpenBLAS
-    thread pool; the runtime is numpy-only."""
+    thread pool; the runtime is numpy-only. Nothing logs, so neither is
+    logging imported."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
-        [sys.executable, "-c", "import bridgetwin.cli, sys; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", "import bridgetwin.cli, sys; print(*(m in sys.modules for m in ('scipy', 'logging')))"],
         capture_output=True, text=True, env=env, check=True,
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.split() == ["False", "False"]

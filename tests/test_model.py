@@ -239,6 +239,23 @@ class TestValidation:
         assert violations
         assert any("rigid" in msg for msg in violations)
 
+    @pytest.mark.parametrize("handle", ["array", "base"])
+    def test_nodes_freeze_in_the_callers_hands(self, plain_section, handle):
+        """The model holds the nodes array it is given, not a copy, and
+        freezes it with the array it views: neither handle the caller kept
+        can move a node under the cached assembly."""
+        m = simply_supported_beam_template(4.0, 2, plain_section)
+        base = np.array(m.nodes)
+        nodes = base if handle == "array" else base[:, :]
+        model = GrillageModel(nodes=nodes, elements=m.elements, supports=m.supports,
+                              lines=m.lines, deck_spacing=m.deck_spacing)
+        stiffness = model.assembled[0].matrix.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            (base if handle == "base" else nodes)[:, 0] *= 2
+        assert model.nodes is nodes
+        assert np.array_equal(model.nodes, m.nodes)
+        assert np.array_equal(model.assembled[0].matrix, stiffness)
+
 
 class TestConfigLoading:
     def test_bundled_config_builds(self):

@@ -88,9 +88,17 @@ def _arrays(value, path: str, seen: set):
             yield from _arrays(item, f"{path}[{key!r}]", seen)
 
 
+def _bases(array):
+    """The arrays ``array`` views, nearest first."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+        yield array
+
+
 def test_no_array_a_context_holds_is_writeable(bundled_ctx):
     """Every array a context holds, cached results included, is read-only,
-    so none can be edited underneath what was derived from it."""
+    and so is every array it views, so none can be edited underneath what
+    was derived from it, through its own handle or its base's."""
     bundled_ctx.prior_series()
     bundled_ctx.force_cov
     bundled_ctx.layout.squared_distances
@@ -99,6 +107,7 @@ def test_no_array_a_context_holds_is_writeable(bundled_ctx):
                              "ctx.layout.squared_distances", "ctx.strain_op.matrix", "ctx.series.forces",
                              "ctx.force_cov", "ctx._prior.means", "ctx._prior.cov"}
     assert [path for path, array in arrays.items() if array.flags.writeable] == []
+    assert [path for path, array in arrays.items() if any(base.flags.writeable for base in _bases(array))] == []
 
 
 _ROOT = Path(__file__).resolve().parent.parent
