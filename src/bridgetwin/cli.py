@@ -89,7 +89,9 @@ def _rule(kind: str, holds, convert=float):
 _FINITE = _rule("a finite number", math.isfinite)
 _NONNEGATIVE = _rule("a finite number >= 0", lambda v: 0.0 <= v < math.inf)
 _POSITIVE = _rule("a finite number > 0", lambda v: 0.0 < v < math.inf)
+_NONZERO = _rule("a finite nonzero number", lambda v: math.isfinite(v) and v != 0.0)
 _COUNT = _rule("an integer >= 1", lambda v: v >= 1, int)
+_ITERS = _rule("an integer >= 2", lambda v: v >= 2, int)
 _SEED = _rule("an integer >= 0", lambda v: v >= 0, int)
 
 
@@ -255,11 +257,11 @@ def _cmd_infer(args) -> int:
     burn_in = {} if args.burn_in is None else {"burn_in_fraction": args.burn_in}
     config = McmcConfig(iterations=args.iters, seed=args.seed, **burn_in)
     ctx, obs = _windowed(args)
+    out = _out_dir(args)  # an unusable --out is refused before the chain is run
     priors = ctx.prior_series(ctx.match_instants(obs.timestamps))
     chain = sample_hyperposterior(obs, priors, ctx.strain_op, config)
     estimate = chain_diagnostics(chain)
 
-    out = _out_dir(args)
     chain_path, estimate_path = out / "chain.csv", out / "estimate.json"
     dataio.write_chain(str(chain_path), chain)
     dataio.write_estimate(str(estimate_path), estimate)
@@ -372,16 +374,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="FBG wavelength shifts to mechanical strain")
     p.add_argument("--in", dest="input", required=True, help="CSV with rel_shift_s[,rel_shift_t][,t]")
     p.add_argument("--out", required=True, help="strain CSV to write (microstrain)")
-    p.add_argument("--k-eps", type=_FINITE, default=0.78, help="strain sensitivity")
+    p.add_argument("--k-eps", type=_NONZERO, default=0.78, help="strain sensitivity")
     p.add_argument("--k-t", type=_FINITE, default=0.0, help="cross sensitivity of the strain grating")
-    p.add_argument("--k-tt", type=_FINITE, default=1.0, help="temperature grating sensitivity")
+    p.add_argument("--k-tt", type=_NONZERO, default=1.0, help="temperature grating sensitivity")
     p.add_argument("--alpha-sub", type=_FINITE, default=12e-6, help="substrate expansion per K")
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("infer", help="sample the mismatch hyperposterior from a recording")
     _add_context_args(p)
     _add_obs_args(p)
-    p.add_argument("--iters", type=_COUNT, default=20000, help="MCMC iterations")
+    p.add_argument("--iters", type=_ITERS, default=20000, help="MCMC iterations")
     p.add_argument("--burn-in", type=_FINITE, default=None, help="burn-in fraction (default 0.25)")
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True, help="output directory")

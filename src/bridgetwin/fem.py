@@ -88,14 +88,10 @@ def element_transform(c, s) -> np.ndarray:
 
 def element_geometry(model: GrillageModel, elements) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lengths (n,), direction cosines (n, 2) and global dof slots ``3 node + dof``
-    (n, 6: node_i then node_j) of the listed elements, in one array pass."""
-    ends = model.element_nodes(elements)
-    d = model.nodes[ends[:, 1]] - model.nodes[ends[:, 0]]
-    lengths = np.hypot(d[:, 0], d[:, 1])
-    if np.any(lengths <= 0.0):
-        raise ValueError(f"element length must be positive, got {lengths[lengths <= 0.0][0]}")
-    slots = 3 * np.repeat(ends, 3, axis=1) + np.tile(np.arange(3), 2)
-    return lengths, d / lengths[:, None], slots
+    (n, 6: node_i then node_j) of the listed elements, from the model's element tables."""
+    lengths = model.lengths[elements]
+    slots = 3 * np.repeat(model.ends[elements], 3, axis=1) + np.tile(np.arange(3), 2)
+    return lengths, model.vectors[elements] / lengths[:, None], slots
 
 
 def element_columns(model: GrillageModel, dof_map: DofMap, elements, local, columns, n_columns) -> np.ndarray:
@@ -226,8 +222,7 @@ def build_strain_operator(model: GrillageModel, dof_map: DofMap, sensors) -> Str
     elements = np.array([sensor.element for sensor in sensors], dtype=int)
     fiber = np.array([model.elements[sensor.element].section.fiber_distance for sensor in sensors])
     z = np.where([sensor.fiber == "top" for sensor in sensors], fiber, -fiber)
-    curv = hermite_curvature(np.array([sensor.t for sensor in sensors], dtype=float),
-                             element_geometry(model, elements)[0])
+    curv = hermite_curvature(np.array([sensor.t for sensor in sensors], dtype=float), model.lengths[elements])
     local = np.zeros((len(sensors), 6))
     local[:, [0, 1, 3, 4]] = (-z * curv).T
     rows = element_columns(model, dof_map, elements, local, np.arange(len(sensors)), len(sensors)).T

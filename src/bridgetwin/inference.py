@@ -45,7 +45,7 @@ class McmcConfig:
 
     def __post_init__(self) -> None:
         if self.iterations < 2:
-            raise ValueError("need at least two iterations")
+            raise ValueError(f"need at least two iterations, got {self.iterations}")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if not 0.0 <= self.burn_in_fraction < 1.0:

@@ -17,8 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fem import (DofMap, element_columns, element_geometry, hermite_shape, sq_exp_correlation,
-                  squared_distances)
+from .fem import DofMap, element_columns, hermite_shape, sq_exp_correlation, squared_distances
 from .model import ConfigError, GrillageModel, read_document, readonly
 
 _TIME_EPS = 1e-9
@@ -103,7 +102,7 @@ def _train_forces(model: GrillageModel, dof_map: DofMap, scenario: TrainScenario
     pos, on_span = _axle_grid(scenario, times, span)
     elements, local_t = model.locate_on_line(scenario.track_line, pos[on_span])
     local = np.zeros((elements.size, 6))
-    shape = hermite_shape(local_t, element_geometry(model, elements)[0])
+    shape = hermite_shape(local_t, model.lengths[elements])
     local[:, [0, 1, 3, 4]] = (scenario.axle_load * shape).T
     columns = np.nonzero(on_span)[0]
     return element_columns(model, dof_map, elements, local, columns, len(pos))
@@ -204,14 +203,14 @@ def force_covariance(model: GrillageModel, dof_map: DofMap, spec: RandomLoadSpec
 
     n_elements = len(model.elements)
     elements = np.repeat(np.arange(n_elements), QUAD_ORDER)
-    lengths = element_geometry(model, elements)[0]
+    lengths = model.lengths[elements]
     shape = hermite_shape(np.tile(xi, n_elements), lengths)
     weight = np.tile(wq, n_elements) * lengths * width
     local = np.zeros((elements.size, 6))
     local[:, [0, 3]] = (weight * shape[[0, 2]]).T
     basis = element_columns(model, dof_map, elements, local, np.arange(elements.size), elements.size)
-    ends = model.nodes[model.element_nodes()][:, None]  # (n_elements, 1, node_i/node_j, 2)
-    points = (ends[..., 0, :] + xi[:, None] * (ends[..., 1, :] - ends[..., 0, :])).reshape(-1, 2)
+    starts = model.nodes[model.ends[:, 0]][:, None]  # (n_elements, 1, 2) against (QUAD_ORDER, 1)
+    points = (starts + xi[:, None] * model.vectors[:, None]).reshape(-1, 2)
     kernel = spec.sigma**2 * sq_exp_correlation(squared_distances(points), spec.length_scale)
     cov = basis @ kernel @ basis.T
     return 0.5 * (cov + cov.T)

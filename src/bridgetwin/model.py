@@ -210,7 +210,7 @@ class SectionSpec:
     ``bending_stiffness`` is EI in N m^2, ``torsion_stiffness`` is GJ in
     N m^2 and ``fiber_distance`` is the distance from the neutral axis to
     the instrumented extreme fiber in m. Construction does not validate;
-    :func:`validate_model` reports non-physical values.
+    a :class:`GrillageModel` refuses non-physical values.
     """
 
     bending_stiffness: float
@@ -301,6 +301,17 @@ class Support:
 
 
 @dataclass(frozen=True)
+class LineTable:
+    """A member line walked along its path: its elements in path order, the
+    arc length at each one's start followed by the line's length, and
+    whether each element runs against the path."""
+
+    elements: np.ndarray
+    starts: np.ndarray
+    flipped: np.ndarray
+
+
+@dataclass(frozen=True)
 class GrillageModel:
     """Plan-grid beam model.
 
@@ -311,6 +322,13 @@ class GrillageModel:
     distributed random load is lumped onto a line, defaulting to the
     crossbeam spacing of the templates. Nodes, elements, supports and
     lines are read-only; ``dataclasses.replace`` makes a changed model.
+
+    Construction refuses a model with non-physical data, a line its
+    elements do not chain, or supports that leave rigid body modes, with
+    one :class:`ConfigError` naming every violation. It derives, once, each
+    element's end node indices ``ends`` (n, 2), plan vector ``vectors``
+    (n, 2) from node_i to node_j and length ``lengths`` (n,), and each
+    line's :class:`LineTable` in ``line_tables``.
     """
 
     nodes: np.ndarray
@@ -318,6 +336,10 @@ class GrillageModel:
     supports: tuple[Support, ...]
     lines: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
     deck_spacing: float | None = None
+    ends: np.ndarray = field(init=False, repr=False, compare=False)
+    vectors: np.ndarray = field(init=False, repr=False, compare=False)
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    line_tables: Mapping[str, LineTable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", readonly(self.nodes))
@@ -326,6 +348,69 @@ class GrillageModel:
         object.__setattr__(self, "elements", tuple(self.elements))
         object.__setattr__(self, "supports", tuple(self.supports))
         object.__setattr__(self, "lines", MappingProxyType({name: tuple(path) for name, path in self.lines.items()}))
+
+        n = self.n_nodes
+        ends = np.array([(e.node_i, e.node_j) for e in self.elements], dtype=int).reshape(-1, 2)
+        known = np.all((ends >= 0) & (ends < n), axis=1)
+        vectors = np.zeros(ends.shape)
+        vectors[known] = self.nodes[ends[known, 1]] - self.nodes[ends[known, 0]]
+        lengths = np.hypot(vectors[:, 0], vectors[:, 1])
+        v = [] if np.all(np.isfinite(self.nodes)) else ["node coordinates contain non-finite values"]
+
+        for k, e in enumerate(self.elements):
+            if not known[k]:
+                v.append(f"element {k} references undefined node")
+                continue
+            if e.node_i == e.node_j:
+                v.append(f"element {k} joins a node to itself")
+                continue
+            if lengths[k] <= _GEOM_TOL:
+                v.append(f"element {k} has zero length")
+            s = e.section
+            if not (math.isfinite(s.bending_stiffness) and s.bending_stiffness > 0.0):
+                v.append(f"non-physical section on element {k}: bending stiffness {s.bending_stiffness}")
+            if not (math.isfinite(s.torsion_stiffness) and s.torsion_stiffness >= 0.0):
+                v.append(f"non-physical section on element {k}: torsion stiffness {s.torsion_stiffness}")
+            if not (math.isfinite(s.fiber_distance) and s.fiber_distance > 0.0):
+                v.append(f"non-physical section on element {k}: fiber distance {s.fiber_distance}")
+
+        for sup in self.supports:
+            if not 0 <= sup.node < n:
+                v.append(f"support references undefined node {sup.node}")
+            bad = set(sup.dofs) - set(DOF_NAMES)
+            if bad:
+                v.append(f"support on node {sup.node} names unknown dofs {sorted(bad)}")
+
+        pairs = {(i, j): k for k, (i, j) in enumerate(ends.tolist())}
+        tables = {}
+        for name, path in self.lines.items():
+            if len(path) < 2:
+                v.append(f"line {name!r} has fewer than two nodes")
+            if any(not 0 <= i < n for i in path):
+                v.append(f"line {name!r} references undefined node")
+                continue
+            chain = [pairs.get((a, b), pairs.get((b, a))) for a, b in zip(path[:-1], path[1:])]
+            if None in chain:
+                k = chain.index(None)
+                v.append(f"line {name!r} is not chained by elements between nodes {path[k]} and {path[k + 1]}")
+                continue
+            elems = np.array(chain, dtype=int)
+            tables[name] = LineTable(readonly(elems, int),
+                                     readonly(np.concatenate([[0.0], np.cumsum(lengths[elems])])),
+                                     readonly(ends[elems, 0] != path[:-1], bool))
+
+        for name, value in (("ends", readonly(ends, int)), ("vectors", readonly(vectors)),
+                            ("lengths", readonly(lengths)), ("line_tables", MappingProxyType(tables))):
+            object.__setattr__(self, name, value)
+        if not v:
+            from .fem import FactorizationError
+
+            try:
+                self.assembled
+            except FactorizationError:
+                v.append("supports leave rigid body modes unconstrained")
+        if v:
+            raise ConfigError("; ".join(v))
 
     @cached_property
     def assembled(self):
@@ -338,50 +423,19 @@ class GrillageModel:
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
-    def element_length(self, e: Element) -> float:
-        return float(np.hypot(*(self.nodes[e.node_j] - self.nodes[e.node_i])))
-
-    def element_nodes(self, elements=None) -> np.ndarray:
-        """(n, 2) node indices (node_i, node_j) of the listed elements, all when None."""
-        ends = np.array([(e.node_i, e.node_j) for e in self.elements], dtype=int).reshape(-1, 2)
-        return ends if elements is None else ends[np.asarray(elements, dtype=int)]
-
     def span(self) -> float:
         xs = self.nodes[:, 0]
         return float(xs.max() - xs.min())
 
-    def line_nodes(self, name: str) -> tuple[int, ...]:
+    def _line(self, name: str) -> LineTable:
         try:
-            return self.lines[name]
+            return self.line_tables[name]
         except KeyError:
             raise ConfigError(f"model has no line named {name!r}") from None
 
-    def line_elements(self, name: str) -> list[int]:
-        """Indices of the elements that chain the named line, in path order."""
-        path = self.line_nodes(name)
-        pairs = {(e.node_i, e.node_j): k for k, e in enumerate(self.elements)}
-        out = []
-        for a, b in zip(path[:-1], path[1:]):
-            k = pairs.get((a, b))
-            if k is None:
-                k = pairs.get((b, a))
-            if k is None:
-                raise ConfigError(f"line {name!r} is not chained by elements between nodes {a} and {b}")
-            out.append(k)
-        return out
-
-    def _line_table(self, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(elements, lengths, start arc lengths + total, reversed flags) in path order."""
-        path = self.line_nodes(name)
-        elems = self.line_elements(name)
-        lengths = np.array([self.element_length(self.elements[k]) for k in elems])
-        starts = np.concatenate([[0.0], np.cumsum(lengths)])
-        flipped = np.array([self.elements[k].node_i != a for k, a in zip(elems, path)])
-        return np.array(elems), lengths, starts, flipped
-
     def line_length(self, name: str) -> float:
         """Arc length of a line, summed exactly as :meth:`locate_on_line` sums it."""
-        return float(self._line_table(name)[2][-1])
+        return float(self._line(name).starts[-1])
 
     def locate_on_line(self, name: str, s):
         """Map arc length ``s`` along a line to (element index, local coordinate).
@@ -394,7 +448,8 @@ class GrillageModel:
         arrays. Raises :class:`ConfigError` for a negative arc length or one
         past the end of the line.
         """
-        elems, lengths, starts, flipped = self._line_table(name)
+        table = self._line(name)
+        starts = table.starts
         s_arr = np.asarray(s, dtype=float)
         if np.any(s_arr < -_GEOM_TOL):
             raise ConfigError(f"arc length {s_arr.min()} is negative")
@@ -403,11 +458,12 @@ class GrillageModel:
             raise ConfigError(f"arc length {s_arr[beyond].flat[0]} exceeds line {name!r} length {starts[-1]}")
         # the first element whose far end (within tolerance) is at or past s
         k = np.searchsorted(starts[1:] + _GEOM_TOL, s_arr, side="left")
-        t = np.clip((s_arr - starts[k]) / lengths[k], 0.0, 1.0)
-        t = np.where(flipped[k], 1.0 - t, t)
+        elems = table.elements[k]
+        t = np.clip((s_arr - starts[k]) / self.lengths[elems], 0.0, 1.0)
+        t = np.where(table.flipped[k], 1.0 - t, t)
         if s_arr.ndim == 0:
-            return int(elems[k]), float(t)
-        return elems[k], t
+            return int(elems), float(t)
+        return elems, t
 
     def locate_point(self, x, y, line: str | None = None):
         """Find the element carrying plan point (x, y) and its local coordinate.
@@ -420,13 +476,10 @@ class GrillageModel:
         Raises :class:`ConfigError` for the first point farther than
         ``_LOCATE_TOL`` from every candidate member axis.
         """
-        candidates = np.arange(len(self.elements)) if line is None else np.array(self.line_elements(line))
-        ends = self.nodes[self.element_nodes(candidates)]
-        a, d = ends[:, 0], ends[:, 1] - ends[:, 0]
+        candidates = np.arange(len(self.elements)) if line is None else self._line(line).elements
+        a, d = self.nodes[self.ends[candidates, 0]], self.vectors[candidates]
         # stacked 1x2 @ 2x1 products round as the 1-d ``u @ v`` does
         l2 = (d[:, None, :] @ d[:, :, None])[:, 0, 0]
-        usable = l2 > _GEOM_TOL
-        candidates, a, d, l2 = candidates[usable], a[usable], d[usable], l2[usable]
         xs, ys = np.broadcast_arrays(np.asarray(x), np.asarray(y))
         p = np.stack([xs, ys], axis=-1).astype(float)[..., None, :]  # (..., 1, 2) against (candidates, 2)
         t = np.clip(((p - a)[..., None, :] @ d[:, :, None])[..., 0, 0] / l2, 0.0, 1.0)
@@ -442,59 +495,6 @@ class GrillageModel:
         if xs.ndim == 0:
             return int(candidates[k]), float(t)
         return candidates[k], t
-
-
-def validate_model(model: GrillageModel) -> tuple[str, ...]:
-    """Check a model for non-physical data and unconstrained rigid modes.
-
-    Returns the violations found; never raises. The rigid-body check is the
-    model's own assembly, whose trial Cholesky factorization fails on rigid
-    modes; it is skipped when earlier violations make assembly meaningless.
-    """
-    v = []
-
-    if not np.all(np.isfinite(model.nodes)):
-        v.append("node coordinates contain non-finite values")
-
-    n = model.n_nodes
-    for k, e in enumerate(model.elements):
-        if not (0 <= e.node_i < n and 0 <= e.node_j < n):
-            v.append(f"element {k} references undefined node")
-            continue
-        if e.node_i == e.node_j:
-            v.append(f"element {k} joins a node to itself")
-            continue
-        if model.element_length(e) <= _GEOM_TOL:
-            v.append(f"element {k} has zero length")
-        s = e.section
-        if not (math.isfinite(s.bending_stiffness) and s.bending_stiffness > 0.0):
-            v.append(f"non-physical section on element {k}: bending stiffness {s.bending_stiffness}")
-        if not (math.isfinite(s.torsion_stiffness) and s.torsion_stiffness >= 0.0):
-            v.append(f"non-physical section on element {k}: torsion stiffness {s.torsion_stiffness}")
-        if not (math.isfinite(s.fiber_distance) and s.fiber_distance > 0.0):
-            v.append(f"non-physical section on element {k}: fiber distance {s.fiber_distance}")
-
-    for sup in model.supports:
-        if not 0 <= sup.node < n:
-            v.append(f"support references undefined node {sup.node}")
-        bad = set(sup.dofs) - set(DOF_NAMES)
-        if bad:
-            v.append(f"support on node {sup.node} names unknown dofs {sorted(bad)}")
-
-    for name, path in model.lines.items():
-        if len(path) < 2:
-            v.append(f"line {name!r} has fewer than two nodes")
-        if any(not 0 <= i < n for i in path):
-            v.append(f"line {name!r} references undefined node")
-
-    if not v:
-        from .fem import FactorizationError
-
-        try:
-            model.assembled
-        except FactorizationError:
-            v.append("supports leave rigid body modes unconstrained")
-    return tuple(v)
 
 
 # -- configuration ingestion -------------------------------------------------
@@ -675,14 +675,8 @@ def _build_model(root: Fields) -> GrillageModel:
     sections = _build_sections(root.mapping("sections", {}), materials)
     geometry = root.mapping("geometry")
     if "template" in geometry:
-        model = _build_template(geometry.mapping("template"), sections)
-    else:
-        model = _build_tables(geometry, sections)
-
-    violations = validate_model(model)
-    if violations:
-        raise ConfigError("; ".join(violations))
-    return model
+        return _build_template(geometry.mapping("template"), sections)
+    return _build_tables(geometry, sections)
 
 
 def load_model_config(path: str) -> GrillageModel:

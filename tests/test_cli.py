@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from bridgetwin import cli
+from bridgetwin import cli, inference
 from bridgetwin.cli import fbg_mechanical_strain
 from bridgetwin.dataio import format_microstrain, parse_microstrain, read_observation_table
 from bridgetwin.fem import FactorizationError
@@ -269,13 +269,15 @@ class TestCalibrateCommand:
     def test_non_finite_coefficient_exits_2_writing_nothing(self, tmp_path, capsys, flag, value, named):
         """An infinite --k-tt would drop the temperature compensation and a
         nan --k-eps make every strain nan; each is refused by name, the flag
-        at parse time and the argument by the function for Python callers."""
+        at parse time and the argument by the function for Python callers.
+        The two sensitivities, divisors both, must also be nonzero."""
         src = tmp_path / "shifts.csv"
         src.write_text("t,rel_shift_s,rel_shift_t\n0.0,7.8e-7,1e-6\n0.004,1.56e-6,2e-6\n")
         out = tmp_path / "strain.csv"
         assert cli.main(["calibrate", "--in", str(src), "--out", str(out), f"{flag}={value}"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: config: argument {flag}: must be a finite number, got {value!r}"]
+        rule = "a finite nonzero number" if flag in ("--k-eps", "--k-tt") else "a finite number"
+        assert err == [f"error: config: argument {flag}: must be {rule}, got {value!r}"]
         assert not out.exists()
         with pytest.raises(ValueError, match=f"^{named} must be a finite number, got {float(value)}$"):
             fbg_mechanical_strain(7.8e-7, 1e-6, **{named: float(value)})
@@ -388,6 +390,22 @@ class TestInferCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: config: ")
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    def test_out_naming_a_file_exits_4_before_sampling(self, tmp_path, capsys, monkeypatch):
+        """--out is made once the inputs are read and before the chain runs,
+        so one naming an existing file costs no evidence evaluation."""
+        obs = _synth(tmp_path)
+        out = tmp_path / "taken"
+        out.write_text("")
+        calls = []
+        evidence = inference.log_marginal
+        monkeypatch.setattr(inference, "log_marginal", lambda *args: calls.append(args) or evidence(*args))
+        rc = cli.main(["infer", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0",
+                       "--iters", "3000", "--out", str(out)])
+        assert rc == 4
+        assert calls == []
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: io: ")
 
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch):
         obs = _synth(tmp_path)
@@ -609,7 +627,7 @@ def test_time_within_a_step_of_the_window_answers_the_nearest_instant(tmp_path, 
 
 
 _FINITE, _NONNEGATIVE, _POSITIVE = "a finite number", "a finite number >= 0", "a finite number > 0"
-_COUNT, _SEED = "an integer >= 1", "an integer >= 0"
+_NONZERO, _COUNT, _ITERS, _SEED = "a finite nonzero number", "an integer >= 1", "an integer >= 2", "an integer >= 0"
 # (command, bad flag, the rule it breaks, the value as typed): every numeric flag of every command
 _BAD_NUMBERS = {
     "window-nan": ("infer", ["--window", "nan", "3"], _FINITE, "nan"),
@@ -625,16 +643,19 @@ _BAD_NUMBERS = {
     "synth-ell-d-inf": ("synth", ["--ell-d", "inf"], _POSITIVE, "inf"),
     "synth-sigma-e-negative": ("synth", ["--sigma-e=-1"], _NONNEGATIVE, "-1"),
     "synth-seed-negative": ("synth", ["--seed=-1"], _SEED, "-1"),
-    "calibrate-k-eps-nan": ("calibrate", ["--k-eps", "nan"], _FINITE, "nan"),
+    "calibrate-k-eps-nan": ("calibrate", ["--k-eps", "nan"], _NONZERO, "nan"),
+    "calibrate-k-eps-0": ("calibrate", ["--k-eps", "0"], _NONZERO, "0"),
     "calibrate-k-t-inf": ("calibrate", ["--k-t", "inf"], _FINITE, "inf"),
-    "calibrate-k-tt-text": ("calibrate", ["--k-tt", "one"], _FINITE, "one"),
+    "calibrate-k-tt-text": ("calibrate", ["--k-tt", "one"], _NONZERO, "one"),
+    "calibrate-k-tt-0": ("calibrate", ["--k-tt", "0.0"], _NONZERO, "0.0"),
     "calibrate-alpha-sub-inf": ("calibrate", ["--alpha-sub=-inf"], _FINITE, "-inf"),
     "infer-sigma-e-text": ("infer", ["--sigma-e", "1ue"], _NONNEGATIVE, "1ue"),
     "infer-window-inf": ("infer", ["--window", "1", "inf"], _FINITE, "inf"),
     "infer-stride-0": ("infer", ["--stride", "0"], _COUNT, "0"),
     "infer-gamma-min-inf": ("infer", ["--gamma-min", "inf"], _FINITE, "inf"),
-    "infer-iters-0": ("infer", ["--iters", "0"], _COUNT, "0"),
-    "infer-iters-fraction": ("infer", ["--iters", "1.5"], _COUNT, "1.5"),
+    "infer-iters-0": ("infer", ["--iters", "0"], _ITERS, "0"),
+    "infer-iters-1": ("infer", ["--iters", "1"], _ITERS, "1"),
+    "infer-iters-fraction": ("infer", ["--iters", "1.5"], _ITERS, "1.5"),
     "infer-burn-in-nan": ("infer", ["--burn-in", "nan"], _FINITE, "nan"),
     "posterior-stride-text": ("posterior", ["--stride", "two"], _COUNT, "two"),
     "posterior-gamma-min-inf": ("posterior", ["--gamma-min", "inf"], _FINITE, "inf"),

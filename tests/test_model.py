@@ -6,6 +6,7 @@ import yaml
 
 from bridgetwin.model import (
     ConfigError,
+    Element,
     GrillageModel,
     MaterialSpec,
     SectionSpec,
@@ -18,7 +19,6 @@ from bridgetwin.model import (
     load_model_config,
     simply_supported_beam_template,
     two_girder_template,
-    validate_model,
 )
 
 from bridgetwin.loading import RandomLoadSpec, TrainScenario, load_scenario_config
@@ -119,18 +119,18 @@ class TestTemplates:
         assert m.nodes.shape == (10, 2)
         assert m.span() == pytest.approx(20.0)
         assert m.deck_spacing == pytest.approx(5.0)
-        assert len(m.line_nodes("east")) == 5
-        assert len(m.line_nodes("west")) == 5
+        assert len(m.lines["east"]) == 5
+        assert len(m.lines["west"]) == 5
         # 4 + 4 girder elements plus 5 crossbeams
         assert len(m.elements) == 13
-        ys = m.nodes[m.line_nodes("west"), 1]
+        ys = m.nodes[list(m.lines["west"]), 1]
         np.testing.assert_allclose(ys, 6.0)
 
     def test_two_girder_subdivision(self, plain_section):
         m = two_girder_template(span=20.0, girder_spacing=6.0, n_crossbeams=5,
                                 girder_section=plain_section, crossbeam_section=plain_section,
                                 girder_subdivision=2)
-        assert len(m.line_nodes("east")) == 9
+        assert len(m.lines["east"]) == 9
         assert len(m.elements) == 2 * 8 + 5
 
     def test_corner_supports_only(self, plain_section):
@@ -156,8 +156,8 @@ class TestGeometryQueries:
         """A gauge station at a girder/crossbeam junction binds to the named
         girder; naming the other girder is an error that names the line."""
         model = bundled_ctx.model
-        east = model.line_elements("east")
-        node = model.line_nodes("east")[2]
+        east = model.line_tables["east"].elements
+        node = model.lines["east"][2]
         x, y = model.nodes[node]
         assert any(node in (e.node_i, e.node_j) and k not in east for k, e in enumerate(model.elements))
         elem, t = model.locate_point(x, y, line="east")
@@ -186,7 +186,7 @@ class TestGeometryQueries:
         with pytest.raises(ConfigError):
             m.locate_on_line("north", 1.0)
         # an interior node belongs to the element before it along the line
-        east = m.line_elements("east")
+        east = m.line_tables["east"].elements
         assert m.locate_on_line("east", 10.0) == (east[1], 1.0)
         assert m.locate_on_line("east", 0.0) == (east[0], 0.0)
         assert m.locate_on_line("east", 20.0) == (east[-1], 1.0)
@@ -200,7 +200,7 @@ class TestGeometryQueries:
         """With ``line=None`` a girder/crossbeam junction is equally close to
         every member meeting there; the lowest element index wins."""
         m = girders
-        node = m.line_nodes("east")[2]
+        node = m.lines["east"][2]
         touching = [k for k, e in enumerate(m.elements) if node in (e.node_i, e.node_j)]
         assert len(touching) == 3
         assert m.locate_point(*m.nodes[node]) == (touching[0], 1.0)
@@ -218,26 +218,57 @@ class TestGeometryQueries:
         assert elems.size == ts.size == 0
 
     def test_element_length(self, ss_beam):
-        assert ss_beam.element_length(ss_beam.elements[0]) == pytest.approx(1.0)
+        assert ss_beam.lengths[0] == pytest.approx(1.0)
+
+    def test_replace_derives_the_tables_again(self, girders):
+        """A changed model measures its own nodes: ``dataclasses.replace``
+        derives the lengths and line tables afresh, never copies them."""
+        m = dataclasses.replace(girders, nodes=2.0 * girders.nodes)
+        np.testing.assert_array_equal(m.vectors, 2.0 * girders.vectors)
+        np.testing.assert_array_equal(m.lengths, 2.0 * girders.lengths)
+        np.testing.assert_array_equal(m.line_tables["east"].starts, [0.0, 10.0, 20.0, 30.0, 40.0])
+        np.testing.assert_array_equal(m.line_tables["back"].flipped, [True] * 4)
+        assert m.line_length("east") == 40.0 and girders.line_length("east") == 20.0
+        assert m.locate_on_line("east", 15.0) == girders.locate_on_line("east", 7.5)
 
 
 class TestValidation:
+    """A model is checked when it is made: one ConfigError names every violation."""
+
     def test_bundled_model_is_clean(self, bundled_ctx):
-        violations = validate_model(bundled_ctx.model)
-        assert violations == (), "; ".join(violations)
+        model = dataclasses.replace(bundled_ctx.model)
+        assert model.lengths.tobytes() == bundled_ctx.model.lengths.tobytes()
 
     def test_flags_nonpositive_stiffness(self, plain_section):
         bad = SectionSpec(bending_stiffness=-1.0, torsion_stiffness=1.0, fiber_distance=0.1)
-        m = simply_supported_beam_template(4.0, 2, bad)
-        assert validate_model(m)
+        with pytest.raises(ConfigError, match="non-physical section on element 0: bending stiffness -1.0"):
+            simply_supported_beam_template(4.0, 2, bad)
 
     def test_flags_rigid_body_modes(self, plain_section):
         m = simply_supported_beam_template(4.0, 2, plain_section)
-        floating = GrillageModel(nodes=m.nodes, elements=m.elements, supports=(),
-                                 lines=m.lines, deck_spacing=m.deck_spacing)
-        violations = validate_model(floating)
-        assert violations
-        assert any("rigid" in msg for msg in violations)
+        with pytest.raises(ConfigError, match="rigid"):
+            GrillageModel(nodes=m.nodes, elements=m.elements, supports=(),
+                          lines=m.lines, deck_spacing=m.deck_spacing)
+
+    def test_violations_are_joined_in_order(self, plain_section):
+        """Every violation is named, in element, support and line order; the
+        rigid-body check needs a sound model and is skipped."""
+        bad = SectionSpec(bending_stiffness=-1.0, torsion_stiffness=1.0, fiber_distance=0.1)
+        with pytest.raises(ConfigError) as err:
+            GrillageModel(np.array([[0.0, 0.0], [1.0, 0.0]]), [Element(0, 0, plain_section), Element(0, 1, bad)],
+                          supports=[Support(2, frozenset({"w"}))], lines={"main": (0,)})
+        assert str(err.value) == ("element 0 joins a node to itself; "
+                                  "non-physical section on element 1: bending stiffness -1.0; "
+                                  "support references undefined node 2; line 'main' has fewer than two nodes")
+
+    def test_unchained_line_is_refused(self, plain_section):
+        """A line must follow elements node to node; the error names the
+        line and the first node pair no element joins."""
+        m = two_girder_template(span=20.0, girder_spacing=6.0, n_crossbeams=5,
+                                girder_section=plain_section, crossbeam_section=plain_section)
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(m, lines={**m.lines, "skew": (0, 1, 7)})
+        assert str(err.value) == "line 'skew' is not chained by elements between nodes 1 and 7"
 
     @pytest.mark.parametrize("handle", ["array", "base"])
     def test_nodes_freeze_in_the_callers_hands(self, plain_section, handle):
@@ -351,6 +382,7 @@ class TestNodeTables:
         ({"supports": 10}, "geometry.supports must be a list of [node, [dofs]] rows, got 10"),
         ({"lines": {"main": [10, 11.5]}}, "geometry.lines.main must be an integer, got 11.5"),
         ({"deck_spacing": "wide"}, "geometry.deck_spacing must be a finite number, got 'wide'"),
+        ({"lines": {"main": [10, 12]}}, "line 'main' is not chained by elements between nodes 0 and 2"),
     ])
     def test_errors_name_their_row(self, geometry, message):
         with pytest.raises(ConfigError) as err:
