@@ -185,7 +185,7 @@ def _cmd_model(args) -> int:
             print(f"line {name}: {len(path)} nodes")
         if model.deck_spacing is not None:
             print(f"deck spacing: {dataio.format_si(model.deck_spacing)} m")
-        diag = np.diagonal(stiffness.matrix)
+        diag = np.diagonal(stiffness)
         print(f"stiffness diagonal range: [{diag.min():.6g}, {diag.max():.6g}] N/m")
     out = _out_dir(args)
     _write_manifest(out / "manifest.json", f"model {args.action}", args, [])

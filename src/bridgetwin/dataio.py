@@ -277,7 +277,7 @@ def write_observations(path: str, obs: ObservationSet) -> None:
                 [_si_cells(obs.timestamps), *obs.strains])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Recording:
     """A recording CSV read up to its strain cells: the sensor ids, and the
     line, timestamp and strain text of every row. Every row's cell count
@@ -322,9 +322,9 @@ class Recording:
 
 def read_recording(path: str) -> Recording:
     """Read a recording CSV up to its strain cells. A row with the wrong
-    number of cells or a time cell that is not a finite number raises
-    ValueError naming its path:line, wherever it is; no strain cell is
-    parsed yet."""
+    number of cells, a time cell that is not a finite number, or a time
+    that does not exceed the previous row's raises ValueError naming its
+    path:line, wherever it is; no strain cell is parsed yet."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -343,7 +343,13 @@ def read_recording(path: str) -> Recording:
             cells.append(text if text.count(",") == len(ids) - 1 else tuple(row[1:]))
     if not lines:
         raise ValueError(f"{path} holds no data rows")
-    return Recording(path, tuple(ids), tuple(lines), _finite_column(path, "t", lines, times), tuple(cells))
+    timestamps = _finite_column(path, "t", lines, times)
+    back = np.flatnonzero(np.diff(timestamps) <= 0.0)
+    if back.size:
+        i = int(back[0]) + 1
+        raise ValueError(f"{path}:{lines[i]}: column t: {times[i].strip()!r} does not exceed "
+                         f"the previous row's {times[i - 1].strip()!r}")
+    return Recording(path, tuple(ids), tuple(lines), timestamps, tuple(cells))
 
 
 def read_observation_table(path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -452,7 +458,7 @@ def write_load_series(path: str, series) -> None:
 def write_chain(path: str, chain) -> None:
     """Kept samples, one row per iteration; sigma_d in microstrain."""
     write_table(path, ["iter", "rho", "sigma_d", "ell_d", "log_post", "accepted"], [
-        [str(chain.first_iteration + k) for k in range(len(chain))],
+        [str(chain.config.n_burn + k) for k in range(len(chain))],
         _si_cells(chain.samples[:, 0]),
         chain.samples[:, 1],
         _si_cells(chain.samples[:, 2]),

@@ -109,7 +109,7 @@ def element_columns(model: GrillageModel, dof_map: DofMap, elements, local, colu
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DofMap:
     """Numbering of free dofs: ``index`` (n_nodes, 3), in DOF_NAMES order,
     numbers the free dofs 0, 1, ... in row-major order; constrained entries
@@ -135,18 +135,10 @@ def build_dof_map(model: GrillageModel) -> DofMap:
     return DofMap(index)
 
 
-@dataclass(frozen=True)
-class StiffnessMatrix:
-    """The constrained SPD system on the free dofs."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", readonly(self.matrix))
-
-
-def assemble(model: GrillageModel) -> tuple[StiffnessMatrix, DofMap]:
-    """Assemble the global stiffness and prove it positive definite.
+def assemble(model: GrillageModel) -> tuple[np.ndarray, DofMap]:
+    """Assemble the global stiffness and prove it positive definite: the
+    read-only matrix K of the constrained system on the free dofs, and their
+    numbering.
 
     Raises :class:`FactorizationError` when the supports leave rigid body
     modes, detected by a trial Cholesky factorization.
@@ -170,10 +162,10 @@ def assemble(model: GrillageModel) -> tuple[StiffnessMatrix, DofMap]:
         raise FactorizationError(
             "stiffness matrix is not positive definite: unconstrained rigid body modes"
         ) from exc
-    return StiffnessMatrix(k_free), dof_map
+    return readonly(k_free), dof_map
 
 
-def solve(stiffness: StiffnessMatrix, forces: np.ndarray) -> np.ndarray:
+def solve(stiffness: np.ndarray, forces: np.ndarray) -> np.ndarray:
     """Solve K u = f for one or many right-hand sides on the free dofs.
 
     LU with partial pivoting (``np.linalg.solve``) is backward stable like a
@@ -182,13 +174,13 @@ def solve(stiffness: StiffnessMatrix, forces: np.ndarray) -> np.ndarray:
     proven positive definite at assembly.
     """
     forces = np.asarray(forces, dtype=float)
-    n = stiffness.matrix.shape[0]
+    n = stiffness.shape[0]
     if forces.shape[0] != n:
         raise ValueError(f"force vector has {forces.shape[0]} rows, system has {n}")
-    return np.linalg.solve(stiffness.matrix, forces)
+    return np.linalg.solve(stiffness, forces)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StrainOperator:
     """Linear map from free dofs to axial strains at gauge locations, one
     row per gauge in layout order."""
@@ -290,7 +282,7 @@ def _check_symmetric(cov: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be symmetric")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianBelief:
     """Multivariate normal over a vector of physical quantities.
 
@@ -321,7 +313,7 @@ class GaussianBelief:
 
 
 def propagate_prior(
-    stiffness: StiffnessMatrix, mean_force: np.ndarray, force_cov: np.ndarray
+    stiffness: np.ndarray, mean_force: np.ndarray, force_cov: np.ndarray
 ) -> GaussianBelief:
     """Push a Gaussian load through the linear system: :func:`propagate_prior_series`
     on one column, so u ~ N(K^-1 mean, K^-1 C_f K^-T)."""
@@ -329,7 +321,7 @@ def propagate_prior(
     return propagate_prior_series(stiffness, mean_forces, force_cov).instant(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriorEnsemble:
     """Per-instant prior means sharing one displacement covariance.
 
@@ -355,7 +347,7 @@ class PriorEnsemble:
 
 
 def propagate_prior_series(
-    stiffness: StiffnessMatrix, mean_forces: np.ndarray, force_cov: np.ndarray
+    stiffness: np.ndarray, mean_forces: np.ndarray, force_cov: np.ndarray
 ) -> PriorEnsemble:
     """Push loads f_k ~ N(m_k, C_f), one column of ``mean_forces`` each, through
     the linear system: u_k ~ N(K^-1 m_k, K^-1 C_f K^-T), through :func:`solve`

@@ -59,7 +59,7 @@ class McmcConfig:
         return int(round(self.iterations * self.burn_in_fraction))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Chain:
     """Post-burn-in samples with bookkeeping.
 
@@ -85,11 +85,6 @@ class Chain:
     def acceptance_rate(self) -> float:
         """The share of kept iterations whose proposal was accepted."""
         return float(np.mean(self.accepted))
-
-    @property
-    def first_iteration(self) -> int:
-        """The absolute index of the first kept iteration."""
-        return self.config.n_burn
 
 
 def run_random_walk(log_density, config: McmcConfig) -> Chain:

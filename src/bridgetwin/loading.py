@@ -108,7 +108,7 @@ def _train_forces(model: GrillageModel, dof_map: DofMap, scenario: TrainScenario
     return element_columns(model, dof_map, elements, local, columns, len(pos))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoadSeries:
     """Force vectors over the recording window.
 

@@ -300,7 +300,7 @@ class Support:
     dofs: frozenset[str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LineTable:
     """A member line walked along its path: its elements in path order, the
     arc length at each one's start followed by the line's length, and
@@ -311,7 +311,7 @@ class LineTable:
     flipped: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrillageModel:
     """Plan-grid beam model.
 
@@ -325,10 +325,11 @@ class GrillageModel:
 
     Construction refuses a model with non-physical data, a line its
     elements do not chain, or supports that leave rigid body modes, with
-    one :class:`ConfigError` naming every violation. It derives, once, each
-    element's end node indices ``ends`` (n, 2), plan vector ``vectors``
-    (n, 2) from node_i to node_j and length ``lengths`` (n,), and each
-    line's :class:`LineTable` in ``line_tables``.
+    one :class:`ConfigError` naming every violation and each node it holds
+    by its plan position. It derives, once, each element's end node
+    indices ``ends`` (n, 2), plan vector ``vectors`` (n, 2) from node_i to
+    node_j and length ``lengths`` (n,), and each line's :class:`LineTable`
+    in ``line_tables``.
     """
 
     nodes: np.ndarray
@@ -336,10 +337,10 @@ class GrillageModel:
     supports: tuple[Support, ...]
     lines: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
     deck_spacing: float | None = None
-    ends: np.ndarray = field(init=False, repr=False, compare=False)
-    vectors: np.ndarray = field(init=False, repr=False, compare=False)
-    lengths: np.ndarray = field(init=False, repr=False, compare=False)
-    line_tables: Mapping[str, LineTable] = field(init=False, repr=False, compare=False)
+    ends: np.ndarray = field(init=False, repr=False)
+    vectors: np.ndarray = field(init=False, repr=False)
+    lengths: np.ndarray = field(init=False, repr=False)
+    line_tables: Mapping[str, LineTable] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", readonly(self.nodes))
@@ -374,12 +375,15 @@ class GrillageModel:
             if not (math.isfinite(s.fiber_distance) and s.fiber_distance > 0.0):
                 v.append(f"non-physical section on element {k}: fiber distance {s.fiber_distance}")
 
+        def at(i: int) -> str:  # a node by its plan position, which names it in any document
+            return "({:g}, {:g})".format(*self.nodes[i])
+
         for sup in self.supports:
+            bad = set(sup.dofs) - set(DOF_NAMES)
             if not 0 <= sup.node < n:
                 v.append(f"support references undefined node {sup.node}")
-            bad = set(sup.dofs) - set(DOF_NAMES)
-            if bad:
-                v.append(f"support on node {sup.node} names unknown dofs {sorted(bad)}")
+            elif bad:
+                v.append(f"support on the node at {at(sup.node)} names unknown dofs {sorted(bad)}")
 
         pairs = {(i, j): k for k, (i, j) in enumerate(ends.tolist())}
         tables = {}
@@ -392,7 +396,8 @@ class GrillageModel:
             chain = [pairs.get((a, b), pairs.get((b, a))) for a, b in zip(path[:-1], path[1:])]
             if None in chain:
                 k = chain.index(None)
-                v.append(f"line {name!r} is not chained by elements between nodes {path[k]} and {path[k + 1]}")
+                v.append(f"line {name!r} is not chained by elements between the nodes at {at(path[k])} "
+                         f"and {at(path[k + 1])}")
                 continue
             elems = np.array(chain, dtype=int)
             tables[name] = LineTable(readonly(elems, int),
@@ -414,7 +419,7 @@ class GrillageModel:
 
     @cached_property
     def assembled(self):
-        """(StiffnessMatrix, DofMap): the model's one :func:`bridgetwin.fem.assemble`."""
+        """(K, DofMap): the model's one :func:`bridgetwin.fem.assemble`."""
         from . import fem
 
         return fem.assemble(self)
@@ -664,8 +669,8 @@ def _build_tables(cfg: Fields, sections: dict[str, SectionSpec]) -> GrillageMode
 def build_model(config: dict) -> GrillageModel:
     """Construct and validate a model from a configuration mapping.
 
-    Deterministic: equal documents give equal models. Raises
-    :class:`ConfigError` on schema, reference or validation failures.
+    Deterministic: equal documents give models with bit-identical arrays.
+    Raises :class:`ConfigError` on schema, reference or validation failures.
     """
     return _build_model(document(config, "model configuration"))
 

@@ -2,12 +2,12 @@
 
 A :class:`TwinContext` holds one bridge model, one crossing scenario, one
 random deck load and one list of gauge descriptions. Only these inputs are
-settable: the gauge layout, assembled system, strain operator and load
-series are built from them when the context is made, and the propagated
-priors on first use. Commands and tests build the context once and pull
-windows, priors and observation sets from it. The context and all it holds
-or hands out are read-only, so no input can change underneath what it
-derived; ``dataclasses.replace`` with new inputs rebuilds the rest.
+settable: the gauge layout, strain operator and load series are built from
+them and the model's one assembly when the context is made, and the
+propagated priors on first use. Commands and tests build the context once
+and pull windows, priors and observation sets from it. The context and all
+it holds or hands out are read-only, so no input can change underneath
+what it derived; ``dataclasses.replace`` with new inputs rebuilds the rest.
 """
 
 from __future__ import annotations
@@ -19,14 +19,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import dataio
-from .fem import (
-    DofMap,
-    PriorEnsemble,
-    StiffnessMatrix,
-    StrainOperator,
-    build_strain_operator,
-    propagate_prior_series,
-)
+from .fem import PriorEnsemble, StrainOperator, build_strain_operator, propagate_prior_series
 from .loading import (LoadSeries, RandomLoadSpec, TrainScenario, force_covariance, load_scenario_config,
                       load_series, select_window)
 from .model import ConfigError, GrillageModel, load_model_config, readonly
@@ -38,24 +31,20 @@ _MATCH_TOL = 1e-9
 _QUIET_HEAD = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwinContext:
     model: GrillageModel
     scenario: TrainScenario
     random_load: RandomLoadSpec
     sensor_entries: tuple[MappingProxyType, ...]
     layout: SensorLayout = field(init=False)
-    dof_map: DofMap = field(init=False)
-    stiffness: StiffnessMatrix = field(init=False)
     strain_op: StrainOperator = field(init=False)
     series: LoadSeries = field(init=False)
 
     def __post_init__(self) -> None:
         derive = partial(object.__setattr__, self)
         derive("sensor_entries", tuple(MappingProxyType(dict(entry)) for entry in self.sensor_entries))
-        stiffness, dof_map = self.model.assembled
-        derive("stiffness", stiffness)
-        derive("dof_map", dof_map)
+        _, dof_map = self.model.assembled
         derive("layout", SensorLayout.resolve(self.model, self.sensor_entries))
         derive("strain_op", build_strain_operator(self.model, dof_map, self.layout.sensors))
         derive("series", load_series(self.model, dof_map, self.scenario))
@@ -72,11 +61,13 @@ class TwinContext:
     @cached_property
     def force_cov(self) -> np.ndarray:
         """Covariance of the random deck load on the free dofs, computed on first use."""
-        return readonly(force_covariance(self.model, self.dof_map, self.random_load))
+        _, dof_map = self.model.assembled
+        return readonly(force_covariance(self.model, dof_map, self.random_load))
 
     @cached_property
     def _prior(self) -> PriorEnsemble:
-        return propagate_prior_series(self.stiffness, self.series.forces, self.force_cov)
+        stiffness, _ = self.model.assembled
+        return propagate_prior_series(stiffness, self.series.forces, self.force_cov)
 
     def prior_series(self, indices=None) -> PriorEnsemble:
         """Propagated dof priors at the selected instants (all by default).
@@ -93,7 +84,8 @@ class TwinContext:
 
     def operator_for(self, layout: SensorLayout) -> StrainOperator:
         """Strain operator rows for an alternative gauge layout."""
-        return build_strain_operator(self.model, self.dof_map, layout.sensors)
+        _, dof_map = self.model.assembled
+        return build_strain_operator(self.model, dof_map, layout.sensors)
 
     def match_instants(self, timestamps: np.ndarray) -> np.ndarray:
         """Series indices of externally supplied timestamps.

@@ -170,7 +170,7 @@ def noise_covariance(n_sensors: int, sigma_e: float) -> np.ndarray:
     return sigma_e * sigma_e * np.eye(n_sensors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationSet:
     """Gauge strain recordings over a set of instants.
 

@@ -407,6 +407,21 @@ class TestInferCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: io: ")
 
+    def test_recording_written_twice_exits_2_naming_the_repeated_row(self, tmp_path, capsys):
+        """Rows 300 to 400 written twice would count every instant twice in
+        the evidence; the second copy's first row goes back in time, so the
+        recording is refused before any work."""
+        header, *rows = _synth(tmp_path, seed="1").read_bytes().split(b"\r\n")
+        obs = tmp_path / "twice.csv"
+        obs.write_bytes(b"\r\n".join([header, *rows[300:401], *rows[300:401], b""]))
+        rc = cli.main(["infer", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0",
+                       "--iters", "50", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        first, last = rows[300].split(b",")[0].decode(), rows[400].split(b",")[0].decode()
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"error: config: {obs}:103: column t: {first!r} does not exceed the previous row's {last!r}"]
+        assert not (tmp_path / "x").exists()
+
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch):
         obs = _synth(tmp_path)
 

@@ -501,8 +501,13 @@ class TestRecordingRows:
             recording.strains()
         assert str(err.value) == f"{path}:3: sensor a: not a finite decimal literal: '4,5'"
 
-    @pytest.mark.parametrize("last,message", [("1.0,7", "{path}:4 has 2 cells, expected 3"),
-                                              ("nan,7,8", "{path}:4: column t: not a finite number: 'nan'")])
+    @pytest.mark.parametrize("last,message", [
+        ("1.0,7", "{path}:4 has 2 cells, expected 3"),
+        ("nan,7,8", "{path}:4: column t: not a finite number: 'nan'"),
+        # a row is one instant, so a repeated time would count its strains twice in the evidence
+        ("0.50,7,8", "{path}:4: column t: '0.50' does not exceed the previous row's '0.5'"),
+        ("0.25,7,8", "{path}:4: column t: '0.25' does not exceed the previous row's '0.5'"),
+    ])
     def test_every_row_and_time_cell_is_checked_before_any_strain_cell(self, tmp_path, last, message):
         path = tmp_path / "rec.csv"
         path.write_text(f"t,a,b\n0,x,2\n0.5,4,5\n{last}\n")

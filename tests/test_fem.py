@@ -118,7 +118,7 @@ def _looped_stiffness(model):
 class TestStackedAssembly:
     def test_bundled_bridge_matches_the_element_loop(self):
         model = load_model_config(BRIDGE_YAML)
-        assert assemble(model)[0].matrix.tobytes() == _looped_stiffness(model).tobytes()
+        assert assemble(model)[0].tobytes() == _looped_stiffness(model).tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.0, 2.0 * math.pi), st.integers(0, 2**32 - 1))
@@ -127,7 +127,7 @@ class TestStackedAssembly:
         rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
         jitter = 0.05 * np.random.default_rng(seed).standard_normal(model.nodes.shape)
         model = dataclasses.replace(model, nodes=(model.nodes + jitter) @ rot.T)
-        assert assemble(model)[0].matrix.tobytes() == _looped_stiffness(model).tobytes()
+        assert assemble(model)[0].tobytes() == _looped_stiffness(model).tobytes()
 
     def test_single_element_stiffness_is_the_stacked_one(self, plain_section):
         """Each slice of one stacked local-stiffness call over several lengths
@@ -260,7 +260,7 @@ class TestSquaredDistances:
             return squared_distances(points)
 
         monkeypatch.setattr(loading, "squared_distances", recorded)
-        force_covariance(bundled_ctx.model, bundled_ctx.dof_map, bundled_ctx.random_load)
+        force_covariance(bundled_ctx.model, bundled_ctx.model.assembled[1], bundled_ctx.random_load)
         (points,) = seen
         assert points.shape == (404, 2)
         np.testing.assert_array_equal(squared_distances(points).view(np.uint64),
@@ -313,7 +313,7 @@ class TestPriorPropagation:
         f[dof_map.index[2, 0]] = -1000.0
         prior = propagate_prior(stiffness, f, c_f)
 
-        a_inv = np.linalg.inv(stiffness.matrix)
+        a_inv = np.linalg.inv(stiffness)
         np.testing.assert_allclose(prior.mean, a_inv @ f, rtol=1e-9, atol=1e-15)
         np.testing.assert_allclose(prior.cov, a_inv @ c_f @ a_inv.T, rtol=1e-8, atol=1e-20)
 

@@ -144,12 +144,12 @@ class TestRandomWalk:
         chain = run_random_walk(_gaussian_target(_MU, _SIGMA), McmcConfig(iterations=400, seed=1))
         names = {f.name for f in dataclasses.fields(Chain)}
         assert names == {"samples", "log_density", "accepted", "step_history", "config"}
-        assert chain.first_iteration == chain.config.n_burn == 100
+        assert chain.config.n_burn == 100
         assert chain.acceptance_rate == np.mean(chain.accepted)
         flipped = dataclasses.replace(chain, accepted=~chain.accepted,
                                       config=McmcConfig(iterations=400, burn_in_fraction=0.5, seed=1))
         assert flipped.acceptance_rate == pytest.approx(1.0 - chain.acceptance_rate)
-        assert flipped.first_iteration == 200
+        assert flipped.config.n_burn == 200
 
 
 def _toy_problem(rng, n_y=4, n_o=6):

@@ -164,7 +164,7 @@ class TestLoadSeries:
         series' timestamps, so each compares bitwise. An unloaded instant
         alone is an empty window, and its column of the series is zero."""
         series, scenario = bundled_ctx.series, bundled_ctx.scenario
-        model, dof_map = bundled_ctx.model, bundled_ctx.dof_map
+        model, dof_map = bundled_ctx.model, bundled_ctx.model.assembled[1]
         for k, t in enumerate(series.timestamps.tolist()):
             alone = dataclasses.replace(scenario, time_window=(t, t + 0.25 * scenario.time_step))
             if not series.forces[:, k].any():

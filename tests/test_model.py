@@ -268,7 +268,7 @@ class TestValidation:
                                 girder_section=plain_section, crossbeam_section=plain_section)
         with pytest.raises(ConfigError) as err:
             dataclasses.replace(m, lines={**m.lines, "skew": (0, 1, 7)})
-        assert str(err.value) == "line 'skew' is not chained by elements between nodes 1 and 7"
+        assert str(err.value) == "line 'skew' is not chained by elements between the nodes at (5, 0) and (10, 6)"
 
     @pytest.mark.parametrize("handle", ["array", "base"])
     def test_nodes_freeze_in_the_callers_hands(self, plain_section, handle):
@@ -280,12 +280,12 @@ class TestValidation:
         nodes = base if handle == "array" else base[:, :]
         model = GrillageModel(nodes=nodes, elements=m.elements, supports=m.supports,
                               lines=m.lines, deck_spacing=m.deck_spacing)
-        stiffness = model.assembled[0].matrix.copy()
+        stiffness = model.assembled[0].copy()
         with pytest.raises(ValueError, match="read-only"):
             (base if handle == "base" else nodes)[:, 0] *= 2
         assert model.nodes is nodes
         assert np.array_equal(model.nodes, m.nodes)
-        assert np.array_equal(model.assembled[0].matrix, stiffness)
+        assert np.array_equal(model.assembled[0], stiffness)
 
 
 class TestConfigLoading:
@@ -382,7 +382,9 @@ class TestNodeTables:
         ({"supports": 10}, "geometry.supports must be a list of [node, [dofs]] rows, got 10"),
         ({"lines": {"main": [10, 11.5]}}, "geometry.lines.main must be an integer, got 11.5"),
         ({"deck_spacing": "wide"}, "geometry.deck_spacing must be a finite number, got 'wide'"),
-        ({"lines": {"main": [10, 12]}}, "line 'main' is not chained by elements between nodes 0 and 2"),
+        ({"lines": {"main": [10, 12]}},
+         "line 'main' is not chained by elements between the nodes at (0, 0) and (2, 0)"),
+        ({"supports": [[11, ["w", "q"]]]}, "support on the node at (1, 0) names unknown dofs ['q']"),
     ])
     def test_errors_name_their_row(self, geometry, message):
         with pytest.raises(ConfigError) as err:

@@ -15,7 +15,7 @@ from conftest import BRIDGE_YAML, SENSORS_EAST, SENSORS_WEST, TRAIN_YAML, croppe
 
 class TestBuild:
     def test_from_files(self, bundled_ctx):
-        assert bundled_ctx.dof_map.n_free == 242
+        assert bundled_ctx.model.assembled[1].n_free == 242
         assert len(bundled_ctx.layout) == 40
         assert bundled_ctx.series.forces.shape[0] == 242
 
@@ -65,7 +65,7 @@ class TestBuild:
         stiffer = dataclasses.replace(model, elements=[dataclasses.replace(e, section=dataclasses.replace(
             e.section, bending_stiffness=2.0 * e.section.bending_stiffness)) for e in model.elements])
         rebuilt = dataclasses.replace(bundled_ctx, model=stiffer)
-        assert not np.array_equal(rebuilt.stiffness.matrix, bundled_ctx.stiffness.matrix)
+        assert not np.array_equal(rebuilt.model.assembled[0], bundled_ctx.model.assembled[0])
         _assert_same_pieces(rebuilt, TwinContext(stiffer, bundled_ctx.scenario, bundled_ctx.random_load,
                                                  bundled_ctx.sensor_entries))
 
@@ -100,9 +100,9 @@ class TestNothingGoesStale:
     def test_model_nodes_are_read_only(self, own_ctx):
         with pytest.raises(ValueError, match="read-only"):
             own_ctx.model.nodes[:, 0] *= 2.0
-        np.testing.assert_array_equal(own_ctx.stiffness.matrix,
+        np.testing.assert_array_equal(own_ctx.model.assembled[0],
                                       TwinContext(own_ctx.model, own_ctx.scenario, own_ctx.random_load,
-                                                  own_ctx.sensor_entries).stiffness.matrix)
+                                                  own_ctx.sensor_entries).model.assembled[0])
 
     def test_sensor_entries_are_read_only(self, own_ctx):
         with pytest.raises(TypeError):
@@ -128,9 +128,10 @@ class TestNothingGoesStale:
 def _assert_same_pieces(ctx, fresh):
     """Every derived piece of ``ctx`` equals the one a fresh context built."""
     assert ctx.layout == fresh.layout
-    assert ctx.dof_map.n_free == fresh.dof_map.n_free
-    np.testing.assert_array_equal(ctx.dof_map.index, fresh.dof_map.index)
-    np.testing.assert_array_equal(ctx.stiffness.matrix, fresh.stiffness.matrix)
+    (stiffness, dof_map), (fresh_stiffness, fresh_dof_map) = ctx.model.assembled, fresh.model.assembled
+    assert dof_map.n_free == fresh_dof_map.n_free
+    np.testing.assert_array_equal(dof_map.index, fresh_dof_map.index)
+    np.testing.assert_array_equal(stiffness, fresh_stiffness)
     np.testing.assert_array_equal(ctx.strain_op.matrix, fresh.strain_op.matrix)
     for name in ("timestamps", "forces", "gamma"):
         np.testing.assert_array_equal(getattr(ctx.series, name), getattr(fresh.series, name))

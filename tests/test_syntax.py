@@ -8,6 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bridgetwin.dataio import read_recording, write_observations
+from bridgetwin.inference import McmcConfig, chain_diagnostics, run_random_walk
+from bridgetwin.model import load_model_config
+from bridgetwin.pipeline import TwinContext
+from bridgetwin.statfem import ObservationSet
+
+from conftest import BRIDGE_YAML, SENSORS_EAST, TRAIN_YAML
+
 _SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "bridgetwin").glob("*.py"))
 
 
@@ -64,28 +72,34 @@ def test_every_package_dataclass_is_frozen():
     one can go stale. ``dataclasses.replace`` makes a changed value."""
     classes = list(_package_dataclasses())
     assert {cls.__name__ for cls in classes} >= {"GrillageModel", "ObservationSet", "GaussianBelief", "Chain",
-                                                 "LoadSeries", "StiffnessMatrix", "StrainOperator"}
+                                                 "LoadSeries", "StrainOperator"}
     assert [cls.__name__ for cls in classes if not cls.__dataclass_params__.frozen] == []
 
 
-def _arrays(value, path: str, seen: set):
-    """(path, array) of every ndarray reachable from ``value`` through the
-    attributes of dataclass instances, which include their cached values,
-    and through tuples and mappings; each object is visited once."""
+def _reachable(value, path: str, seen: set):
+    """(path, object) of ``value`` and of every object reachable from it
+    through the attributes of dataclass instances, which include their
+    cached values, and through tuples, lists and mappings; each object is
+    visited once."""
     if id(value) in seen:
         return
     seen.add(id(value))
-    if isinstance(value, np.ndarray):
-        yield path, value
-    elif dataclasses.is_dataclass(value):
-        for name, item in vars(value).items():
-            yield from _arrays(item, f"{path}.{name}", seen)
+    yield path, value
+    if dataclasses.is_dataclass(value):
+        items = ((f".{name}", item) for name, item in vars(value).items())
     elif isinstance(value, (tuple, list)):
-        for k, item in enumerate(value):
-            yield from _arrays(item, f"{path}[{k}]", seen)
+        items = ((f"[{k}]", item) for k, item in enumerate(value))
     elif isinstance(value, Mapping):
-        for key, item in value.items():
-            yield from _arrays(item, f"{path}[{key!r}]", seen)
+        items = ((f"[{key!r}]", item) for key, item in value.items())
+    else:
+        return
+    for step, item in items:
+        yield from _reachable(item, path + step, seen)
+
+
+def _arrays(value, path: str, seen: set):
+    """(path, array) of every ndarray :func:`_reachable` from ``value``."""
+    return ((p, item) for p, item in _reachable(value, path, seen) if isinstance(item, np.ndarray))
 
 
 def _bases(array):
@@ -103,12 +117,52 @@ def test_no_array_a_context_holds_is_writeable(bundled_ctx):
     bundled_ctx.force_cov
     bundled_ctx.layout.squared_distances
     arrays = dict(_arrays(bundled_ctx, "ctx", set()))
-    assert arrays.keys() >= {"ctx.model.nodes", "ctx.model.assembled[0].matrix", "ctx.model.assembled[1].index",
+    assert arrays.keys() >= {"ctx.model.nodes", "ctx.model.assembled[0]", "ctx.model.assembled[1].index",
                              "ctx.layout.squared_distances", "ctx.strain_op.matrix", "ctx.series.forces",
                              "ctx.force_cov", "ctx._prior.means", "ctx._prior.cov", "ctx.model.ends",
                              "ctx.model.vectors", "ctx.model.lengths", "ctx.model.line_tables['east'].starts"}
     assert [path for path, array in arrays.items() if array.flags.writeable] == []
     assert [path for path, array in arrays.items() if any(base.flags.writeable for base in _bases(array))] == []
+
+
+def _package_values(tmp_path):
+    """(path, instance) of every package dataclass instance reachable from a
+    context with its priors, force covariance and distances built, one of
+    its priors, a recording read and an observation set ingested through
+    it, and a short chain with its estimate."""
+    ctx = TwinContext.from_files(BRIDGE_YAML, TRAIN_YAML, SENSORS_EAST)
+    ctx.force_cov, ctx.layout.squared_distances  # cached on first use
+    priors = ctx.prior_series()
+    path = tmp_path / "obs.csv"
+    write_observations(path, ObservationSet(ctx.strain_means(), ctx.series.timestamps, 1e-6, ctx.series.gamma,
+                                            ctx.layout))
+    chain = run_random_walk(lambda w: -0.5 * float(w @ w), McmcConfig(iterations=20, seed=1))
+    values = (ctx, priors.instant(0), read_recording(path), ctx.observations_from_csv(path, sigma_e=1e-6),
+              chain, chain_diagnostics(chain))
+    return {p: v for p, v in _reachable(values, "values", set())
+            if dataclasses.is_dataclass(v) and type(v).__module__.startswith("bridgetwin.")}
+
+
+def test_package_values_hash_and_compare_without_raising(tmp_path):
+    """A value that holds an array, in a field or through another such
+    value, compares and hashes by identity, since the generated ``==``
+    cannot compare arrays; every other value compares by its fields. So
+    ``hash``, ``==`` and ``in`` work on every value, and two values built
+    alike are equal exactly when they hold no array."""
+    first, second = _package_values(tmp_path), _package_values(tmp_path)
+    assert first.keys() == second.keys()
+    assert {type(v).__name__ for v in first.values()} >= {
+        "GrillageModel", "LineTable", "DofMap", "StrainOperator", "GaussianBelief", "PriorEnsemble", "LoadSeries",
+        "ObservationSet", "Chain", "Recording", "TwinContext", "Hyperparameters", "McmcConfig", "Sensor",
+        "SensorLayout", "Estimate", "TrainScenario", "RandomLoadSpec", "Element", "SectionSpec", "Support"}
+    for path, v in first.items():
+        w = second[path]
+        hash(v)
+        holds_array = any(isinstance(item, np.ndarray) for f in dataclasses.fields(v)
+                          for _, item in _reachable(getattr(v, f.name), "", set()))
+        assert (v == w) is not holds_array, path
+        assert (v in [w]) is not holds_array, path
+    assert load_model_config(BRIDGE_YAML) != load_model_config(BRIDGE_YAML)
 
 
 _ROOT = Path(__file__).resolve().parent.parent
