@@ -195,12 +195,11 @@ def _cmd_model(args) -> int:
 def _cmd_simulate(args) -> int:
     ctx = TwinContext.from_files(args.model, args.scenario, args.sensors)
     out = _out_dir(args)
-    priors = ctx.prior_series()
-    means_s, strain_cov = priors.projected(ctx.strain_op)
-    std_s = np.sqrt(np.clip(np.diagonal(strain_cov), 0.0, None))
+    priors = ctx.strain_prior()
+    std_s = np.sqrt(np.clip(np.diagonal(priors.cov), 0.0, None))
 
     strain_path = out / "prior_strains.csv"
-    dataio.write_prior_bands(str(strain_path), ctx.series.timestamps, ctx.layout.ids, means_s, std_s)
+    dataio.write_prior_bands(str(strain_path), ctx.series.timestamps, ctx.layout.ids, priors.means, std_s)
 
     loads_path = out / "loads.csv"
     dataio.write_load_series(str(loads_path), ctx.series)
@@ -258,8 +257,8 @@ def _cmd_infer(args) -> int:
     config = McmcConfig(iterations=args.iters, seed=args.seed, **burn_in)
     ctx, obs = _windowed(args)
     out = _out_dir(args)  # an unusable --out is refused before the chain is run
-    priors = ctx.prior_series(ctx.match_instants(obs.timestamps))
-    chain = sample_hyperposterior(obs, priors, ctx.strain_op, config)
+    priors = ctx.strain_prior(ctx.match_instants(obs.timestamps))
+    chain = sample_hyperposterior(obs, priors, np.eye(obs.n_sensors), config)
     estimate = chain_diagnostics(chain)
 
     chain_path, estimate_path = out / "chain.csv", out / "estimate.json"

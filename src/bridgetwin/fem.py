@@ -323,13 +323,14 @@ def propagate_prior(
 
 @dataclass(frozen=True, eq=False)
 class PriorEnsemble:
-    """Per-instant prior means sharing one displacement covariance.
+    """Per-instant prior means sharing one covariance, over the free dofs or,
+    from :func:`propagate_strain_prior`, over the gauges.
 
     The load covariance of a passing train model is time invariant, so the
     solved covariance is computed once; only the means vary with time.
     """
 
-    means: np.ndarray  # (n_free, n_instants)
+    means: np.ndarray  # (n, n_instants)
     cov: np.ndarray
     jitter: float = 0.0
 
@@ -346,14 +347,9 @@ class PriorEnsemble:
         return p @ self.means, _project_covariance(p, self.cov)
 
 
-def propagate_prior_series(
-    stiffness: np.ndarray, mean_forces: np.ndarray, force_cov: np.ndarray
-) -> PriorEnsemble:
-    """Push loads f_k ~ N(m_k, C_f), one column of ``mean_forces`` each, through
-    the linear system: u_k ~ N(K^-1 m_k, K^-1 C_f K^-T), through :func:`solve`
-    and never forming K^-1. The covariance is solved once and shared by every
-    column; C_f is proven PSD by the jitter policy first and any jitter used
-    is recorded on the returned ensemble."""
+def _load_inputs(mean_forces, force_cov) -> tuple[np.ndarray, np.ndarray, float]:
+    """The mean loads (n_free, n_instants) and the load covariance C_f, proven
+    PSD by the jitter policy, with the jitter added to its diagonal."""
     mean_forces = np.asarray(mean_forces, dtype=float)
     if mean_forces.ndim != 2:
         raise ValueError("mean_forces must be (n_free, n_instants)")
@@ -362,8 +358,33 @@ def propagate_prior_series(
     _, jitter = chol_psd(force_cov)
     if jitter > 0.0:
         force_cov = force_cov + jitter * np.eye(force_cov.shape[0])
+    return mean_forces, force_cov, jitter
+
+
+def propagate_prior_series(
+    stiffness: np.ndarray, mean_forces: np.ndarray, force_cov: np.ndarray
+) -> PriorEnsemble:
+    """Push loads f_k ~ N(m_k, C_f), one column of ``mean_forces`` each, through
+    the linear system: u_k ~ N(K^-1 m_k, K^-1 C_f K^-T), through :func:`solve`
+    and never forming K^-1. The covariance is solved once and shared by every
+    column; C_f is proven PSD by the jitter policy first and any jitter used
+    is recorded on the returned ensemble."""
+    mean_forces, force_cov, jitter = _load_inputs(mean_forces, force_cov)
     means = solve(stiffness, mean_forces)
     half = solve(stiffness, force_cov)
     cov = solve(stiffness, half.T)
     cov = 0.5 * (cov + cov.T)
     return PriorEnsemble(means, cov, jitter=jitter)
+
+
+def propagate_strain_prior(
+    stiffness: np.ndarray, strain_op, mean_forces: np.ndarray, force_cov: np.ndarray
+) -> PriorEnsemble:
+    """The prior of :func:`propagate_prior_series` as the gauges read it:
+    strain means P K^-1 m_k (n_y, n_instants) and covariance P K^-1 C_f K^-1 P^T.
+    K is symmetric, so one adjoint solve K X = P^T with n_y right-hand sides
+    gives both, as X^T m_k and X^T C_f X; no dof-space mean or covariance is
+    formed. The jitter policy and its record are those of the dof route."""
+    mean_forces, force_cov, jitter = _load_inputs(mean_forces, force_cov)
+    adjoint_t = solve(stiffness, operator_matrix(strain_op).T).T
+    return PriorEnsemble(adjoint_t @ mean_forces, _project_covariance(adjoint_t, force_cov), jitter=jitter)

@@ -5,13 +5,16 @@ ell_d) under a flat prior truncated to a support box; proposals are joint
 Gaussian steps with per-component scales. A single scalar acceptance rate
 drives step adaptation during burn-in only, so the kept portion of every
 chain is a fixed-kernel Markov chain. Chains are reproducible from the
-seed alone: the generator is consumed identically whether or not a
-proposal is accepted or even evaluated.
+seed alone: the standard library's ``random.Random(seed)`` draws three
+Gaussians and one uniform every iteration, whether or not the proposal is
+accepted or even evaluated. Each chain scores its proposals in an evidence
+basis fixed before its first iteration.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -20,7 +23,7 @@ import numpy as np
 from .dataio import MICROSTRAIN
 from .fem import PriorEnsemble
 from .model import readonly
-from .statfem import Hyperparameters, ObservationSet, log_marginal
+from .statfem import EvidenceBasis, Hyperparameters, ObservationSet, log_marginal
 
 # the sampler's start, steps and support box over (rho, sigma_d in strain, ell_d); a proposal outside
 # the box is rejected unevaluated, and burn-in blocks of ADAPT_INTERVAL iterations scale every step by
@@ -93,7 +96,7 @@ def run_random_walk(log_density, config: McmcConfig) -> Chain:
     ``log_density`` is called only inside the box and may return -inf. The
     initial point must have finite density. Deterministic in config.seed.
     """
-    rng = np.random.default_rng(config.seed)
+    rng = random.Random(config.seed)
     lo, hi = np.array(SUPPORT).T
     steps = np.array(STEPS)
 
@@ -112,8 +115,8 @@ def run_random_walk(log_density, config: McmcConfig) -> Chain:
     for it in range(config.iterations):
         # draws happen unconditionally so the stream stays aligned across
         # rejections and out-of-box proposals
-        jump = rng.standard_normal(3)
-        threshold = rng.random()
+        jump = np.array([rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)])
+        threshold = 1.0 - rng.random()  # in (0, 1], so its log is finite
         proposal = current + steps * jump
         accept = False
         if np.all(proposal >= lo) and np.all(proposal <= hi):
@@ -144,12 +147,14 @@ def sample_hyperposterior(
 
     The evidence of the whole recording is the product over instants, so
     the log target is the summed log marginal. The prior is projected to
-    the gauges once, before the chain starts.
+    the gauges, and the evidence basis built from it, once, before the
+    chain starts; a prior already over the gauges takes the n_y identity
+    as ``strain_op``.
     """
-    strain_means, strain_cov = priors.projected(strain_op)
+    basis = EvidenceBasis(obs, *priors.projected(strain_op))
 
     def log_target(vec: np.ndarray) -> float:
-        return log_marginal(obs, Hyperparameters.from_array(vec), strain_means, strain_cov)
+        return log_marginal(obs, Hyperparameters.from_array(vec), basis)
 
     return run_random_walk(log_target, config)
 

@@ -3,8 +3,9 @@
 A :class:`TwinContext` holds one bridge model, one crossing scenario, one
 random deck load and one list of gauge descriptions. Only these inputs are
 settable: the gauge layout, strain operator and load series are built from
-them and the model's one assembly when the context is made, and the
-propagated priors on first use. Commands and tests build the context once
+them and the model's one assembly when the context is made, the
+propagated dof priors on first use, and the prior as the gauges read it on
+each request. Commands and tests build the context once
 and pull windows, priors and observation sets from it. The context and all
 it holds or hands out are read-only, so no input can change underneath
 what it derived; ``dataclasses.replace`` with new inputs rebuilds the rest.
@@ -19,7 +20,8 @@ from types import MappingProxyType
 import numpy as np
 
 from . import dataio
-from .fem import PriorEnsemble, StrainOperator, build_strain_operator, propagate_prior_series
+from .fem import (PriorEnsemble, StrainOperator, build_strain_operator, propagate_prior_series,
+                  propagate_strain_prior)
 from .loading import (LoadSeries, RandomLoadSpec, TrainScenario, force_covariance, load_scenario_config,
                       load_series, select_window)
 from .model import ConfigError, GrillageModel, load_model_config, readonly
@@ -78,9 +80,18 @@ class TwinContext:
         full = self._prior
         return full if indices is None else replace(full, means=full.means[:, np.asarray(indices)])
 
+    def strain_prior(self, indices=None) -> PriorEnsemble:
+        """The prior as the gauges read it at the selected instants (all by
+        default): strain means P u_k and covariance P C_u P^T, from one
+        adjoint solve with a right-hand side per gauge, never the dof
+        ensemble of :meth:`prior_series`. The jitter is that ensemble's."""
+        stiffness, _ = self.model.assembled
+        forces = self.series.forces if indices is None else self.series.forces[:, np.asarray(indices)]
+        return propagate_strain_prior(stiffness, self.strain_op, forces, self.force_cov)
+
     def strain_means(self) -> np.ndarray:
         """Deterministic model strains P u_k at every instant of the series."""
-        return self.strain_op.matrix @ self._prior.means
+        return self.strain_prior().means
 
     def operator_for(self, layout: SensorLayout) -> StrainOperator:
         """Strain operator rows for an alternative gauge layout."""

@@ -9,9 +9,12 @@ gamma_k, and e_k is iid gauge noise. Everything stays linear Gaussian, so
 conditioning and evidence evaluation are exact given the hyperparameters
 (rho, sigma_d, ell_d).
 
-The recording evidence (:func:`log_marginal`) factors the covariance shared
-by all instants and solves one generalized eigenproblem per hyperparameter
-point; each instant then costs O(n_y).
+The recording evidence (:func:`log_marginal`) reads the prior only through
+the gauges. An :class:`EvidenceBasis`, built once per chain, diagonalises
+the prior strain covariance and rotates the data and prior means into its
+eigenbasis; each hyperparameter point then costs one Cholesky factor, one
+inverse and one eigensolve of size u, the number of distinct gauge plan
+positions, and O(u) per instant.
 
 Strains are dimensionless here; file formats convert to microstrain at the
 I/O boundary only.
@@ -20,8 +23,8 @@ I/O boundary only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -324,6 +327,13 @@ def strain_predictive(
     return GaussianBelief(z.mean, z.cov + noise_cov, jitter=z.jitter)
 
 
+def _singular_noise(sigma_e: float) -> FactorizationError:
+    return FactorizationError(
+        f"rho^2 P C_u P^T + sigma_e^2 I is not positive definite at sigma_e = {sigma_e:.6g}; "
+        f"mirrored or coincident gauges make P C_u P^T singular, so sigma_e must be positive"
+    )
+
+
 # numpy only: scipy would load a second OpenBLAS with its own thread pool, and
 # handing 40 x 40 calls between two pools costs more than the arithmetic. The
 # triangular solves are products with the explicit inverse of the 40 x 40
@@ -336,47 +346,116 @@ def _whiten(b: np.ndarray, kernel: np.ndarray, sigma_e: float) -> tuple[float, n
     try:
         lower = np.linalg.cholesky(b)
     except np.linalg.LinAlgError as exc:
-        raise FactorizationError(
-            f"rho^2 P C_u P^T + sigma_e^2 I is not positive definite at sigma_e = {sigma_e:.6g}; "
-            f"mirrored or coincident gauges make P C_u P^T singular, so sigma_e must be positive"
-        ) from exc
+        raise _singular_noise(sigma_e) from exc
     inverse_factor = np.linalg.inv(lower)
     lam, q = np.linalg.eigh(inverse_factor @ kernel @ inverse_factor.T)
     logdet_b = 2.0 * float(np.sum(np.log(np.diagonal(lower))))
     return logdet_b, np.maximum(lam, 0.0), inverse_factor.T @ q
 
 
-def log_marginal(
-    obs: ObservationSet, w: Hyperparameters, strain_means: np.ndarray, strain_cov: np.ndarray
-) -> float:
+def _row_fsums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The diagonal of A B^T, each entry summed exactly rounded."""
+    return np.array([math.fsum(row) for row in (a * b).tolist()])
+
+
+@dataclass(frozen=True, eq=False)
+class EvidenceBasis:
+    """What the evidence of recording ``obs`` reads that no hyperparameter
+    changes, derived once per chain from the strain-space prior
+    ``strain_means`` (n_y, n_instants) P u_k and ``strain_cov`` (n_y, n_y)
+    P C_u P^T, as ``PriorEnsemble.projected`` gives them.
+
+    With P C_u P^T = V diag(prior_var) V^T, the data and prior means are
+    rotated once, Y~ = V^T Y and M~ = V^T M (held transposed, one row per
+    instant), and only the exactly summed diagonals ``moments`` of Y~ Y~^T,
+    Y~ M~^T and M~ M~^T are kept of their products. Gauges that share a plan
+    position read one mismatch value: the u distinct positions give the
+    incidence E (n_y, u) of gauges on positions, held rotated as
+    ``stations`` = V^T E, and the positions' squared distances
+    ``station_distances`` (u, u), so the unit mismatch kernel is
+    E K_u E^T. u = n_y when no gauges coincide.
+    """
+
+    obs: ObservationSet
+    strain_means: np.ndarray
+    strain_cov: np.ndarray
+    prior_var: np.ndarray = field(init=False)
+    rotated_data: np.ndarray = field(init=False)
+    rotated_means: np.ndarray = field(init=False)
+    moments: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False)
+    stations: np.ndarray = field(init=False)
+    station_distances: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        derive = partial(object.__setattr__, self)
+        n_y, n_o = self.obs.strains.shape
+        derive("strain_means", readonly(self.strain_means))
+        derive("strain_cov", readonly(self.strain_cov))
+        if self.strain_means.shape != (n_y, n_o):
+            raise ValueError(f"{n_o} instants of {n_y} gauges but priors of shape {self.strain_means.shape}")
+        if self.strain_cov.shape != (n_y, n_y):
+            raise ValueError(f"{n_y} gauges but a {self.strain_cov.shape} prior strain covariance")
+        prior_var, v = np.linalg.eigh(self.strain_cov)
+        data, means = v.T @ self.obs.strains, v.T @ self.strain_means
+        points, station = np.unique(self.obs.layout.points, axis=0, return_inverse=True)
+        incidence = np.zeros((n_y, len(points)))
+        incidence[np.arange(n_y), station.reshape(-1)] = 1.0
+        derive("prior_var", readonly(prior_var))
+        derive("rotated_data", readonly(np.ascontiguousarray(data.T)))
+        derive("rotated_means", readonly(np.ascontiguousarray(means.T)))
+        derive("moments", tuple(readonly(_row_fsums(a, b)) for a, b in ((data, data), (data, means), (means, means))))
+        derive("stations", readonly(v.T @ incidence))
+        derive("station_distances", readonly(squared_distances(points)))
+
+
+def log_marginal(obs: ObservationSet, w: Hyperparameters, basis: EvidenceBasis) -> float:
     """Log evidence of a whole recording under instant independence.
 
-    ``strain_means`` (n_y, n_instants) and ``strain_cov`` (n_y, n_y) are the
-    strain-space prior P u_k and P C_u P^T, as ``PriorEnsemble.projected``
-    gives them. Each column y_k is scored under N(rho P u_k, S_k = a_k K + B),
-    with K the unit mismatch kernel, a_k = (gamma_k sigma_d)^2 and
-    B = rho^2 P C_u P^T + sigma_e^2 I shared by all instants. With
-    W^T B W = I and W^T K W = diag(lam) from :func:`_whiten`,
-    W^T S_k W = diag(a_k lam + 1), so log det S_k = log det B +
-    sum_j log(a_k lam_j + 1) and the quadratic form is
-    sum_j z_jk^2 / (a_k lam_j + 1) with z_k = W^T (y_k - rho P u_k). lam is
-    clipped at 0, so gamma_k = 0 gives exactly the B-only density.
+    Each column y_k is scored under N(rho P u_k, S_k = a_k E K_u E^T + B),
+    a_k = (gamma_k sigma_d)^2, with the gauge-position kernel K_u and the
+    prior of ``basis``, which must be built from ``obs``. In its basis,
+    V^T B V = diag(b), b = rho^2 prior_var + sigma_e^2, so log det B and
+    the B-only quadratic form of every instant are sums over b, and the
+    latter, summed over instants, reads only the kept moments. The mismatch
+    enters through the u x u matrices F^T F = C C^T, F = diag(b)^-1/2 V^T E,
+    and C^T K_u C = Q diag(mu) Q^T: log det S_k = log det B +
+    sum_j log(1 + a_k mu_j), and the quadratic form loses
+    a_k sum_j mu_j s_jk^2 / (1 + a_k mu_j), s_k = Q^T C^-1 E^T V diag(1/b)
+    (V^T y_k - rho V^T P u_k). mu is clipped at 0, so gamma_k = 0 gives
+    exactly the B-only density.
 
-    One call costs one Cholesky factor of B, one eigensolve of the whitened
-    mismatch kernel and one (n_y x n_y)(n_y x n_instants) product; each
-    instant then adds O(n_y). Raises :class:`FactorizationError` when B is
-    singular, as it is at sigma_e = 0. Sums with compensated summation so
-    the result is independent of instant order.
+    One call costs one u x u Cholesky factor, inverse and eigensolve, one
+    (n_instants x n_y)(n_y x u) product and O(u) per instant; u is the
+    number of gauge positions, 20 for the 40 bundled gauges. Raises
+    :class:`FactorizationError` naming sigma_e when B is numerically
+    singular, min b <= n_y eps max b, as at sigma_e = 0 with mirrored
+    gauges. Sums over instants with compensated summation, so the result
+    is independent of instant order.
     """
+    if basis.obs is not obs:
+        raise ValueError("the evidence basis was built for another recording")
     n_y, n_o = obs.strains.shape
-    if strain_means.shape[1] != n_o:
-        raise ValueError(f"{n_o} instants but {strain_means.shape[1]} priors")
-    b = (w.rho * w.rho) * strain_cov + (obs.sigma_e * obs.sigma_e) * np.eye(n_y)
-    kernel = sq_exp_correlation(obs.layout.squared_distances, w.ell_d)
-    logdet_b, lam, whiten = _whiten(b, kernel, obs.sigma_e)
-    # Z^T = R^T W with the residual R = Y - rho M
-    z_t = (obs.strains - w.rho * strain_means).T @ whiten
-    scale = (obs.gamma * w.sigma_d)[:, None] ** 2 * lam[None, :] + 1.0
-    quad = np.sum(z_t * z_t / scale, axis=1)
-    terms = -0.5 * (n_y * LOG_2PI + logdet_b + np.sum(np.log(scale), axis=1) + quad)
-    return math.fsum(terms.tolist())
+    rho = w.rho
+    b = (rho * rho) * basis.prior_var + obs.sigma_e * obs.sigma_e
+    if not np.min(b) > n_y * np.finfo(float).eps * np.max(b):
+        raise _singular_noise(obs.sigma_e)
+    weighted = basis.stations / b[:, None]  # diag(1/b) V^T E
+    lower = np.linalg.cholesky(basis.stations.T @ weighted)
+    kernel = sq_exp_correlation(basis.station_distances, w.ell_d)
+    mu, q = np.linalg.eigh(lower.T @ kernel @ lower)
+    mu = np.maximum(mu, 0.0)
+    # S^T = R~^T H^T with the rotated residual R~ = Y~ - rho M~ and H = Q^T C^-1 E^T V diag(1/b)
+    residual = basis.rotated_means * -rho
+    residual += basis.rotated_data
+    s_t = residual @ (weighted @ np.linalg.inv(lower).T @ q)
+    # per instant and station: log(1 + a_k mu_j) - a_k mu_j s_jk^2 / (1 + a_k mu_j), in place
+    scale = np.outer((obs.gamma * w.sigma_d) ** 2, mu)
+    grown = 1.0 + scale
+    terms = scale / grown
+    terms *= s_t
+    terms *= s_t
+    np.subtract(np.log(grown), terms, out=terms)
+    yy, ym, mm = basis.moments
+    quad_b = float(np.sum((yy - 2.0 * rho * ym + (rho * rho) * mm) / b))
+    return -0.5 * (n_o * (n_y * LOG_2PI + float(np.sum(np.log(b)))) + quad_b
+                   + math.fsum(terms.sum(axis=1).tolist()))

@@ -808,6 +808,39 @@ class TestPredictCommand:
         assert "sigma_e" in capsys.readouterr().err
 
 
+_COUNTED_INFER = """
+import json, sys
+from bridgetwin import cli, fem
+calls, solve = [], fem.propagate_prior_series
+def counted(*args, **kwargs):
+    calls.append(args)
+    return solve(*args, **kwargs)
+for name, module in list(sys.modules.items()):
+    if name.startswith("bridgetwin"):
+        for attr, value in list(vars(module).items()):
+            if value is solve:
+                setattr(module, attr, counted)
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, "numpy.random" in sys.modules, len(calls)]))
+"""
+
+
+def test_infer_reads_the_prior_through_the_gauges_and_imports_no_numpy_random(tmp_path):
+    """infer solves the prior once per gauge, never the dof ensemble of
+    every instant, and draws from the standard library's generator, so
+    numpy.random is never imported."""
+    obs = _synth(tmp_path)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", _COUNTED_INFER, "infer", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0",
+         "--iters", "20", "--out", str(tmp_path / "fit")],
+        capture_output=True, text=True, env=env, check=True, timeout=300,
+    )
+    assert json.loads(result.stdout.splitlines()[-1]) == [0, False, 0]
+    assert (tmp_path / "fit" / "chain.csv").exists()
+
+
 def test_cli_import_loads_no_scipy():
     """scipy costs a fifth of a second per command and a second OpenBLAS
     thread pool; the runtime is numpy-only. Nothing logs, so neither is

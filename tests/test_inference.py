@@ -76,7 +76,7 @@ class TestMcmcConfig:
         assert McmcConfig(iterations=3000, burn_in_fraction=0.9998).n_burn == 2999
 
     def test_rejects_a_negative_seed(self):
-        """numpy's generator takes no negative seed; the config names it first."""
+        """A seed is a nonnegative integer, and the config names a negative one."""
         with pytest.raises(ValueError, match=r"^seed must be a nonnegative integer, got -1$"):
             McmcConfig(seed=-1)
         assert McmcConfig(seed=0).seed == 0

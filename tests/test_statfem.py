@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -9,8 +10,11 @@ from hypothesis import strategies as st
 
 import oracles
 from bridgetwin.fem import FactorizationError, GaussianBelief, PriorEnsemble
+from bridgetwin.inference import SUPPORT
+from bridgetwin.loading import select_window
 from bridgetwin.model import ConfigError
 from bridgetwin.statfem import (
+    EvidenceBasis,
     Hyperparameters,
     ObservationSet,
     Sensor,
@@ -25,6 +29,7 @@ from bridgetwin.statfem import (
     true_strain_posterior,
     window_indices,
 )
+from bridgetwin.synth import DiscrepancySpec, generate_observations, generate_truth
 
 
 def _random_instance(rng, n_u=6, n_y=3):
@@ -42,10 +47,25 @@ def _random_instance(rng, n_u=6, n_y=3):
     return mean, c_u, p, points, w, c_d, c_e, y
 
 
+def _evidence(obs, w, ensemble, op):
+    """log_marginal of ``obs`` in the basis of the prior ``ensemble`` read through ``op``."""
+    return log_marginal(obs, w, EvidenceBasis(obs, *ensemble.projected(op)))
+
+
 def _instant_evidence(obs, w, ensemble, op, k):
     """log_marginal of instant k alone, as a one-instant recording and prior."""
     alone = PriorEnsemble(ensemble.means[:, [k]], ensemble.cov)
-    return log_marginal(obs.select([k]), w, *alone.projected(op))
+    return _evidence(obs.select([k]), w, alone, op)
+
+
+def _textbook_evidence(obs, w, means, strain_cov):
+    """The oracle density of each instant of ``obs`` under the strain-space
+    prior (means, strain_cov), summed exactly rounded."""
+    c_e = noise_covariance(obs.n_sensors, obs.sigma_e)
+    return math.fsum(
+        oracles.gaussian_logpdf(obs.strains[:, k], w.rho * means[:, k],
+                                w.rho**2 * strain_cov + mismatch_covariance(obs.layout, w, float(obs.gamma[k])) + c_e)
+        for k in range(obs.n_instants))
 
 
 class TestHyperparameters:
@@ -269,7 +289,7 @@ class TestLogMarginal:
             for i, (x, z) in enumerate(points)
         ))
         obs = ObservationSet(y[:, None], np.zeros(1), float(np.sqrt(c_e[0, 0])), np.ones(1), layout)
-        got = log_marginal(obs, w, *PriorEnsemble(mean[:, None], c_u).projected(p))
+        got = _evidence(obs, w, PriorEnsemble(mean[:, None], c_u), p)
         s = w.rho**2 * p @ c_u @ p.T + c_d + c_e
         ref = oracles.gaussian_logpdf(y, w.rho * p @ mean, s)
         assert got == pytest.approx(ref, rel=1e-12)
@@ -298,7 +318,7 @@ class TestLogMarginal:
         rng = np.random.default_rng(11)
         obs, ensemble, op = self._series_problem(rng)
         w = Hyperparameters(1.1, 0.9, 1.4)
-        fast = log_marginal(obs, w, *ensemble.projected(op))
+        fast = _evidence(obs, w, ensemble, op)
         slow = math.fsum(_instant_evidence(obs, w, ensemble, op, k)
                          for k in range(obs.n_instants))
         assert fast == pytest.approx(slow, rel=1e-12)
@@ -315,14 +335,13 @@ class TestLogMarginal:
             sigma_e=obs.sigma_e, gamma=obs.gamma[perm], layout=obs.layout,
         )
         shuffled_ensemble = PriorEnsemble(means=ensemble.means[:, perm], cov=ensemble.cov)
-        assert log_marginal(shuffled, w, *shuffled_ensemble.projected(op)) == \
-            log_marginal(obs, w, *ensemble.projected(op))
+        assert _evidence(shuffled, w, shuffled_ensemble, op) == _evidence(obs, w, ensemble, op)
 
     def test_matches_sum_of_instants(self):
         rng = np.random.default_rng(17)
         obs, ensemble, op = self._series_problem(rng)
         w = Hyperparameters(1.0, 1.0, 1.0)
-        total = log_marginal(obs, w, *ensemble.projected(op))
+        total = _evidence(obs, w, ensemble, op)
         ref = sum(_instant_evidence(obs, w, ensemble, op, k)
                   for k in range(obs.n_instants))
         assert total == pytest.approx(ref, rel=1e-12)
@@ -338,7 +357,7 @@ class TestLogMarginal:
         b = w.rho**2 * op @ ensemble.cov @ op.T + obs.sigma_e**2 * np.eye(obs.n_sensors)
         refs = [oracles.gaussian_logpdf(obs.strains[:, k], w.rho * op @ ensemble.means[:, k], b)
                 for k in range(obs.n_instants)]
-        assert log_marginal(obs, w, *ensemble.projected(op)) == pytest.approx(math.fsum(refs), rel=1e-12)
+        assert _evidence(obs, w, ensemble, op) == pytest.approx(math.fsum(refs), rel=1e-12)
         got = _instant_evidence(obs, w, ensemble, op, 0)
         assert got == pytest.approx(refs[0], rel=1e-12)
 
@@ -357,9 +376,59 @@ class TestLogMarginal:
         ensemble = PriorEnsemble(np.zeros((3, 2)), np.eye(3))
         w = Hyperparameters(1.0, 1.0, 1.0)
         with pytest.raises(FactorizationError, match="sigma_e"):
-            log_marginal(obs, w, *ensemble.projected(op))
+            _evidence(obs, w, ensemble, op)
         with pytest.raises(FactorizationError, match="sigma_e"):
             _instant_evidence(obs, w, ensemble, op, 0)
+
+    @staticmethod
+    def _bundled_window(ctx, layout):
+        """A 13-instant window of the bundled crossing at the README truth,
+        read by ``layout``, with its gauge-space prior."""
+        idx = select_window(ctx.series.timestamps, 1.0, 3.0, stride=40)
+        gamma = ctx.series.gamma[idx]
+        prior = ctx.strain_prior(idx)
+        rows = [ctx.layout.ids.index(i) for i in layout.ids]
+        means, cov = prior.means[rows], prior.cov[np.ix_(rows, rows)]
+        truth = generate_truth(means, gamma, layout, DiscrepancySpec(0.9, 4e-6, 0.5, seed=1))
+        obs = generate_observations(truth, ctx.series.timestamps[idx], gamma, layout, 1e-6, 1)
+        return obs, means, cov
+
+    def test_matches_textbook_density_over_the_support_box(self, bundled_ctx):
+        """At the 27 points of a 3 x 3 x 3 grid spanning SUPPORT, corners
+        included, the evidence of 13 bundled instants agrees with the
+        per-instant oracle to 1e-8 relative; the 40 gauges sit at 20 plan
+        positions."""
+        obs, means, cov = self._bundled_window(bundled_ctx, bundled_ctx.layout)
+        assert obs.n_instants == 13
+        basis = EvidenceBasis(obs, means, cov)
+        assert basis.stations.shape == (40, 20)
+        for point in itertools.product(*(np.geomspace(lo, hi, 3) for lo, hi in SUPPORT)):
+            w = Hyperparameters.from_array(point)
+            ref = _textbook_evidence(obs, w, means, cov)
+            assert abs(log_marginal(obs, w, basis) - ref) <= 1e-8 * abs(ref), point
+
+    def test_distinct_plan_positions_give_one_station_per_gauge(self, bundled_ctx):
+        """The top fibers of the east girder sit at 20 distinct plan
+        positions, so u = n_y = 20 and the same route scores them."""
+        layout = bundled_ctx.layout.subset([f"T{k:02d}" for k in range(1, 21)])
+        obs, means, cov = self._bundled_window(bundled_ctx, layout)
+        basis = EvidenceBasis(obs, means, cov)
+        assert basis.stations.shape == (20, 20)
+        for w in (Hyperparameters(0.9, 4e-6, 0.5), Hyperparameters(1.2, 1e-5, 3.0)):
+            ref = _textbook_evidence(obs, w, means, cov)
+            assert log_marginal(obs, w, basis) == pytest.approx(ref, rel=1e-10)
+
+    def test_basis_belongs_to_its_recording(self):
+        """A basis holds one recording's rotated data, so scoring another
+        recording with it is refused, as is a prior of the wrong shape."""
+        rng = np.random.default_rng(23)
+        obs, ensemble, op = self._series_problem(rng)
+        basis = EvidenceBasis(obs, *ensemble.projected(op))
+        with pytest.raises(ValueError, match="another recording"):
+            log_marginal(obs.select(np.arange(obs.n_instants)), Hyperparameters(1.0, 1.0, 1.0), basis)
+        means, cov = ensemble.projected(op)
+        with pytest.raises(ValueError, match="instants"):
+            EvidenceBasis(obs, means[:, :-1], cov)
 
 
 @st.composite
@@ -400,7 +469,7 @@ def test_log_marginal_matches_textbook_density_per_instant(problem):
         c_d = mismatch_covariance(obs.layout, w, float(obs.gamma[k]))
         s = w.rho**2 * op @ ensemble.cov @ op.T + c_d + noise_covariance(obs.n_sensors, obs.sigma_e)
         terms.append(oracles.gaussian_logpdf(obs.strains[:, k], w.rho * op @ ensemble.means[:, k], s))
-    got = log_marginal(obs, w, *ensemble.projected(op))
+    got = _evidence(obs, w, ensemble, op)
     assert abs(got - math.fsum(terms)) <= 1e-10 * math.fsum(abs(t) for t in terms)
 
 

@@ -12,7 +12,7 @@ from bridgetwin.dataio import read_recording, write_observations
 from bridgetwin.inference import McmcConfig, chain_diagnostics, run_random_walk
 from bridgetwin.model import load_model_config
 from bridgetwin.pipeline import TwinContext
-from bridgetwin.statfem import ObservationSet
+from bridgetwin.statfem import EvidenceBasis, ObservationSet
 
 from conftest import BRIDGE_YAML, SENSORS_EAST, TRAIN_YAML
 
@@ -72,7 +72,7 @@ def test_every_package_dataclass_is_frozen():
     one can go stale. ``dataclasses.replace`` makes a changed value."""
     classes = list(_package_dataclasses())
     assert {cls.__name__ for cls in classes} >= {"GrillageModel", "ObservationSet", "GaussianBelief", "Chain",
-                                                 "LoadSeries", "StrainOperator"}
+                                                 "LoadSeries", "StrainOperator", "EvidenceBasis"}
     assert [cls.__name__ for cls in classes if not cls.__dataclass_params__.frozen] == []
 
 
@@ -129,7 +129,7 @@ def _package_values(tmp_path):
     """(path, instance) of every package dataclass instance reachable from a
     context with its priors, force covariance and distances built, one of
     its priors, a recording read and an observation set ingested through
-    it, and a short chain with its estimate."""
+    it with its evidence basis, and a short chain with its estimate."""
     ctx = TwinContext.from_files(BRIDGE_YAML, TRAIN_YAML, SENSORS_EAST)
     ctx.force_cov, ctx.layout.squared_distances  # cached on first use
     priors = ctx.prior_series()
@@ -137,8 +137,10 @@ def _package_values(tmp_path):
     write_observations(path, ObservationSet(ctx.strain_means(), ctx.series.timestamps, 1e-6, ctx.series.gamma,
                                             ctx.layout))
     chain = run_random_walk(lambda w: -0.5 * float(w @ w), McmcConfig(iterations=20, seed=1))
-    values = (ctx, priors.instant(0), read_recording(path), ctx.observations_from_csv(path, sigma_e=1e-6),
-              chain, chain_diagnostics(chain))
+    obs = ctx.observations_from_csv(path, sigma_e=1e-6)
+    strain_prior = ctx.strain_prior()
+    values = (ctx, priors.instant(0), read_recording(path), obs, chain, chain_diagnostics(chain),
+              EvidenceBasis(obs, strain_prior.means, strain_prior.cov))
     return {p: v for p, v in _reachable(values, "values", set())
             if dataclasses.is_dataclass(v) and type(v).__module__.startswith("bridgetwin.")}
 
@@ -154,7 +156,8 @@ def test_package_values_hash_and_compare_without_raising(tmp_path):
     assert {type(v).__name__ for v in first.values()} >= {
         "GrillageModel", "LineTable", "DofMap", "StrainOperator", "GaussianBelief", "PriorEnsemble", "LoadSeries",
         "ObservationSet", "Chain", "Recording", "TwinContext", "Hyperparameters", "McmcConfig", "Sensor",
-        "SensorLayout", "Estimate", "TrainScenario", "RandomLoadSpec", "Element", "SectionSpec", "Support"}
+        "SensorLayout", "Estimate", "TrainScenario", "RandomLoadSpec", "Element", "SectionSpec", "Support",
+        "EvidenceBasis"}
     for path, v in first.items():
         w = second[path]
         hash(v)
