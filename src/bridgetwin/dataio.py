@@ -9,11 +9,12 @@ so a recording survives write/read round trips bit-identically. Other SI
 quantities are rendered at 17 significant digits too, which round-trips
 float64 exactly.
 
-Tables go through one writer, ``write_table``, and strain cells are written
-and read a block of rows at a time: a block's strain cells are rendered by
-one bulk ``%e`` conversion and array-level digit and exponent shuffling, and
-read by one grammar check and one float() pass. The per-cell functions
-``format_microstrain`` and ``parse_microstrain`` are the one-cell blocks.
+Tables go through one writer, ``write_table``, which renders every cell a
+block of rows at a time, and strain cells are read a block at a time too: a
+block's strain cells are rendered by one bulk ``%e`` conversion and
+array-level digit and exponent shuffling, and read by one grammar check and
+one float() pass. The per-cell functions ``format_microstrain`` and
+``parse_microstrain`` are the one-cell blocks.
 A recording is read in two steps: ``read_recording`` checks every row's
 cell count and time cell, and its ``strains`` parses the strain cells of
 the rows a caller keeps, so a query pays for the rows it answers.
@@ -48,6 +49,25 @@ def format_si(x: float) -> str:
 
 def _si_cells(values) -> list[str]:
     return list(map(format_si, np.asarray(values, dtype=float).tolist()))
+
+
+def _int_cells(values) -> list[str]:
+    return [str(int(v)) for v in values]
+
+
+class _Rendered:
+    """A text column whose cells are rendered from ``values`` by ``render``
+    only when a slice of rows is taken, so the table writer holds one block
+    of its text at a time."""
+
+    def __init__(self, values, render=_si_cells) -> None:
+        self.values, self.render = values, render
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, rows: slice) -> list[str]:
+        return self.render(self.values[rows])
 
 
 # -- the microstrain codec ----------------------------------------------------
@@ -195,11 +215,11 @@ def _csv_cells(values) -> list[str]:
 def write_table(path: str, header: list[str], columns: list, comment: str = "") -> None:
     """The one CSV writer: equal-length columns under a header row, after
     ``comment`` written verbatim. A float array is a strain column written in
-    microstrain; any other sequence holds the text of its cells. Rows are
-    rendered and written a block at a time, with the csv module's quoting
-    and line ends. A strain column holding a value that is not finite
-    raises ValueError naming the path and the column before the file is
-    opened."""
+    microstrain; any other sequence holds the text of its cells, or renders
+    it when sliced. Rows are rendered and written a block at a time, with
+    the csv module's quoting and line ends. A strain column holding a value
+    that is not finite raises ValueError naming the path and the column
+    before the file is opened."""
     n_rows = len(columns[0])
     if any(len(c) != n_rows for c in columns) or len(header) != len(columns):
         raise ValueError("table columns must match the header and have equal lengths")
@@ -207,14 +227,14 @@ def write_table(path: str, header: list[str], columns: list, comment: str = "") 
         if isinstance(column, np.ndarray) and not np.isfinite(column).all():
             bad = float(column[~np.isfinite(column)][0])
             raise ValueError(f"{path}: column {name}: not a finite strain: {bad!r}")
-    columns = [c if isinstance(c, np.ndarray) else _csv_cells(c) for c in columns]
     strain_at = [i for i, c in enumerate(columns) if isinstance(c, np.ndarray)]
     step = max(1, _BLOCK_CELLS // len(columns))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(comment)
         csv.writer(fh).writerow(header)
         for lo in range(0, n_rows, step):
-            block = [c[lo:lo + step] for c in columns]
+            block = [c[lo:lo + step] if isinstance(c, np.ndarray) else _csv_cells(c[lo:lo + step])
+                     for c in columns]
             if strain_at:
                 # one rendering for all the block's strain cells, column after column
                 rows = len(block[0])
@@ -457,13 +477,14 @@ def write_load_series(path: str, series) -> None:
 
 def write_chain(path: str, chain) -> None:
     """Kept samples, one row per iteration; sigma_d in microstrain."""
+    n_burn = chain.config.n_burn
     write_table(path, ["iter", "rho", "sigma_d", "ell_d", "log_post", "accepted"], [
-        [str(chain.config.n_burn + k) for k in range(len(chain))],
-        _si_cells(chain.samples[:, 0]),
+        _Rendered(range(n_burn, n_burn + len(chain)), _int_cells),
+        _Rendered(chain.samples[:, 0]),
         chain.samples[:, 1],
-        _si_cells(chain.samples[:, 2]),
-        _si_cells(chain.log_density),
-        [str(int(a)) for a in chain.accepted],
+        _Rendered(chain.samples[:, 2]),
+        _Rendered(chain.log_density),
+        _Rendered(chain.accepted, _int_cells),
     ])
 
 

@@ -250,21 +250,27 @@ def chol_psd(cov: np.ndarray) -> tuple[np.ndarray, float]:
     )
 
 
-def squared_distances(points) -> np.ndarray:
-    """Pairwise squared plan distances between the rows of an (n, 2) array,
-    dx^2 + dy^2 from the two coordinate columns, with no (n, n, 2)
-    temporary."""
+def squared_distances(points, others=None) -> np.ndarray:
+    """Squared plan distances (n, m) from the rows of an (n, 2) array to those
+    of an (m, 2) array, the same rows by default: dx^2 + dy^2 from the two
+    coordinate columns, in place, with one (n, m) temporary."""
     p = np.asarray(points, dtype=float)
-    dx = p[:, 0, None] - p[None, :, 0]
-    dy = p[:, 1, None] - p[None, :, 1]
-    return dx * dx + dy * dy
+    q = p if others is None else np.asarray(others, dtype=float)
+    d2 = np.subtract.outer(p[:, 0], q[:, 0])
+    d2 *= d2
+    dy = np.subtract.outer(p[:, 1], q[:, 1])
+    dy *= dy
+    d2 += dy
+    return d2
 
 
 def sq_exp_correlation(d2: np.ndarray, ell: float) -> np.ndarray:
     """Unit-amplitude squared exponential kernel exp(-d2 / (2 ell^2)) from
-    squared plan distances; the one builder of the mismatch and deck-load
-    kernels."""
-    return np.exp(-d2 / (2.0 * ell * ell))
+    squared plan distances, in one new array; the one builder of the
+    mismatch and deck-load kernels."""
+    out = np.negative(d2)
+    out /= 2.0 * ell * ell
+    return np.exp(out, out=out)
 
 
 def _project_covariance(p: np.ndarray, cov: np.ndarray) -> np.ndarray:

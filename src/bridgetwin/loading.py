@@ -23,6 +23,8 @@ from .model import ConfigError, GrillageModel, read_document, readonly
 _TIME_EPS = 1e-9
 # Gauss-Legendre points per member in the deck-load integrals
 QUAD_ORDER = 4
+# deck-load kernel columns built at a time: bounds the kernel's temporaries
+QUAD_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -192,7 +194,9 @@ def force_covariance(model: GrillageModel, dof_map: DofMap, spec: RandomLoadSpec
     through QUAD_ORDER-point Gauss-Legendre line integrals of the
     translational beam shapes (deflection terms only, rotational loads are
     not excited). The result is B K B^T and therefore positive semidefinite
-    by construction; it is supported on the deflection dofs alone.
+    by construction; it is supported on the deflection dofs alone. B K is
+    formed QUAD_BLOCK columns of K at a time, by the same sums as the whole
+    product, so no array of all pairs of quadrature points is made.
     """
     width = spec.tributary_width if spec.tributary_width is not None else model.deck_spacing
     if width is None or width <= 0.0:
@@ -211,9 +215,15 @@ def force_covariance(model: GrillageModel, dof_map: DofMap, spec: RandomLoadSpec
     basis = element_columns(model, dof_map, elements, local, np.arange(elements.size), elements.size)
     starts = model.nodes[model.ends[:, 0]][:, None]  # (n_elements, 1, 2) against (QUAD_ORDER, 1)
     points = (starts + xi[:, None] * model.vectors[:, None]).reshape(-1, 2)
-    kernel = spec.sigma**2 * sq_exp_correlation(squared_distances(points), spec.length_scale)
-    cov = basis @ kernel @ basis.T
-    return 0.5 * (cov + cov.T)
+    weighted = np.empty_like(basis)
+    for lo in range(0, len(points), QUAD_BLOCK):
+        kernel = sq_exp_correlation(squared_distances(points, points[lo:lo + QUAD_BLOCK]), spec.length_scale)
+        kernel *= spec.sigma**2
+        weighted[:, lo:lo + QUAD_BLOCK] = basis @ kernel
+    cov = weighted @ basis.T
+    cov += cov.T
+    cov *= 0.5
+    return cov
 
 
 def load_scenario_config(path: str) -> tuple[TrainScenario, RandomLoadSpec | None]:

@@ -3,12 +3,13 @@
 A :class:`TwinContext` holds one bridge model, one crossing scenario, one
 random deck load and one list of gauge descriptions. Only these inputs are
 settable: the gauge layout, strain operator and load series are built from
-them and the model's one assembly when the context is made, the
-propagated dof priors on first use, and the prior as the gauges read it on
-each request. Commands and tests build the context once
-and pull windows, priors and observation sets from it. The context and all
-it holds or hands out are read-only, so no input can change underneath
-what it derived; ``dataclasses.replace`` with new inputs rebuilds the rest.
+them and the model's one assembly when the context is made, the dof prior
+covariance on first use, and the dof prior means of the instants asked for
+and the prior as the gauges read it on each request. Commands and tests
+build the context once and pull windows, priors and observation sets from
+it. The context and all it holds or hands out are read-only, so no input
+can change underneath what it derived; ``dataclasses.replace`` with new
+inputs rebuilds the rest.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import dataio
 from .fem import (PriorEnsemble, StrainOperator, build_strain_operator, propagate_prior_series,
-                  propagate_strain_prior)
+                  propagate_strain_prior, solve)
 from .loading import (LoadSeries, RandomLoadSpec, TrainScenario, force_covariance, load_scenario_config,
                       load_series, select_window)
 from .model import ConfigError, GrillageModel, load_model_config, readonly
@@ -67,18 +68,20 @@ class TwinContext:
         return readonly(force_covariance(self.model, dof_map, self.random_load))
 
     @cached_property
-    def _prior(self) -> PriorEnsemble:
+    def _prior_cov(self) -> PriorEnsemble:
+        """The dof prior of no instant: its covariance and jitter, solved on first use."""
         stiffness, _ = self.model.assembled
-        return propagate_prior_series(stiffness, self.series.forces, self.force_cov)
+        return propagate_prior_series(stiffness, self.series.forces[:, :0], self.force_cov)
 
     def prior_series(self, indices=None) -> PriorEnsemble:
         """Propagated dof priors at the selected instants (all by default).
 
-        Every instant is solved once, on first use, and the selections share
-        that one covariance.
+        The means are solved for the selected instants only, on each
+        request; every selection shares the one covariance and jitter.
         """
-        full = self._prior
-        return full if indices is None else replace(full, means=full.means[:, np.asarray(indices)])
+        stiffness, _ = self.model.assembled
+        forces = self.series.forces if indices is None else self.series.forces[:, np.asarray(indices)]
+        return replace(self._prior_cov, means=solve(stiffness, forces))
 
     def strain_prior(self, indices=None) -> PriorEnsemble:
         """The prior as the gauges read it at the selected instants (all by

@@ -3,13 +3,17 @@
 The generator shares the mismatch model of the inference side: true gauge
 strain at instant k is rho_true * P u_k plus a draw of the load-scaled
 mismatch field, and recordings add iid gauge noise. Draw streams are keyed
-as (seed, 0, instant) for the mismatch and (seed, 1, instant) for noise,
-so the two sources never alias and any instant can be regenerated alone.
+as "seed:0:instant" for the mismatch and "seed:1:instant" for noise, so the
+two sources never alias and any instant can be regenerated alone. Each key
+seeds the standard library's ``random.Random``, whose 64-bit words become
+uniforms in (0, 1] and, by the Box-Muller transform, standard normals;
+numpy's generators are never loaded.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +41,28 @@ class DiscrepancySpec:
             raise ValueError(f"mismatch length must be positive, got {self.length_scale}")
 
 
+def _standard_normals(seed: int, stream: int, instants, n: int) -> np.ndarray:
+    """Standard normals (n, len(instants)); column j depends only on the key
+    f"{seed}:{stream}:{instants[j]}". The key's ``random.Random`` gives one
+    little-endian 64-bit word per uniform, ((bits >> 11) + 1) 2^-53 in
+    (0, 1], and the Box-Muller transform turns the first half of an even
+    count of uniforms, as radii, and the second half, as angles, into
+    cosine then sine normals, of which the first n are kept."""
+    half = (n + 1) // 2
+    words = b"".join(random.Random(f"{seed}:{stream}:{k}").randbytes(16 * half) for k in instants)
+    bits = np.frombuffer(words, dtype="<u8").reshape(-1, 2 * half)
+    uniform = ((bits >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(uniform[:, :half]))
+    angle = (2.0 * math.pi) * uniform[:, half:]
+    return np.hstack([radius * np.cos(angle), radius * np.sin(angle)])[:, :n].T
+
+
 def draw_discrepancy(layout: SensorLayout, spec: DiscrepancySpec, gamma: np.ndarray) -> np.ndarray:
     """Sample the mismatch field at every instant, scaled by gamma_k.
 
-    One Cholesky factor of the unit-amplitude kernel serves all instants;
-    the per-instant amplitude gamma_k * sigma multiplies the draw, so
-    quiescent instants get exactly zero.
+    One Cholesky factor of the unit-amplitude kernel serves all instants in
+    one product; the per-instant amplitude gamma_k * sigma multiplies the
+    draw. Quiescent instants draw nothing and get exactly zero.
     """
     gamma = np.asarray(gamma, dtype=float)
     n_y = len(layout)
@@ -51,11 +71,8 @@ def draw_discrepancy(layout: SensorLayout, spec: DiscrepancySpec, gamma: np.ndar
         return out
     unit = sq_exp_correlation(layout.squared_distances, spec.length_scale)
     lower, _ = chol_psd(unit)
-    for k, g in enumerate(gamma):
-        if g == 0.0:
-            continue
-        rng = np.random.default_rng([spec.seed, 0, k])
-        out[:, k] = (g * spec.sigma) * (lower @ rng.standard_normal(n_y))
+    loaded = np.flatnonzero(gamma)
+    out[:, loaded] = (gamma[loaded] * spec.sigma) * (lower @ _standard_normals(spec.seed, 0, loaded.tolist(), n_y))
     return out
 
 
@@ -92,9 +109,7 @@ def generate_observations(
         raise ValueError(f"noise level must be nonnegative, got {sigma_e}")
     noisy = truth.copy()
     if sigma_e > 0.0:
-        for k in range(truth.shape[1]):
-            rng = np.random.default_rng([seed, 1, k])
-            noisy[:, k] += sigma_e * rng.standard_normal(truth.shape[0])
+        noisy += sigma_e * _standard_normals(seed, 1, range(truth.shape[1]), truth.shape[0])
     return ObservationSet(noisy, timestamps, sigma_e, gamma, layout)
 
 

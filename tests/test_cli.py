@@ -808,21 +808,37 @@ class TestPredictCommand:
         assert "sigma_e" in capsys.readouterr().err
 
 
-_COUNTED_INFER = """
+_COUNTED = """
 import json, sys
 from bridgetwin import cli, fem
-calls, solve = [], fem.propagate_prior_series
-def counted(*args, **kwargs):
-    calls.append(args)
-    return solve(*args, **kwargs)
+calls, columns = [], []
+def counted(fn, record):
+    def wrapper(*args, **kwargs):
+        record(args)
+        return fn(*args, **kwargs)
+    return wrapper
+patched = [(fem.propagate_prior_series, counted(fem.propagate_prior_series, calls.append)),
+           (fem.solve, counted(fem.solve, lambda args: columns.append(args[1].shape[1])))]
 for name, module in list(sys.modules.items()):
     if name.startswith("bridgetwin"):
         for attr, value in list(vars(module).items()):
-            if value is solve:
-                setattr(module, attr, counted)
+            for raw, wrapped in patched:
+                if value is raw:
+                    setattr(module, attr, wrapped)
 code = cli.main(sys.argv[1:])
-print(json.dumps([code, "numpy.random" in sys.modules, len(calls)]))
+print(json.dumps([code, "numpy.random" in sys.modules, len(calls), columns]))
 """
+
+
+def _counted(argv) -> list:
+    """A command run in a fresh interpreter: its exit code, whether it loaded
+    numpy.random, its calls to propagate_prior_series and the column count
+    of each right-hand side it solved."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", _COUNTED, *argv],
+                            capture_output=True, text=True, env=env, check=True, timeout=300)
+    return json.loads(result.stdout.splitlines()[-1])
 
 
 def test_infer_reads_the_prior_through_the_gauges_and_imports_no_numpy_random(tmp_path):
@@ -830,15 +846,32 @@ def test_infer_reads_the_prior_through_the_gauges_and_imports_no_numpy_random(tm
     every instant, and draws from the standard library's generator, so
     numpy.random is never imported."""
     obs = _synth(tmp_path)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run(
-        [sys.executable, "-c", _COUNTED_INFER, "infer", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0",
-         "--iters", "20", "--out", str(tmp_path / "fit")],
-        capture_output=True, text=True, env=env, check=True, timeout=300,
-    )
-    assert json.loads(result.stdout.splitlines()[-1]) == [0, False, 0]
+    code, numpy_random, prior_series_calls, _ = _counted(
+        ["infer", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0", "--iters", "20", "--out", str(tmp_path / "fit")])
+    assert [code, numpy_random, prior_series_calls] == [0, False, 0]
     assert (tmp_path / "fit" / "chain.csv").exists()
+
+
+def test_synth_imports_no_numpy_random(tmp_path):
+    """synth draws its keyed streams from the standard library's generator."""
+    code, numpy_random, _, _ = _counted(["synth", *_CTX_ARGS, "--rho", "0.9", "--sigma-d", "4.0", "--ell-d", "0.5",
+                                         "--sigma-e", "1.0", "--out", str(tmp_path / "obs.csv")])
+    assert [code, numpy_random] == [0, False]
+    assert (tmp_path / "obs.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["posterior", "predict"])
+def test_one_instant_query_solves_one_mean_column(tmp_path, bundled_ctx, command):
+    """posterior and predict solve the dof prior means of their one instant
+    only: apart from the covariance's two solves of one column per free
+    dof, one column is solved, never the ensemble of every instant."""
+    obs = _synth(tmp_path)
+    held_out = ["--locations", SENSORS_WEST] if command == "predict" else []
+    code, _, _, columns = _counted([command, *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0",
+                                    "--w-star", "0.9,4.0,0.5", "--time", "2.0", *held_out,
+                                    "--out", str(tmp_path / "bands.csv")])
+    assert code == 0 and (tmp_path / "bands.csv").exists()
+    assert sum(columns) == 2 * bundled_ctx.model.assembled[1].n_free + 1
 
 
 def test_cli_import_loads_no_scipy():

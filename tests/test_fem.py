@@ -253,17 +253,21 @@ class TestSquaredDistances:
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_bundled_quadrature_points_match_the_broadcast_sum_bits(self, bundled_ctx, monkeypatch):
+        """The deck-load kernel's column blocks, side by side, hold the
+        broadcast sum's bits over all 404 x 404 pairs of quadrature points."""
         seen = []
 
-        def recorded(points):
-            seen.append(np.array(points))
-            return squared_distances(points)
+        def recorded(points, others):
+            seen.append((np.array(points), np.array(others), squared_distances(points, others)))
+            return seen[-1][2]
 
         monkeypatch.setattr(loading, "squared_distances", recorded)
         force_covariance(bundled_ctx.model, bundled_ctx.model.assembled[1], bundled_ctx.random_load)
-        (points,) = seen
-        assert points.shape == (404, 2)
-        np.testing.assert_array_equal(squared_distances(points).view(np.uint64),
+        points = seen[0][0]
+        assert points.shape == (404, 2) and len(seen) > 1
+        assert all(np.array_equal(p, points) for p, _, _ in seen)
+        np.testing.assert_array_equal(np.vstack([others for _, others, _ in seen]), points)
+        np.testing.assert_array_equal(np.hstack([d2 for _, _, d2 in seen]).view(np.uint64),
                                       _broadcast_squared_distances(points).view(np.uint64))
 
 

@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ import oracles
 from bridgetwin.statfem import Sensor, SensorLayout
 from bridgetwin.synth import (
     DiscrepancySpec,
+    _standard_normals,
     draw_discrepancy,
     estimate_noise_std,
     generate_observations,
@@ -27,6 +31,46 @@ class TestDiscrepancySpec:
         with pytest.raises(ValueError):
             DiscrepancySpec(rho=1.0, sigma=1e-6, length_scale=0.0)
         DiscrepancySpec(rho=1.0, sigma=0.0, length_scale=1.0)
+
+
+def _reference_normals(seed, stream, k, n):
+    """Instant k's normals from its own key, one at a time through the math module."""
+    half = (n + 1) // 2
+    words = random.Random(f"{seed}:{stream}:{k}").randbytes(16 * half)
+    u = [((int.from_bytes(words[8 * i:8 * i + 8], "little") >> 11) + 1) * 2.0**-53 for i in range(2 * half)]
+    radius = [math.sqrt(-2.0 * math.log(x)) for x in u[:half]]
+    angle = [2.0 * math.pi * x for x in u[half:]]
+    return ([r * math.cos(a) for r, a in zip(radius, angle)] + [r * math.sin(a) for r, a in zip(radius, angle)])[:n]
+
+
+class TestKeyedStreams:
+    """Instant k of stream s draws from the key "seed:s:k" alone."""
+
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    def test_draws_follow_the_per_key_reference(self, n):
+        drawn = _standard_normals(7, 1, range(30), n)
+        assert drawn.shape == (n, 30)
+        reference = np.array([_reference_normals(7, 1, k, n) for k in range(30)]).T
+        np.testing.assert_allclose(drawn, reference, rtol=1e-14, atol=1e-14)
+
+    def test_an_instant_regenerated_alone_equals_its_column(self):
+        full = _standard_normals(4, 0, range(50), 40)
+        for k in (0, 17, 49):
+            np.testing.assert_array_equal(_standard_normals(4, 0, [k], 40)[:, 0], full[:, k])
+        assert not np.array_equal(full, _standard_normals(4, 1, range(50), 40))
+
+    def test_the_commands_draw_from_the_keyed_streams(self):
+        """The noise is the stream-1 draw to the bit; the mismatch of an
+        instant loaded alone is its stream-0 column of the full draw, to
+        the rounding of one matrix product."""
+        layout, ts = _layout(), np.arange(12) * 1e-3
+        noise = generate_observations(np.zeros((5, 12)), ts, np.ones(12), layout, sigma_e=1.0, seed=6).strains
+        np.testing.assert_array_equal(noise, _standard_normals(6, 1, range(12), 5))
+        spec = DiscrepancySpec(1.0, 2e-6, 0.8, seed=6)
+        full = draw_discrepancy(layout, spec, np.ones(12))
+        for k in (0, 5, 11):
+            alone = draw_discrepancy(layout, spec, np.eye(12)[k])
+            np.testing.assert_allclose(alone[:, k], full[:, k], rtol=0.0, atol=1e-15 * np.abs(full).max())
 
 
 class TestDrawDiscrepancy:
