@@ -274,25 +274,24 @@ def _cmd_infer(args) -> int:
     return 0
 
 
-def _posterior_pieces(ctx: TwinContext, obs, w: Hyperparameters):
-    """The one instant of ``obs``, its mismatch covariance and conditioned dofs."""
+def _posterior_pieces(ctx: TwinContext, obs, w: Hyperparameters, held_out: SensorLayout | None = None):
+    """The one instant of ``obs``, its mismatch covariance, and the prior of
+    its gauges, then of any ``held_out`` ones, before and after conditioning."""
     t_k = float(obs.timestamps[0])
     gamma_k = float(obs.gamma[0])
-    prior_k = ctx.prior_series(ctx.match_instants(obs.timestamps)).instant(0)
+    prior_k = ctx.strain_prior(ctx.match_instants(obs.timestamps), held_out).instant(0)
     c_d = mismatch_covariance(ctx.layout, w, gamma_k)
     c_e = noise_covariance(obs.n_sensors, obs.sigma_e)
-    post_u = displacement_posterior(obs.strains[:, 0], w, prior_k, ctx.strain_op, c_d, c_e)
-    return t_k, gamma_k, prior_k, c_d, post_u
+    read = np.eye(obs.n_sensors, prior_k.mean.size)
+    post = displacement_posterior(obs.strains[:, 0], w, prior_k, read, c_d, c_e)
+    return t_k, gamma_k, prior_k, c_d, post
 
 
 def _cmd_posterior(args) -> int:
     w = _resolve_w_star(args.w_star)
     ctx, obs = _windowed(args, args.time)
-    t_k, gamma_k, prior_k, c_d, post_u = _posterior_pieces(ctx, obs, w)
-
-    prior_strain = prior_k.project(ctx.strain_op)
-    fe_strain = post_u.project(ctx.strain_op)
-    z = true_strain_posterior(post_u, w, ctx.strain_op, c_d)
+    t_k, gamma_k, prior_strain, c_d, fe_strain = _posterior_pieces(ctx, obs, w)
+    z = true_strain_posterior(fe_strain, w, np.eye(obs.n_sensors), c_d)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -301,7 +300,7 @@ def _cmd_posterior(args) -> int:
                               {name: (b.mean, b.std()) for name, b in bands.items()},
                               observed=obs.strains[:, 0])
     print(f"wrote {out}: instant t={t_k:.6g} s (gamma {gamma_k:.3f}), "
-          f"{len(ctx.layout)} sensors, prior jitter {post_u.jitter:.3e}")
+          f"{len(ctx.layout)} sensors, prior jitter {fe_strain.jitter:.3e}")
     _write_manifest(Path(str(out) + ".manifest.json"), "posterior", args, [out])
     return 0
 
@@ -309,13 +308,12 @@ def _cmd_posterior(args) -> int:
 def _cmd_predict(args) -> int:
     w = _resolve_w_star(args.w_star)
     ctx, obs = _windowed(args, args.time)
-    t_k, gamma_k, _, _, post_u = _posterior_pieces(ctx, obs, w)
-
     held_out = SensorLayout.resolve(ctx.model, dataio.read_layout_entries(args.locations))
-    op = ctx.operator_for(held_out)
+    t_k, gamma_k, _, _, post = _posterior_pieces(ctx, obs, w, held_out)
+
     c_d_hat = mismatch_covariance(held_out, w, gamma_k)
     c_e_hat = noise_covariance(len(held_out), obs.sigma_e)
-    pred = strain_predictive(post_u, w, op, c_d_hat, c_e_hat)
+    pred = strain_predictive(post, w, np.eye(len(held_out), post.mean.size, obs.n_sensors), c_d_hat, c_e_hat)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

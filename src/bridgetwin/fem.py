@@ -18,6 +18,7 @@ through the inverse stiffness. The jitter added is returned, never logged.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,27 +225,22 @@ def build_strain_operator(model: GrillageModel, dof_map: DofMap, sensors) -> Str
 def chol_psd(cov: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of a (possibly semidefinite) covariance.
 
-    Escalates diagonal jitter eps * mean(diag) through JITTER_LADDER and
-    returns the factor together with the jitter actually added. A matrix of
-    exact zeros factors to zeros. Raises :class:`FactorizationError` when
-    the ladder is exhausted.
+    Escalates diagonal jitter eps * mean(diag) through JITTER_LADDER, each
+    rung set on the diagonal of one copy of ``cov``, and returns the factor
+    together with the jitter actually added. A matrix of exact zeros factors
+    to zeros. Raises :class:`FactorizationError` when the ladder is exhausted.
     """
     cov = np.asarray(cov, dtype=float)
     scale = float(np.mean(np.diagonal(cov)))
     if scale == 0.0 and not np.any(cov):
         return np.zeros_like(cov), 0.0
-    try:
+    with suppress(np.linalg.LinAlgError):
         return np.linalg.cholesky(cov), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    eye = np.eye(cov.shape[0])
+    shifted, diag = cov.copy(), np.diagonal(cov)
     for eps in JITTER_LADDER:
-        jitter = eps * scale
-        try:
-            factor = np.linalg.cholesky(cov + jitter * eye)
-        except np.linalg.LinAlgError:
-            continue
-        return factor, jitter
+        np.fill_diagonal(shifted, diag + eps * scale)
+        with suppress(np.linalg.LinAlgError):
+            return np.linalg.cholesky(shifted), eps * scale
     raise FactorizationError(
         f"covariance cannot be factored even with jitter up to {JITTER_LADDER[-1]:.0e} * mean diagonal"
     )
@@ -283,8 +279,13 @@ def _project_covariance(p: np.ndarray, cov: np.ndarray) -> np.ndarray:
 
 
 def _check_symmetric(cov: np.ndarray, what: str) -> None:
+    """Refuse ``cov`` unless np.allclose(cov, cov.T, atol=1e-10 max |cov|,
+    rtol=0), tested with one n x n float temporary where that makes three."""
     scale = np.max(np.abs(cov)) if cov.size else 0.0
-    if not np.allclose(cov, cov.T, atol=1e-10 * scale + 1e-300, rtol=0.0):
+    with np.errstate(invalid="ignore"):
+        diff = cov - cov.T
+        close = np.abs(diff, out=diff) <= 1e-10 * scale + 1e-300
+    if not np.all((close & np.isfinite(cov.T)) | (cov == cov.T)):
         raise ValueError(f"{what} must be symmetric")
 
 
@@ -361,9 +362,10 @@ def _load_inputs(mean_forces, force_cov) -> tuple[np.ndarray, np.ndarray, float]
         raise ValueError("mean_forces must be (n_free, n_instants)")
     force_cov = np.asarray(force_cov, dtype=float)
     _check_symmetric(force_cov, "load covariance")
-    _, jitter = chol_psd(force_cov)
+    jitter = chol_psd(force_cov)[1]  # the factor is dropped before the copy is made
     if jitter > 0.0:
-        force_cov = force_cov + jitter * np.eye(force_cov.shape[0])
+        force_cov = force_cov.copy()
+        np.fill_diagonal(force_cov, np.diagonal(force_cov) + jitter)
     return mean_forces, force_cov, jitter
 
 

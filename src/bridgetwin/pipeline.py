@@ -3,26 +3,26 @@
 A :class:`TwinContext` holds one bridge model, one crossing scenario, one
 random deck load and one list of gauge descriptions. Only these inputs are
 settable: the gauge layout, strain operator and load series are built from
-them and the model's one assembly when the context is made, the dof prior
-covariance on first use, and the dof prior means of the instants asked for
-and the prior as the gauges read it on each request. Commands and tests
-build the context once and pull windows, priors and observation sets from
-it. The context and all it holds or hands out are read-only, so no input
-can change underneath what it derived; ``dataclasses.replace`` with new
-inputs rebuilds the rest.
+them and the model's one assembly when the context is made, the load
+covariance on first use, and the prior on each request. Every command reads
+the prior as the gauges see it, from one adjoint solve; the dof prior stays
+as the reference that route is checked against. Commands and tests build
+the context once and pull windows, priors and observation sets from it.
+The context and all it holds or hands out are read-only, so no input can
+change underneath what it derived; ``dataclasses.replace`` with new inputs
+rebuilds the rest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from types import MappingProxyType
 
 import numpy as np
 
 from . import dataio
-from .fem import (PriorEnsemble, StrainOperator, build_strain_operator, propagate_prior_series,
-                  propagate_strain_prior, solve)
+from .fem import PriorEnsemble, StrainOperator, build_strain_operator, propagate_prior_series, propagate_strain_prior
 from .loading import (LoadSeries, RandomLoadSpec, TrainScenario, force_covariance, load_scenario_config,
                       load_series, select_window)
 from .model import ConfigError, GrillageModel, load_model_config, readonly
@@ -67,30 +67,28 @@ class TwinContext:
         _, dof_map = self.model.assembled
         return readonly(force_covariance(self.model, dof_map, self.random_load))
 
-    @cached_property
-    def _prior_cov(self) -> PriorEnsemble:
-        """The dof prior of no instant: its covariance and jitter, solved on first use."""
-        stiffness, _ = self.model.assembled
-        return propagate_prior_series(stiffness, self.series.forces[:, :0], self.force_cov)
+    def _forces(self, indices) -> np.ndarray:
+        return self.series.forces if indices is None else self.series.forces[:, np.asarray(indices)]
 
     def prior_series(self, indices=None) -> PriorEnsemble:
-        """Propagated dof priors at the selected instants (all by default).
-
-        The means are solved for the selected instants only, on each
-        request; every selection shares the one covariance and jitter.
-        """
+        """Propagated dof priors at the selected instants (all by default),
+        their covariance solved on each request: the reference that the
+        gauge prior of :meth:`strain_prior` is checked against."""
         stiffness, _ = self.model.assembled
-        forces = self.series.forces if indices is None else self.series.forces[:, np.asarray(indices)]
-        return replace(self._prior_cov, means=solve(stiffness, forces))
+        return propagate_prior_series(stiffness, self._forces(indices), self.force_cov)
 
-    def strain_prior(self, indices=None) -> PriorEnsemble:
+    def strain_prior(self, indices=None, held_out: SensorLayout | None = None) -> PriorEnsemble:
         """The prior as the gauges read it at the selected instants (all by
         default): strain means P u_k and covariance P C_u P^T, from one
         adjoint solve with a right-hand side per gauge, never the dof
-        ensemble of :meth:`prior_series`. The jitter is that ensemble's."""
+        ensemble of :meth:`prior_series`. Given a ``held_out`` layout, the
+        rows are the context's gauges followed by the held-out ones, from
+        the same one solve. The jitter is that ensemble's."""
         stiffness, _ = self.model.assembled
-        forces = self.series.forces if indices is None else self.series.forces[:, np.asarray(indices)]
-        return propagate_strain_prior(stiffness, self.strain_op, forces, self.force_cov)
+        op = self.strain_op
+        if held_out is not None:
+            op = np.vstack([op.matrix, self.operator_for(held_out).matrix])
+        return propagate_strain_prior(stiffness, op, self._forces(indices), self.force_cov)
 
     def strain_means(self) -> np.ndarray:
         """Deterministic model strains P u_k at every instant of the series."""

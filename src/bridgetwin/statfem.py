@@ -258,7 +258,9 @@ def displacement_posterior(
     mismatch_cov: np.ndarray,
     noise_cov: np.ndarray,
 ) -> GaussianBelief:
-    """Condition the dof prior on one instant of gauge data.
+    """Condition a Gaussian vector u ~ N(u_bar, C_u) that ``strain_op`` P
+    reads on one instant of gauge data: the free dofs, or strains the
+    gauges read, with P selecting the observed rows.
 
     Uses the residual form
 
@@ -266,10 +268,10 @@ def displacement_posterior(
         cov  = C_u - rho^2 C_u P^T S^-1 P C_u,   S = rho^2 P C_u P^T + C_d + C_e
 
     which is algebraically the standard linear-Gaussian update but never
-    inverts C_u, so it accepts the singular dof covariances produced by
-    loads that excite only part of the structure. S^-1 comes from the
-    factors the evidence uses: with B = rho^2 P C_u P^T + C_e and
-    W^T B W = I, W^T C_d W = diag(lam), S^-1 = W diag(1/(lam + 1)) W^T.
+    inverts C_u, so it accepts the singular covariances produced by loads
+    that excite only part of the structure. S^-1 comes from
+    :func:`_whiten`: with B = rho^2 P C_u P^T + C_e and W^T B W = I,
+    W^T C_d W = diag(lam), S^-1 = W diag(1/(lam + 1)) W^T.
     Raises :class:`FactorizationError` naming sigma_e when B is not positive
     definite, as at sigma_e = 0 with mirrored gauges, where the conditioned
     covariance would be rounding noise; nothing is jittered here, and the
@@ -287,7 +289,7 @@ def displacement_posterior(
     gain = prior.cov @ p.T  # C_u P^T
     b = rho * rho * (p @ gain) + noise_cov
     sigma_e = math.sqrt(max(float(np.min(np.diagonal(noise_cov))), 0.0))
-    _, lam, whiten = _whiten(0.5 * (b + b.T), mismatch_cov, sigma_e)
+    lam, whiten = _whiten(0.5 * (b + b.T), mismatch_cov, sigma_e)
     half = whiten / np.sqrt(lam + 1.0)  # S^-1 = half half^T
     weighted = half.T @ gain.T
     resid = y - rho * (p @ prior.mean)
@@ -301,7 +303,8 @@ def true_strain_posterior(
     posterior: GaussianBelief, w: Hyperparameters, strain_op, mismatch_cov: np.ndarray
 ) -> GaussianBelief:
     """Belief over the latent true gauge strains rho P u + d given data:
-    N(rho P m, rho^2 P C P^T + C_d) for the dof posterior N(m, C).
+    N(rho P m, rho^2 P C P^T + C_d) for the posterior N(m, C) of the vector
+    u that ``strain_op`` P reads.
 
     The bands add the prior mismatch covariance C_d and leave out the update
     of d by the data y, so they are conservative: wider than the joint
@@ -321,7 +324,7 @@ def strain_predictive(
 
     Identical to the true-strain belief plus the gauge noise covariance,
     evaluated through whatever operator and kernel matrices are supplied,
-    so held-out locations just need their own operator rows.
+    so held-out gauges need only their rows of the conditioned belief.
     """
     z = true_strain_posterior(posterior, w, strain_op, mismatch_cov)
     return GaussianBelief(z.mean, z.cov + noise_cov, jitter=z.jitter)
@@ -334,23 +337,21 @@ def _singular_noise(sigma_e: float) -> FactorizationError:
     )
 
 
-# numpy only: scipy would load a second OpenBLAS with its own thread pool, and
-# handing 40 x 40 calls between two pools costs more than the arithmetic. The
-# triangular solves are products with the explicit inverse of the 40 x 40
-# factor, which numpy has and which costs less than the solves it replaces.
-def _whiten(b: np.ndarray, kernel: np.ndarray, sigma_e: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """(log det B, lam, W) with B = L L^T, L^-1 K L^-T = Q diag(lam) Q^T and
-    W = L^-T Q, so W^T (a K + B) W = diag(a lam + 1) for every a >= 0; lam
-    is clipped at 0. Raises :class:`FactorizationError` naming sigma_e, the
-    noise level in B, when B is not positive definite."""
+# the conditioning's one factorisation, numpy only: scipy would load a second
+# OpenBLAS with its own thread pool. The triangular solves are products with
+# the explicit inverse of the n_y x n_y factor, which numpy has.
+def _whiten(b: np.ndarray, kernel: np.ndarray, sigma_e: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, W) with B = L L^T, L^-1 K L^-T = Q diag(lam) Q^T and W = L^-T Q,
+    so W^T (K + B) W = diag(lam + 1); lam is clipped at 0. Raises
+    :class:`FactorizationError` naming sigma_e, the noise level in B, when B
+    is not positive definite."""
     try:
         lower = np.linalg.cholesky(b)
     except np.linalg.LinAlgError as exc:
         raise _singular_noise(sigma_e) from exc
     inverse_factor = np.linalg.inv(lower)
     lam, q = np.linalg.eigh(inverse_factor @ kernel @ inverse_factor.T)
-    logdet_b = 2.0 * float(np.sum(np.log(np.diagonal(lower))))
-    return logdet_b, np.maximum(lam, 0.0), inverse_factor.T @ q
+    return np.maximum(lam, 0.0), inverse_factor.T @ q
 
 
 def _row_fsums(a: np.ndarray, b: np.ndarray) -> np.ndarray:

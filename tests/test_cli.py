@@ -6,14 +6,17 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
+import oracles
 from bridgetwin import cli, inference
 from bridgetwin.cli import fbg_mechanical_strain
-from bridgetwin.dataio import format_microstrain, parse_microstrain, read_observation_table
+from bridgetwin.dataio import BAND_Z, format_microstrain, parse_microstrain, read_layout_entries, read_observation_table
 from bridgetwin.fem import FactorizationError
 from bridgetwin.inference import McmcConfig
+from bridgetwin.statfem import Hyperparameters, SensorLayout
 
 from conftest import BRIDGE_YAML, SENSORS_EAST, SENSORS_WEST, TRAIN_YAML, cropped_recording
 
@@ -475,9 +478,9 @@ class TestPosteriorCommand:
         assert "sigma_e" in capsys.readouterr().err
 
     def test_tiny_noise_still_writes_bands(self, tmp_path):
-        """At sigma_e = 0.001 ue the conditioned dof covariance is mostly
-        rounding noise; its strain projection must still be a valid
-        covariance, not a configuration error."""
+        """At sigma_e = 0.001 ue the conditioned strain covariance is mostly
+        rounding noise; it must still be a valid covariance, not a
+        configuration error."""
         obs = _synth(tmp_path)
         out = tmp_path / "bands.csv"
         rc = cli.main(["posterior", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "0.001",
@@ -860,18 +863,64 @@ def test_synth_imports_no_numpy_random(tmp_path):
     assert (tmp_path / "obs.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["posterior", "predict"])
-def test_one_instant_query_solves_one_mean_column(tmp_path, bundled_ctx, command):
-    """posterior and predict solve the dof prior means of their one instant
-    only: apart from the covariance's two solves of one column per free
-    dof, one column is solved, never the ensemble of every instant."""
-    obs = _synth(tmp_path)
-    held_out = ["--locations", SENSORS_WEST] if command == "predict" else []
-    code, _, _, columns = _counted([command, *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0",
-                                    "--w-star", "0.9,4.0,0.5", "--time", "2.0", *held_out,
-                                    "--out", str(tmp_path / "bands.csv")])
-    assert code == 0 and (tmp_path / "bands.csv").exists()
-    assert sum(columns) == 2 * bundled_ctx.model.assembled[1].n_free + 1
+@pytest.mark.parametrize("command,columns", [("synth", 40), ("simulate", 40), ("posterior", 40), ("predict", 60)])
+def test_command_reads_the_prior_through_its_gauges(tmp_path, command, columns):
+    """No command solves the dof prior ensemble: each reads the prior from
+    one adjoint solve with a right-hand side per gauge it reads, the 40
+    bundled gauges and, for predict, the 20 held-out ones after them."""
+    synth = ["--rho", "0.9", "--sigma-d", "4.0", "--ell-d", "0.5", "--sigma-e", "1.0"]
+    query = ["--obs", str(_synth(tmp_path)), "--sigma-e", "1.0", "--w-star", "0.9,4.0,0.5", "--time", "2.0"]
+    extra = {"synth": synth, "simulate": [], "posterior": query, "predict": [*query, "--locations", SENSORS_WEST]}
+    out = tmp_path / ("run" if command == "simulate" else "out.csv")
+    code, _, prior_series_calls, solved = _counted([command, *_CTX_ARGS, *extra[command], "--out", str(out)])
+    assert [code, prior_series_calls, solved] == [0, 0, [columns]]
+    assert out.exists()
+
+
+def _band_table(path) -> tuple[float, np.ndarray]:
+    """The instant of a band table and its band cells as strains, one row per gauge."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    t_k = float(lines[0].split()[2].removeprefix("t="))
+    n_bands = sum(name.endswith("_mean") or name == "mean" for name in lines[1].split(","))
+    return t_k, np.array([[parse_microstrain(c) for c in line.split(",")[4:4 + 3 * n_bands]] for line in lines[2:]])
+
+
+@pytest.mark.parametrize("time", [1.2, 2.0])
+def test_query_bands_match_the_oracle_on_the_dof_prior(tmp_path, bundled_ctx, time):
+    """Every band posterior and predict write, each read from the gauge
+    prior, matches block conditioning of the dof prior of ``prior_series``
+    by the oracles, to 1e-9 of its largest magnitude."""
+    ctx, recording = bundled_ctx, _synth(tmp_path)
+    query = [*_CTX_ARGS, "--obs", str(recording), "--sigma-e", "1.0", "--w-star", "0.9,4.0,0.5", "--time", str(time)]
+    assert cli.main(["posterior", *query, "--out", str(tmp_path / "posterior.csv")]) == 0
+    assert cli.main(["predict", *query, "--locations", SENSORS_WEST, "--out", str(tmp_path / "predict.csv")]) == 0
+    t_k, posterior = _band_table(tmp_path / "posterior.csv")
+    _, predicted = _band_table(tmp_path / "predict.csv")
+
+    w = Hyperparameters(0.9, 4e-6, 0.5)
+    obs = ctx.observations_from_csv(str(recording), sigma_e=1e-6)
+    k = int(np.argmin(np.abs(obs.timestamps - t_k)))
+    gamma_k, noise = float(obs.gamma[k]), obs.sigma_e**2
+    prior = ctx.prior_series(ctx.match_instants(obs.timestamps[[k]])).instant(0)
+    p = ctx.strain_op.matrix
+    c_d = oracles.sq_exp_matrix_loops(ctx.layout.points, gamma_k * w.sigma_d, w.ell_d)
+    mean, cov = oracles.conditioned_joint(obs.strains[:, k], w.rho, prior.mean, prior.cov, p, c_d,
+                                          noise * np.eye(len(ctx.layout)))
+    held_out = SensorLayout.resolve(ctx.model, read_layout_entries(SENSORS_WEST))
+    expected = {
+        "prior": (p @ prior.mean, p @ prior.cov @ p.T),
+        "fe": (p @ mean, p @ cov @ p.T),
+        "z": oracles.latent_strain_belief(w.rho, mean, cov, p, c_d),
+        "predict": oracles.predictive_belief(
+            w.rho, mean, cov, ctx.operator_for(held_out).matrix,
+            oracles.sq_exp_matrix_loops(held_out.points, gamma_k * w.sigma_d, w.ell_d),
+            noise * np.eye(len(held_out))),
+    }
+    written = {"prior": posterior[:, 0:3], "fe": posterior[:, 3:6], "z": posterior[:, 6:9], "predict": predicted}
+    for name, (m, c) in expected.items():
+        std = np.sqrt(np.clip(np.diagonal(c), 0.0, None))
+        bands = np.column_stack([m, m - BAND_Z * std, m + BAND_Z * std])
+        assert np.max(np.abs(written[name] - bands)) <= 1e-9 * np.max(np.abs(bands)), name
 
 
 def test_cli_import_loads_no_scipy():

@@ -7,7 +7,7 @@ import pytest
 from bridgetwin.dataio import read_layout_entries, write_observations
 from bridgetwin.model import ConfigError
 from bridgetwin.pipeline import TwinContext
-from bridgetwin.statfem import EvidenceBasis, Hyperparameters, ObservationSet, log_marginal
+from bridgetwin.statfem import EvidenceBasis, Hyperparameters, ObservationSet, SensorLayout, log_marginal
 from bridgetwin.synth import DiscrepancySpec, generate_observations, generate_truth
 
 from conftest import BRIDGE_YAML, SENSORS_EAST, SENSORS_WEST, TRAIN_YAML, cropped_recording
@@ -144,12 +144,7 @@ class TestPriorSeries:
         sub = bundled_ctx.prior_series(idx)
         full = bundled_ctx.prior_series()
         np.testing.assert_array_equal(sub.means, full.means[:, idx])
-        assert sub.cov is full.cov
-
-    def test_covariance_is_shared_and_cached(self, bundled_ctx):
-        a = bundled_ctx.prior_series(np.array([10, 20]))
-        b = bundled_ctx.prior_series(np.array([30])).cov
-        assert a.cov is b
+        np.testing.assert_array_equal(sub.cov, full.cov)
 
 
 class TestStrainPrior:
@@ -165,6 +160,23 @@ class TestStrainPrior:
         np.testing.assert_array_equal(strain.cov, strain.cov.T)
         assert strain.jitter == bundled_ctx.prior_series().jitter > 0.0
         np.testing.assert_array_equal(bundled_ctx.strain_means(), bundled_ctx.strain_prior().means)
+
+    def test_held_out_rows_follow_the_gauges(self, bundled_ctx):
+        """Given a held-out layout, the rows are the context's 40 gauges and
+        then the 20 held-out ones, as the dof route reads them through both
+        operators stacked."""
+        idx = np.array([350, 600])
+        held_out = SensorLayout.resolve(bundled_ctx.model, read_layout_entries(SENSORS_WEST))
+        strain = bundled_ctx.strain_prior(idx, held_out)
+        both = np.vstack([bundled_ctx.strain_op.matrix, bundled_ctx.operator_for(held_out).matrix])
+        means, cov = bundled_ctx.prior_series(idx).projected(both)
+        assert strain.means.shape == (60, 2) and strain.cov.shape == (60, 60)
+        np.testing.assert_allclose(strain.means, means, rtol=0.0, atol=1e-12 * np.abs(means).max())
+        np.testing.assert_allclose(strain.cov, cov, rtol=0.0, atol=1e-9 * np.abs(cov).max())
+        gauges = bundled_ctx.strain_prior(idx)
+        np.testing.assert_allclose(strain.means[:40], gauges.means, rtol=0.0, atol=1e-12 * np.abs(means).max())
+        np.testing.assert_allclose(strain.cov[:40, :40], gauges.cov, rtol=0.0, atol=1e-12 * np.abs(cov).max())
+        assert strain.jitter == gauges.jitter
 
     def test_both_routes_score_a_recording_alike(self, bundled_ctx):
         """At rho <= 2 the evidence reads the two priors alike to 1e-10

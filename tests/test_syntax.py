@@ -119,7 +119,7 @@ def test_no_array_a_context_holds_is_writeable(bundled_ctx):
     arrays = dict(_arrays(bundled_ctx, "ctx", set()))
     assert arrays.keys() >= {"ctx.model.nodes", "ctx.model.assembled[0]", "ctx.model.assembled[1].index",
                              "ctx.layout.squared_distances", "ctx.strain_op.matrix", "ctx.series.forces",
-                             "ctx.force_cov", "ctx._prior_cov.means", "ctx._prior_cov.cov", "ctx.model.ends",
+                             "ctx.force_cov", "ctx.model.ends",
                              "ctx.model.vectors", "ctx.model.lengths", "ctx.model.line_tables['east'].starts"}
     assert [path for path, array in arrays.items() if array.flags.writeable] == []
     assert [path for path, array in arrays.items() if any(base.flags.writeable for base in _bases(array))] == []
@@ -127,9 +127,10 @@ def test_no_array_a_context_holds_is_writeable(bundled_ctx):
 
 def _package_values(tmp_path):
     """(path, instance) of every package dataclass instance reachable from a
-    context with its priors, force covariance and distances built, one of
-    its priors, a recording read and an observation set ingested through
-    it with its evidence basis, and a short chain with its estimate."""
+    context with its force covariance and distances built, its dof priors
+    and one instant of them, a recording read and an observation set
+    ingested through it with its evidence basis, and a short chain with its
+    estimate."""
     ctx = TwinContext.from_files(BRIDGE_YAML, TRAIN_YAML, SENSORS_EAST)
     ctx.force_cov, ctx.layout.squared_distances  # cached on first use
     priors = ctx.prior_series()
@@ -139,7 +140,7 @@ def _package_values(tmp_path):
     chain = run_random_walk(lambda w: -0.5 * float(w @ w), McmcConfig(iterations=20, seed=1))
     obs = ctx.observations_from_csv(path, sigma_e=1e-6)
     strain_prior = ctx.strain_prior()
-    values = (ctx, priors.instant(0), read_recording(path), obs, chain, chain_diagnostics(chain),
+    values = (ctx, priors, priors.instant(0), read_recording(path), obs, chain, chain_diagnostics(chain),
               EvidenceBasis(obs, strain_prior.means, strain_prior.cov))
     return {p: v for p, v in _reachable(values, "values", set())
             if dataclasses.is_dataclass(v) and type(v).__module__.startswith("bridgetwin.")}
