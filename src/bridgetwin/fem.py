@@ -354,19 +354,16 @@ class PriorEnsemble:
         return p @ self.means, _project_covariance(p, self.cov)
 
 
-def _load_inputs(mean_forces, force_cov) -> tuple[np.ndarray, np.ndarray, float]:
-    """The mean loads (n_free, n_instants) and the load covariance C_f, proven
-    PSD by the jitter policy, with the jitter added to its diagonal."""
-    mean_forces = np.asarray(mean_forces, dtype=float)
-    if mean_forces.ndim != 2:
-        raise ValueError("mean_forces must be (n_free, n_instants)")
+def _load_inputs(force_cov) -> tuple[np.ndarray, float]:
+    """The load covariance C_f, proven PSD by the jitter policy, with the
+    jitter added to its diagonal, and that jitter."""
     force_cov = np.asarray(force_cov, dtype=float)
     _check_symmetric(force_cov, "load covariance")
     jitter = chol_psd(force_cov)[1]  # the factor is dropped before the copy is made
     if jitter > 0.0:
         force_cov = force_cov.copy()
         np.fill_diagonal(force_cov, np.diagonal(force_cov) + jitter)
-    return mean_forces, force_cov, jitter
+    return force_cov, jitter
 
 
 def propagate_prior_series(
@@ -377,7 +374,10 @@ def propagate_prior_series(
     and never forming K^-1. The covariance is solved once and shared by every
     column; C_f is proven PSD by the jitter policy first and any jitter used
     is recorded on the returned ensemble."""
-    mean_forces, force_cov, jitter = _load_inputs(mean_forces, force_cov)
+    mean_forces = np.asarray(mean_forces, dtype=float)
+    if mean_forces.ndim != 2:
+        raise ValueError("mean_forces must be (n_free, n_instants)")
+    force_cov, jitter = _load_inputs(force_cov)
     means = solve(stiffness, mean_forces)
     half = solve(stiffness, force_cov)
     cov = solve(stiffness, half.T)
@@ -386,13 +386,17 @@ def propagate_prior_series(
 
 
 def propagate_strain_prior(
-    stiffness: np.ndarray, strain_op, mean_forces: np.ndarray, force_cov: np.ndarray
+    stiffness: np.ndarray, strain_op, force_blocks, force_cov: np.ndarray
 ) -> PriorEnsemble:
     """The prior of :func:`propagate_prior_series` as the gauges read it:
     strain means P K^-1 m_k (n_y, n_instants) and covariance P K^-1 C_f K^-1 P^T.
     K is symmetric, so one adjoint solve K X = P^T with n_y right-hand sides
     gives both, as X^T m_k and X^T C_f X; no dof-space mean or covariance is
-    formed. The jitter policy and its record are those of the dof route."""
-    mean_forces, force_cov, jitter = _load_inputs(mean_forces, force_cov)
+    formed. The mean loads come as ``force_blocks``, an iterable of
+    (n_free, b) blocks of consecutive instants, and X^T m_k is formed one
+    block at a time, so the loads of every instant are never held at once.
+    The jitter policy and its record are those of the dof route."""
+    force_cov, jitter = _load_inputs(force_cov)
     adjoint_t = solve(stiffness, operator_matrix(strain_op).T).T
-    return PriorEnsemble(adjoint_t @ mean_forces, _project_covariance(adjoint_t, force_cov), jitter=jitter)
+    means = np.concatenate([np.empty((len(adjoint_t), 0)), *(adjoint_t @ block for block in force_blocks)], axis=1)
+    return PriorEnsemble(means, _project_covariance(adjoint_t, force_cov), jitter=jitter)

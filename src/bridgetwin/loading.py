@@ -21,10 +21,16 @@ from .fem import DofMap, element_columns, hermite_shape, sq_exp_correlation, squ
 from .model import ConfigError, GrillageModel, read_document, readonly
 
 _TIME_EPS = 1e-9
-# Gauss-Legendre points per member in the deck-load integrals
-QUAD_ORDER = 4
+# Gauss-Legendre nodes and weights on [-1, 1] of the deck-load integrals,
+# QUAD_ORDER points per member: numpy.polynomial.legendre.leggauss(QUAD_ORDER)
+# to the bit, written out so that no command imports numpy.polynomial
+QUAD_NODES = (-0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526)
+QUAD_WEIGHTS = (0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357)
+QUAD_ORDER = len(QUAD_NODES)
 # deck-load kernel columns built at a time: bounds the kernel's temporaries
 QUAD_BLOCK = 64
+# instants whose train forces are formed at a time: bounds the force temporaries
+FORCE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -112,40 +118,54 @@ def _train_forces(model: GrillageModel, dof_map: DofMap, scenario: TrainScenario
 
 @dataclass(frozen=True, eq=False)
 class LoadSeries:
-    """Force vectors over the recording window.
+    """The train forcing over the recording window, formed on demand.
 
-    ``norms`` are the per-instant force norms and ``gamma`` the relative
-    intensities, the norms scaled by their maximum: quiescent instants have
-    gamma 0 and the loudest instant has gamma 1.
+    Only the inputs are held: no force matrix is kept. ``norms`` are the
+    per-instant force norms and ``gamma`` the relative intensities, the
+    norms scaled by their maximum: quiescent instants have gamma 0 and the
+    loudest instant has gamma 1. The norms are derived in one pass over
+    :meth:`force_blocks`.
     """
 
-    timestamps: np.ndarray
-    forces: np.ndarray  # (n_free, n_instants)
-
-    def __post_init__(self) -> None:
-        for name in ("timestamps", "forces"):
-            object.__setattr__(self, name, readonly(getattr(self, name)))
+    model: GrillageModel
+    scenario: TrainScenario
 
     def __len__(self) -> int:
         return self.timestamps.shape[0]
 
     @cached_property
+    def timestamps(self) -> np.ndarray:
+        return readonly(self.scenario.timestamps())
+
+    def forces(self, indices=None) -> np.ndarray:
+        """Free-dof forces (n_free, n) of the selected instants (all by
+        default), one column per instant, formed on each call."""
+        times = self.timestamps if indices is None else self.timestamps[np.asarray(indices)]
+        return _train_forces(self.model, self.model.assembled[1], self.scenario, times)
+
+    def force_blocks(self, indices=None):
+        """The forces of the selected instants (all by default), FORCE_BLOCK
+        instants at a time, in order."""
+        indices = np.arange(len(self)) if indices is None else np.asarray(indices)
+        for lo in range(0, indices.size, FORCE_BLOCK):
+            yield self.forces(indices[lo:lo + FORCE_BLOCK])
+
+    @cached_property
     def norms(self) -> np.ndarray:
-        return readonly(np.linalg.norm(self.forces, axis=0))
+        return readonly(np.concatenate([np.linalg.norm(block, axis=0) for block in self.force_blocks()]))
 
     @cached_property
     def gamma(self) -> np.ndarray:
         return readonly(self.norms / self.norms.max())
 
 
-def load_series(model: GrillageModel, dof_map: DofMap, scenario: TrainScenario) -> LoadSeries:
-    """Evaluate the train forcing at every recording instant.
+def load_series(model: GrillageModel, scenario: TrainScenario) -> LoadSeries:
+    """The train forcing at every recording instant, its norms derived.
 
     Raises :class:`ValueError` when the train never touches the span inside
     the window, which would leave an empty effective observation window.
     """
-    times = scenario.timestamps()
-    series = LoadSeries(times, _train_forces(model, dof_map, scenario, times))
+    series = LoadSeries(model, scenario)
     if series.norms.max() == 0.0:
         raise ValueError("empty effective observation window: train never loads the span")
     return series
@@ -201,9 +221,8 @@ def force_covariance(model: GrillageModel, dof_map: DofMap, spec: RandomLoadSpec
     width = spec.tributary_width if spec.tributary_width is not None else model.deck_spacing
     if width is None or width <= 0.0:
         raise ConfigError("random load needs a positive tributary width or model deck spacing")
-    xi, wq = np.polynomial.legendre.leggauss(QUAD_ORDER)
-    xi = 0.5 * (xi + 1.0)
-    wq = 0.5 * wq
+    xi = 0.5 * (np.array(QUAD_NODES) + 1.0)
+    wq = 0.5 * np.array(QUAD_WEIGHTS)
 
     n_elements = len(model.elements)
     elements = np.repeat(np.arange(n_elements), QUAD_ORDER)

@@ -50,7 +50,7 @@ class TwinContext:
         _, dof_map = self.model.assembled
         derive("layout", SensorLayout.resolve(self.model, self.sensor_entries))
         derive("strain_op", build_strain_operator(self.model, dof_map, self.layout.sensors))
-        derive("series", load_series(self.model, dof_map, self.scenario))
+        derive("series", load_series(self.model, self.scenario))
 
     @classmethod
     def from_files(cls, model_path: str, scenario_path: str, sensors_path: str) -> "TwinContext":
@@ -67,15 +67,12 @@ class TwinContext:
         _, dof_map = self.model.assembled
         return readonly(force_covariance(self.model, dof_map, self.random_load))
 
-    def _forces(self, indices) -> np.ndarray:
-        return self.series.forces if indices is None else self.series.forces[:, np.asarray(indices)]
-
     def prior_series(self, indices=None) -> PriorEnsemble:
         """Propagated dof priors at the selected instants (all by default),
         their covariance solved on each request: the reference that the
         gauge prior of :meth:`strain_prior` is checked against."""
         stiffness, _ = self.model.assembled
-        return propagate_prior_series(stiffness, self._forces(indices), self.force_cov)
+        return propagate_prior_series(stiffness, self.series.forces(indices), self.force_cov)
 
     def strain_prior(self, indices=None, held_out: SensorLayout | None = None) -> PriorEnsemble:
         """The prior as the gauges read it at the selected instants (all by
@@ -83,12 +80,14 @@ class TwinContext:
         adjoint solve with a right-hand side per gauge, never the dof
         ensemble of :meth:`prior_series`. Given a ``held_out`` layout, the
         rows are the context's gauges followed by the held-out ones, from
-        the same one solve. The jitter is that ensemble's."""
+        the same one solve. The means are formed a block of instants at a
+        time, so no force matrix of every selected instant is made. The
+        jitter is that ensemble's."""
         stiffness, _ = self.model.assembled
         op = self.strain_op
         if held_out is not None:
             op = np.vstack([op.matrix, self.operator_for(held_out).matrix])
-        return propagate_strain_prior(stiffness, op, self._forces(indices), self.force_cov)
+        return propagate_strain_prior(stiffness, op, self.series.force_blocks(indices), self.force_cov)
 
     def strain_means(self) -> np.ndarray:
         """Deterministic model strains P u_k at every instant of the series."""

@@ -829,14 +829,14 @@ for name, module in list(sys.modules.items()):
                 if value is raw:
                     setattr(module, attr, wrapped)
 code = cli.main(sys.argv[1:])
-print(json.dumps([code, "numpy.random" in sys.modules, len(calls), columns]))
+print(json.dumps([code, "numpy.random" in sys.modules, len(calls), columns, "numpy.polynomial" in sys.modules]))
 """
 
 
 def _counted(argv) -> list:
     """A command run in a fresh interpreter: its exit code, whether it loaded
-    numpy.random, its calls to propagate_prior_series and the column count
-    of each right-hand side it solved."""
+    numpy.random, its calls to propagate_prior_series, the column count of
+    each right-hand side it solved and whether it loaded numpy.polynomial."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", _COUNTED, *argv],
@@ -847,17 +847,18 @@ def _counted(argv) -> list:
 def test_infer_reads_the_prior_through_the_gauges_and_imports_no_numpy_random(tmp_path):
     """infer solves the prior once per gauge, never the dof ensemble of
     every instant, and draws from the standard library's generator, so
-    numpy.random is never imported."""
+    numpy.random is never imported; nor is numpy.polynomial, since the
+    deck-load quadrature rule is written out."""
     obs = _synth(tmp_path)
-    code, numpy_random, prior_series_calls, _ = _counted(
+    code, numpy_random, prior_series_calls, _, numpy_polynomial = _counted(
         ["infer", *_CTX_ARGS, "--obs", str(obs), "--sigma-e", "1.0", "--iters", "20", "--out", str(tmp_path / "fit")])
-    assert [code, numpy_random, prior_series_calls] == [0, False, 0]
+    assert [code, numpy_random, prior_series_calls, numpy_polynomial] == [0, False, 0, False]
     assert (tmp_path / "fit" / "chain.csv").exists()
 
 
 def test_synth_imports_no_numpy_random(tmp_path):
     """synth draws its keyed streams from the standard library's generator."""
-    code, numpy_random, _, _ = _counted(["synth", *_CTX_ARGS, "--rho", "0.9", "--sigma-d", "4.0", "--ell-d", "0.5",
+    code, numpy_random, _, _, _ = _counted(["synth", *_CTX_ARGS, "--rho", "0.9", "--sigma-d", "4.0", "--ell-d", "0.5",
                                          "--sigma-e", "1.0", "--out", str(tmp_path / "obs.csv")])
     assert [code, numpy_random] == [0, False]
     assert (tmp_path / "obs.csv").exists()
@@ -867,13 +868,15 @@ def test_synth_imports_no_numpy_random(tmp_path):
 def test_command_reads_the_prior_through_its_gauges(tmp_path, command, columns):
     """No command solves the dof prior ensemble: each reads the prior from
     one adjoint solve with a right-hand side per gauge it reads, the 40
-    bundled gauges and, for predict, the 20 held-out ones after them."""
+    bundled gauges and, for predict, the 20 held-out ones after them. None
+    imports numpy.polynomial."""
     synth = ["--rho", "0.9", "--sigma-d", "4.0", "--ell-d", "0.5", "--sigma-e", "1.0"]
     query = ["--obs", str(_synth(tmp_path)), "--sigma-e", "1.0", "--w-star", "0.9,4.0,0.5", "--time", "2.0"]
     extra = {"synth": synth, "simulate": [], "posterior": query, "predict": [*query, "--locations", SENSORS_WEST]}
     out = tmp_path / ("run" if command == "simulate" else "out.csv")
-    code, _, prior_series_calls, solved = _counted([command, *_CTX_ARGS, *extra[command], "--out", str(out)])
-    assert [code, prior_series_calls, solved] == [0, 0, [columns]]
+    code, _, prior_series_calls, solved, numpy_polynomial = _counted(
+        [command, *_CTX_ARGS, *extra[command], "--out", str(out)])
+    assert [code, prior_series_calls, solved, numpy_polynomial] == [0, 0, [columns], False]
     assert out.exists()
 
 

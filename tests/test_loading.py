@@ -35,9 +35,9 @@ def _forces_at(model, t, **overrides):
     """The train's free-dof forces at instant ``t``: the first column of the
     load series of a window that starts at ``t`` and runs 6 s, long enough
     for every scenario here to load the span at some instant."""
-    series = load_series(model, model.assembled[1], _scenario(time_window=(t, t + 6.0), **overrides))
+    series = load_series(model, _scenario(time_window=(t, t + 6.0), **overrides))
     assert series.timestamps[0] == t
-    return series.forces[:, 0]
+    return series.forces([0])[:, 0]
 
 
 def _point_forces(model, nodes, load):
@@ -156,7 +156,7 @@ class TestLoadSeries:
     def test_empty_window_raises(self, ss_beam):
         s = _scenario(arrival_time=100.0)
         with pytest.raises(ValueError, match="empty effective observation window"):
-            load_series(ss_beam, assemble(ss_beam)[1], s)
+            load_series(ss_beam, s)
 
     def test_sub_window_forces_are_the_full_series_columns(self, bundled_ctx):
         """The whole-window placement equals placing each instant alone, to
@@ -164,35 +164,59 @@ class TestLoadSeries:
         exactly, and a window from the series' start to its peak repeats the
         series' timestamps, so each compares bitwise. An unloaded instant
         alone is an empty window, and its column of the series is zero."""
-        series, scenario = bundled_ctx.series, bundled_ctx.scenario
-        model, dof_map = bundled_ctx.model, bundled_ctx.model.assembled[1]
+        series, scenario, model = bundled_ctx.series, bundled_ctx.scenario, bundled_ctx.model
+        forces = series.forces()
         for k, t in enumerate(series.timestamps.tolist()):
             alone = dataclasses.replace(scenario, time_window=(t, t + 0.25 * scenario.time_step))
-            if not series.forces[:, k].any():
+            if not forces[:, k].any():
                 with pytest.raises(ValueError, match="empty effective observation window"):
-                    load_series(model, dof_map, alone)
+                    load_series(model, alone)
                 continue
-            one = load_series(model, dof_map, alone)
+            one = load_series(model, alone)
             assert one.timestamps.tolist() == [t]
-            np.testing.assert_array_equal(one.forces[:, 0], series.forces[:, k])
+            np.testing.assert_array_equal(one.forces()[:, 0], forces[:, k])
         peak = int(np.argmax(series.gamma))
         head = dataclasses.replace(scenario, time_window=(float(series.timestamps[0]),
                                                           float(series.timestamps[peak])))
-        sub = load_series(model, dof_map, head)
+        sub = load_series(model, head)
         np.testing.assert_array_equal(sub.timestamps, series.timestamps[:peak + 1])
-        np.testing.assert_array_equal(sub.forces, series.forces[:, :peak + 1])
+        np.testing.assert_array_equal(sub.forces(), forces[:, :peak + 1])
 
-    def test_only_the_forces_are_fields(self, bundled_ctx):
-        """Norms and gamma derive from the forces, so ``dataclasses.replace``
-        with new forces cannot carry the old ones along."""
+    def test_only_the_inputs_are_fields(self, bundled_ctx):
+        """The timestamps, norms and gamma derive from the model and the
+        scenario, so ``dataclasses.replace`` with a window cut before the
+        peak cannot carry the old ones along."""
         series = bundled_ctx.series
-        assert [f.name for f in dataclasses.fields(LoadSeries)] == ["timestamps", "forces"]
-        np.testing.assert_array_equal(series.norms, np.linalg.norm(series.forces, axis=0))
+        assert [f.name for f in dataclasses.fields(LoadSeries)] == ["model", "scenario"]
         np.testing.assert_array_equal(series.gamma, series.norms / series.norms.max())
-        before_peak = np.arange(len(series)) < np.argmax(series.gamma)
-        cut = dataclasses.replace(series, forces=series.forces * before_peak)
+        peak = int(np.argmax(series.gamma))
+        t0 = float(series.timestamps[0])
+        cut = dataclasses.replace(series, scenario=dataclasses.replace(
+            series.scenario, time_window=(t0, float(series.timestamps[peak - 1]))))
+        np.testing.assert_array_equal(cut.timestamps, series.timestamps[:peak])
         assert cut.norms.max() < series.norms.max() and cut.gamma.max() == 1.0
-        assert not np.array_equal(cut.gamma, series.gamma)
+        assert not np.array_equal(cut.gamma, series.gamma[:peak])
+
+    def test_norms_are_those_of_the_whole_force_matrix(self, bundled_ctx):
+        """The norms, derived a block of instants at a time, equal to the
+        bit those of the forces of every instant formed at once."""
+        series = bundled_ctx.series
+        assert len(series) > loading.FORCE_BLOCK
+        np.testing.assert_array_equal(series.norms, np.linalg.norm(series.forces(), axis=0))
+
+    def test_selected_forces_are_columns_of_every_instants_forces(self, bundled_ctx):
+        """The forces of selected instants, in any order and with repeats,
+        are bit-equal to the matching columns of all the forces, and so are
+        the blocks, in order."""
+        series = bundled_ctx.series
+        forces = series.forces()
+        assert forces.shape == (bundled_ctx.model.assembled[1].n_free, len(series))
+        for idx in ([0], [450], [900, 3, 450, 450], np.arange(250, 750, 7), np.arange(len(series))):
+            np.testing.assert_array_equal(series.forces(idx), forces[:, np.asarray(idx)])
+        idx = np.arange(100, 901, 3)
+        blocks = list(series.force_blocks(idx))
+        assert [b.shape[1] for b in blocks[:-1]] == [loading.FORCE_BLOCK] * (len(blocks) - 1)
+        np.testing.assert_array_equal(np.concatenate(blocks, axis=1), forces[:, idx])
 
 
 class TestSelectWindow:
@@ -240,13 +264,23 @@ class TestForceCovariance:
             ref = oracles.brute_force_load_cov(ss_beam, dof_map, sigma, ell, width)
             assert np.abs(cov - ref).max() <= 1e-4 * np.abs(ref).max()
 
+    def test_quadrature_rule_is_leggauss_to_the_bit(self):
+        """The written-out nodes and weights are numpy's Gauss-Legendre rule
+        of QUAD_ORDER points, bit for bit."""
+        nodes, weights = np.polynomial.legendre.leggauss(loading.QUAD_ORDER)
+        for written, exact in ((loading.QUAD_NODES, nodes), (loading.QUAD_WEIGHTS, weights)):
+            np.testing.assert_array_equal(np.array(written).view(np.uint64), exact.view(np.uint64))
+
     def test_quadrature_order_is_converged(self, ss_beam, monkeypatch):
         """Doubling the fixed Gauss-Legendre order moves the covariance by
         less than 1e-4 of its largest entry."""
         _, dof_map = assemble(ss_beam)
         spec = RandomLoadSpec(500.0, 1.0, tributary_width=1.0)
         c4 = force_covariance(ss_beam, dof_map, spec)
-        monkeypatch.setattr(loading, "QUAD_ORDER", 2 * loading.QUAD_ORDER)
+        nodes, weights = np.polynomial.legendre.leggauss(2 * loading.QUAD_ORDER)
+        monkeypatch.setattr(loading, "QUAD_ORDER", nodes.size)
+        monkeypatch.setattr(loading, "QUAD_NODES", tuple(nodes))
+        monkeypatch.setattr(loading, "QUAD_WEIGHTS", tuple(weights))
         c8 = force_covariance(ss_beam, dof_map, spec)
         assert c8.shape == c4.shape and not np.array_equal(c4, c8)
         assert np.abs(c4 - c8).max() <= 1e-4 * np.abs(c8).max()
@@ -257,7 +291,7 @@ class TestForceCovariance:
         when the whole kernel was formed), and it matches the dense B K B^T
         to 1e-13 of its largest entry."""
         model, (_, dof_map), spec = bundled_ctx.model, bundled_ctx.model.assembled, bundled_ctx.random_load
-        bundled_ctx.force_cov  # the first call imports numpy.polynomial, which is not the kernel's
+        bundled_ctx.force_cov  # the first call may import or cache what is not the kernel's
         tracemalloc.start()
         try:
             cov = force_covariance(model, dof_map, spec)

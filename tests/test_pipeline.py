@@ -1,13 +1,16 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from bridgetwin import loading
 from bridgetwin.dataio import read_layout_entries, write_observations
+from bridgetwin.fem import solve
 from bridgetwin.model import ConfigError
 from bridgetwin.pipeline import TwinContext
-from bridgetwin.statfem import EvidenceBasis, Hyperparameters, ObservationSet, SensorLayout, log_marginal
+from bridgetwin.statfem import EvidenceBasis, Hyperparameters, ObservationSet, SensorLayout, log_marginal, window_indices
 from bridgetwin.synth import DiscrepancySpec, generate_observations, generate_truth
 
 from conftest import BRIDGE_YAML, SENSORS_EAST, SENSORS_WEST, TRAIN_YAML, cropped_recording
@@ -17,7 +20,7 @@ class TestBuild:
     def test_from_files(self, bundled_ctx):
         assert bundled_ctx.model.assembled[1].n_free == 242
         assert len(bundled_ctx.layout) == 40
-        assert bundled_ctx.series.forces.shape[0] == 242
+        assert bundled_ctx.series.forces([0]).shape == (242, 1)
 
     def test_operator_rows_follow_layout(self, bundled_ctx):
         op = bundled_ctx.operator_for(bundled_ctx.layout)
@@ -32,6 +35,39 @@ class TestBuild:
             bundled_ctx.random_load = None
         with pytest.raises(dataclasses.FrozenInstanceError):
             bundled_ctx.series = None
+
+    def test_no_force_matrix_is_held_or_formed(self, monkeypatch):
+        """A context holds no train force matrix: built from the bundled
+        files it holds at most 1.0 MB of traced heap and peaks at 2.0 MB
+        (0.63 MB and 1.53 MB here; 2.37 MB and 4.12 MB when the series
+        kept its 242 x 901 forces). Its prior over all 901 instants forms
+        their forces FORCE_BLOCK columns at a time, below the traced peak
+        that matrix alone would take."""
+        TwinContext.from_files(BRIDGE_YAML, TRAIN_YAML, SENSORS_EAST)  # imports and caches what is not the context's
+        tracemalloc.start()
+        try:
+            ctx = TwinContext.from_files(BRIDGE_YAML, TRAIN_YAML, SENSORS_EAST)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.0e6 and peak <= 2.0e6, (held, peak)
+        ctx.force_cov
+        widths, scatter = [], loading.element_columns
+
+        def recorded(*args):
+            widths.append(args[-1])
+            return scatter(*args)
+
+        monkeypatch.setattr(loading, "element_columns", recorded)
+        tracemalloc.start()
+        try:
+            means = ctx.strain_prior().means
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dense = ctx.model.assembled[1].n_free * len(ctx.series) * 8
+        assert means.shape == (40, 901) and peak < dense, peak
+        assert max(widths) == loading.FORCE_BLOCK and sum(widths) == 901
 
     def test_replace_gives_fresh_caches(self, bundled_ctx, study_ctx):
         softer = dataclasses.replace(bundled_ctx, random_load=study_ctx.random_load)
@@ -133,8 +169,9 @@ def _assert_same_pieces(ctx, fresh):
     np.testing.assert_array_equal(dof_map.index, fresh_dof_map.index)
     np.testing.assert_array_equal(stiffness, fresh_stiffness)
     np.testing.assert_array_equal(ctx.strain_op.matrix, fresh.strain_op.matrix)
-    for name in ("timestamps", "forces", "gamma"):
+    for name in ("timestamps", "gamma"):
         np.testing.assert_array_equal(getattr(ctx.series, name), getattr(fresh.series, name))
+    np.testing.assert_array_equal(ctx.series.forces(), fresh.series.forces())
     np.testing.assert_array_equal(ctx.strain_means(), fresh.strain_means())
 
 
@@ -160,6 +197,29 @@ class TestStrainPrior:
         np.testing.assert_array_equal(strain.cov, strain.cov.T)
         assert strain.jitter == bundled_ctx.prior_series().jitter > 0.0
         np.testing.assert_array_equal(bundled_ctx.strain_means(), bundled_ctx.strain_prior().means)
+
+    @pytest.mark.parametrize("window", ["all", "loaded"])
+    def test_blocked_means_equal_the_dense_product(self, bundled_ctx, window):
+        """The strain means, formed a block of instants at a time, equal
+        X^T F of the adjoint X and the forces F of every selected instant at
+        once: bit for bit over all 901 instants, and over the 718 that infer
+        reads by default in every full block of FORCE_BLOCK instants. The
+        narrower last block is a product of its own, whose remainder columns
+        OpenBLAS may compute with another kernel than those of the one wide
+        product: over the 718 instants 5 of the last 6 columns differ by one
+        unit in the last place, so that block is held to 1e-15 of the
+        largest mean. Over all 901 the last block's instants carry no load."""
+        ts, gamma = bundled_ctx.series.timestamps, bundled_ctx.series.gamma
+        idx = np.arange(ts.size) if window == "all" else window_indices(ts, gamma)
+        assert idx.size == {"all": 901, "loaded": 718}[window]
+        adjoint_t = solve(bundled_ctx.model.assembled[0], bundled_ctx.strain_op.matrix.T).T
+        dense = adjoint_t @ bundled_ctx.series.forces(idx)
+        means = bundled_ctx.strain_prior(None if window == "all" else idx).means
+        full = idx.size - idx.size % loading.FORCE_BLOCK
+        np.testing.assert_array_equal(means[:, :full].view(np.uint64), dense[:, :full].view(np.uint64))
+        np.testing.assert_allclose(means, dense, rtol=0.0, atol=1e-15 * np.abs(dense).max())
+        if window == "all":
+            np.testing.assert_array_equal(means.view(np.uint64), dense.view(np.uint64))
 
     def test_held_out_rows_follow_the_gauges(self, bundled_ctx):
         """Given a held-out layout, the rows are the context's 40 gauges and

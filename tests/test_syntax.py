@@ -118,7 +118,7 @@ def test_no_array_a_context_holds_is_writeable(bundled_ctx):
     bundled_ctx.layout.squared_distances
     arrays = dict(_arrays(bundled_ctx, "ctx", set()))
     assert arrays.keys() >= {"ctx.model.nodes", "ctx.model.assembled[0]", "ctx.model.assembled[1].index",
-                             "ctx.layout.squared_distances", "ctx.strain_op.matrix", "ctx.series.forces",
+                             "ctx.layout.squared_distances", "ctx.strain_op.matrix", "ctx.series.norms",
                              "ctx.force_cov", "ctx.model.ends",
                              "ctx.model.vectors", "ctx.model.lengths", "ctx.model.line_tables['east'].starts"}
     assert [path for path, array in arrays.items() if array.flags.writeable] == []
